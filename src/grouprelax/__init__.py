@@ -7,14 +7,13 @@ from .errors import (CapExceeded, DenseLimitExceeded, DiagnosticUnavailable,
 from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, is_unimodular, snf, solve_mod
 from .gen import CutStockSpec, cutgen, planted
 from .kernel import (FeasibleCoset, KernelBasis, column_orders, compress_coset,
-                     compress_kernel, enumerate_coset, feasible_coset,
-                     null_gen_finding, solve_feasible_point)
+                     compress_kernel, enumerate_coset, feasible_coset)
 from .lp import (BasisSolution, ILPInstance, StandardFormILP,
                  check_asymptotic_sufficiency, solve_lp_exact, to_standard_form)
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, ReportRow, emit_report, run_pipeline
 from .relax import (BoundChain, GroupRelaxationData, GroupSolution, bound_chain,
-                    build_group_relaxation, lift_to_ilp)
+                    build_group_relaxation, lift_to_ilp, relax_ilp)
 from .search import (SearchConfig, SearchResult, brute_force_group,
                      brute_force_ilp, gomory_shortest_path,
                      markov_chain_search, solve_group)

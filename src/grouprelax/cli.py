@@ -8,22 +8,20 @@ from __future__ import annotations
 
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from .errors import (CapExceeded, DenseLimitExceeded, EmptyWidthBand,
-                     GroupRelaxError, Infeasible, MalformedMPS, NotPureILP,
-                     PatternLimitExceeded, Unbounded)
+from .errors import (CapExceeded, DenseLimitExceeded, GroupRelaxError,
+                     Infeasible, NotPureILP, PatternLimitExceeded, Unbounded)
 from .gen import CutStockSpec, cutgen, planted
 from .kernel import compress_coset, feasible_coset
-from .lp import solve_lp_exact, to_standard_form
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, emit_report, fmt_rational, run_pipeline
-from .relax import build_group_relaxation
+from .relax import relax_ilp
 from .search import METHODS, SearchConfig, gomory_shortest_path
 from .spdiag import SPParams, sp_diagnose
+from .walks import DENSE_LIMIT_DEFAULT
 
 
 def _exit_code(exc: GroupRelaxError) -> int:
@@ -95,10 +93,8 @@ def solve(file, method, seed, max_samples, beta, compress):
 @_handle_errors
 def relax(file):
     """Bound chain only: exact OPT_LP and certified OPT_B."""
-    inst = _load(file)
-    sf = to_standard_form(inst)
-    bs = solve_lp_exact(sf)
-    grd = build_group_relaxation(sf, bs)
+    grd = relax_ilp(_load(file))
+    bs = grd.bs
     res = gomory_shortest_path(grd)
     click.echo(f"opt_lp {fmt_rational(bs.opt_lp)}")
     click.echo(f"opt_b {fmt_rational(res.objective)}")
@@ -112,10 +108,7 @@ def relax(file):
 @_handle_errors
 def kernel(file, compress):
     """Kernel generators, orders, |K|, |G|."""
-    inst = _load(file)
-    sf = to_standard_form(inst)
-    bs = solve_lp_exact(sf)
-    grd = build_group_relaxation(sf, bs)
+    grd = relax_ilp(_load(file))
     fc = feasible_coset(grd)
     if compress:
         fc = compress_coset(grd, fc)
@@ -131,16 +124,13 @@ def kernel(file, compress):
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--eta", type=float, default=0.5)
-@click.option("--dense-limit", type=int, default=4096)
+@click.option("--dense-limit", type=int, default=DENSE_LIMIT_DEFAULT)
 @click.option("--expander-c", type=float, default=8.0)
 @click.option("--mu-sweep", type=int, default=8)
 @_handle_errors
 def diagnose(file, eta, dense_limit, expander_c, mu_sweep):
     """Short-path spectral diagnostics (dense mode)."""
-    inst = _load(file)
-    sf = to_standard_form(inst)
-    bs = solve_lp_exact(sf)
-    grd = build_group_relaxation(sf, bs)
+    grd = relax_ilp(_load(file))
     fc = feasible_coset(grd)
     rep = sp_diagnose(grd, fc, SPParams(eta=eta, dense_limit=dense_limit,
                                         mu_sweep=mu_sweep,
@@ -153,7 +143,8 @@ def diagnose(file, eta, dense_limit, expander_c, mu_sweep):
     emit("e_star", fmt_rational(rep.e_star))
     emit("shift_c", fmt_rational(rep.shift_c))
     emit("cyclic_norm_max", fmt_rational(rep.cyclic_norm_max))
-    emit("delta_p_bound", fmt_rational(rep.delta_p_bound))
+    # the one-step cost-change bound delta_p is max_j cyclic_norm(h_j)
+    emit("delta_p_bound", fmt_rational(rep.cyclic_norm_max))
     emit("omega_hat", float(rep.omega_hat))
     emit("delta", rep.delta)
     emit("gamma_plain", rep.gamma_plain)

@@ -275,12 +275,6 @@ def is_unimodular(M: IntMatrix) -> bool:
     return abs(det_exact(M)) == 1
 
 
-def lcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // gcd(a, b)
-
-
 def solve_rational(A: IntMatrix, cols: Sequence[int] | None, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve A[:, cols] x = rhs exactly (square nonsingular system)."""
     sub = A.select_columns(cols) if cols is not None else A

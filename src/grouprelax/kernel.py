@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, Infeasible
-from .exact import IntMatrix, lcm, snf, solve_mod
+from .exact import IntMatrix, SNFResult, snf, solve_mod
 from .relax import GroupRelaxationData
 
 
@@ -48,20 +48,17 @@ def _group_residual(Abold: IntMatrix, r: Sequence[int], x: Sequence[int]) -> lis
     return [v % r[i] for i, v in enumerate(Abold.matvec(list(x)))]
 
 
-def _null_generators(Abold: IntMatrix, r: Sequence[int]):
+def _kernel_generators(fact: SNFResult, r_max: int, A: IntMatrix, r: Sequence[int]):
     """Core of the generator-finding algorithm: cyclic generators of
-    {x in Z_{r_max}^d : Abold x = 0 (mod R Z^m)}.
+    {x in Z_{r_max}^d : A x = 0 (mod R Z^m)}, read off fact, the SNF of
+    the preconditioned matrix diag(r_max / r_i) A.
 
     Returns (generators, orders, kernel_order) with trivial generators
-    dropped. Handles d > m by treating the missing diagonal entries of
-    the preconditioned SNF as zeros (free coordinates).
+    dropped; each generator is checked against the congruence. Handles
+    d > m by treating the missing diagonal entries of the SNF as zeros
+    (free coordinates).
     """
-    m, d = Abold.rows, Abold.cols
-    r_max = r[-1]
-    if d == 0 or r_max == 1:
-        return [], [], 1
-    BA = IntMatrix([[(r_max // r[i]) * v for v in Abold.data[i]] for i in range(m)])
-    fact = snf(BA)
+    d = A.cols
     ts = list(fact.D) + [0] * (d - len(fact.D))
     gens, orders = [], []
     kernel_order = 1
@@ -74,53 +71,43 @@ def _null_generators(Abold: IntMatrix, r: Sequence[int]):
             gens.append(h)
             orders.append(g)
     for h in gens:
-        assert not any(_group_residual(Abold, r, h)), "generator fails the congruence"
+        assert not any(_group_residual(A, r, h)), "generator fails the congruence"
     return gens, orders, kernel_order
 
 
-def null_gen_finding(grd: GroupRelaxationData) -> KernelBasis:
-    """Cyclic generators of K with orders gcd(r_max, t_i); also reports
-    |K| and |G| = r_max^d / |K|."""
-    d, r_max = grd.d, grd.r_max
-    gens, orders, korder = _null_generators(grd.Abold, grd.r)
-    return KernelBasis(
-        generators=tuple(gens),
-        orders=tuple(orders),
-        moduli=(r_max,) * d,
-        kernel_order=korder,
-        range_order=r_max**d // korder,
-    )
+def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
+    """Feasible coset x_hat + K of Abold x = bbold (mod R Z^m) in
+    Z_{r_max}^d, with |K| and |G| = r_max^d / |K|.
 
-
-def solve_feasible_point(grd: GroupRelaxationData) -> tuple[int, ...]:
-    """Particular solution of Abold x = bbold (mod R Z^m) in Z_{r_max}^d,
-    via preconditioning with diag(r_max / r_j) and a per-row modular
-    solve in SNF coordinates. Verified by substitution before returning.
+    Preconditioning with diag(r_max / r_j) turns every row into a
+    congruence mod r_max; one SNF of that matrix gives both the
+    particular solution (a per-row modular solve in SNF coordinates) and
+    the cyclic generators of K with orders gcd(r_max, t_i). Both are
+    verified by substitution before returning.
     """
     m, d, r_max = grd.m, grd.d, grd.r_max
-    if d == 0:
-        if any(grd.bbold[i] % grd.r[i] for i in range(m)):
-            raise Infeasible("no columns left but the right-hand side is nonzero")
-        return ()
-    if r_max == 1:
-        return (0,) * d
-    BA = IntMatrix([[(r_max // grd.r[i]) * v for v in grd.Abold.data[i]] for i in range(m)])
-    fact = snf(BA)
-    Bb = [(r_max // grd.r[i]) * grd.bbold[i] for i in range(m)]
-    bprime = [v % r_max for v in fact.Uinv.matvec(Bb)]
-    ts = list(fact.D) + [0] * (m - len(fact.D))
-    y = [0] * d
-    for i in range(m):
-        t_i = ts[i] if i < len(ts) else 0
-        yi, _ = solve_mod(t_i, bprime[i], r_max)  # raises Infeasible
-        if i < d:
-            y[i] = yi
-    x_hat = tuple(v % r_max for v in fact.Vinv.matvec(y))
-    residual = _group_residual(grd.Abold, grd.r, x_hat)
-    expected = [grd.bbold[i] % grd.r[i] for i in range(m)]
-    if residual != expected:
-        raise AssertionError("feasible-point substitution check failed")
-    return x_hat
+    if d == 0 and any(grd.bbold[i] % grd.r[i] for i in range(m)):
+        raise Infeasible("no columns left but the right-hand side is nonzero")
+    x_hat, gens, orders, korder = (0,) * d, [], [], 1
+    if d and r_max > 1:
+        scale = [r_max // r_i for r_i in grd.r]
+        fact = snf(IntMatrix([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)]))
+        Bb = [s * v for s, v in zip(scale, grd.bbold)]
+        bprime = [v % r_max for v in fact.Uinv.matvec(Bb)]
+        ts = list(fact.D) + [0] * (m - len(fact.D))
+        y = [0] * d
+        for i in range(m):
+            yi, _ = solve_mod(ts[i], bprime[i], r_max)  # raises Infeasible
+            if i < d:
+                y[i] = yi
+        x_hat = tuple(v % r_max for v in fact.Vinv.matvec(y))
+        residual = _group_residual(grd.Abold, grd.r, x_hat)
+        if residual != [grd.bbold[i] % grd.r[i] for i in range(m)]:
+            raise AssertionError("feasible-point substitution check failed")
+        gens, orders, korder = _kernel_generators(fact, r_max, grd.Abold, grd.r)
+    basis = KernelBasis(generators=tuple(gens), orders=tuple(orders), moduli=(r_max,) * d,
+                        kernel_order=korder, range_order=r_max**d // korder)
+    return FeasibleCoset(x_hat=x_hat, basis=basis)
 
 
 def column_orders(grd: GroupRelaxationData) -> list[int]:
@@ -169,7 +156,7 @@ def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
     # coefficient vectors n with D n = 0 (mod S Z^d), found via the
     # scaled system diag(r_max/s_j) D n = 0 (mod r_max Z^d)
     BD = IntMatrix([[(r_max // s[row]) * v for v in D.data[row]] for row in range(d)])
-    coeff_gens, _, _ = _null_generators(BD, [r_max] * d)
+    coeff_gens, _, _ = _kernel_generators(snf(BD), r_max, BD, [r_max] * d)
     # present K / ker as a quotient in coefficient space: relations are
     # the kernel coefficients plus the generator orders u_i e_i
     rel_cols: list[list[int]] = [list(g) for g in coeff_gens]
@@ -204,10 +191,6 @@ def compress_coset(grd: GroupRelaxationData, fc: FeasibleCoset) -> FeasibleCoset
     kb2 = compress_kernel(grd, fc.basis)
     x2 = tuple(v % m for v, m in zip(fc.x_hat, kb2.moduli))
     return FeasibleCoset(x_hat=x2, basis=kb2)
-
-
-def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
-    return FeasibleCoset(x_hat=solve_feasible_point(grd), basis=null_gen_finding(grd))
 
 
 def enumerate_coset(fc: FeasibleCoset, cap: int) -> Iterator[tuple[int, ...]]:

@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 from .errors import CapExceeded, GroupRelaxError
 from .kernel import compress_coset, feasible_coset
-from .lp import ILPInstance, solve_lp_exact, to_standard_form
-from .relax import bound_chain, build_group_relaxation
+from .lp import ILPInstance
+from .relax import bound_chain, relax_ilp
 from .search import SearchConfig, brute_force_ilp, solve_group
 
 CSV_HEADER = ("instance,opt_lp,opt_b,opt_ilp,delta_lp_ilp,delta_b,"
@@ -66,9 +66,7 @@ def report_row_from_values(name: str, opt_lp, opt_b, opt_ilp,
 def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> ReportRow:
     cfg = cfg or PipelineConfig()
     t0 = time.monotonic()
-    sf = to_standard_form(inst)
-    bs = solve_lp_exact(sf)
-    grd = build_group_relaxation(sf, bs)
+    grd = relax_ilp(inst)
     fc = feasible_coset(grd)
     if cfg.compress:
         fc = compress_coset(grd, fc)
@@ -89,7 +87,7 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
         # heuristic search stopped above the true optimum; the chain
         # assertion only applies to certified group optima
         opt_ilp = None
-    chain = bound_chain(bs.opt_lp, res.objective, opt_ilp)
+    chain = bound_chain(grd.bs.opt_lp, res.objective, opt_ilp)
     wall = int((time.monotonic() - t0) * 1000) if cfg.record_wall else 0
     return ReportRow(
         instance=inst.name,
@@ -101,7 +99,7 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
         r_abs=chain.r_abs,
         r_pct=chain.r_pct,
         certified=certified,
-        degenerate_lp=bs.degenerate_primal,
+        degenerate_lp=grd.bs.degenerate_primal,
         k_order=fc.basis.kernel_order,
         g_order=fc.basis.range_order,
         method=cfg.search.method,

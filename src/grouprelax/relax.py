@@ -1,6 +1,7 @@
 """Build the group relaxation tuple (Abold, bbold, cbold, {r_j}) from an
-optimal LP basis, lift kernel-space solutions back to full ILP vectors,
-and assemble the LP <= group <= ILP bound chain.
+optimal LP basis (``relax_ilp`` runs the whole chain from an instance),
+lift kernel-space solutions back to full ILP vectors, and assemble the
+LP <= group <= ILP bound chain.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import IntMatrix, SNFResult, snf, solve_rational
-from .lp import BasisSolution, StandardFormILP
+from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
+                 to_standard_form)
 
 
 @dataclass
@@ -37,6 +39,10 @@ class GroupRelaxationData:
     @property
     def r_max(self) -> int:
         return self.r[-1]
+
+    def cost(self, x: Sequence[int]) -> Fraction:
+        """Shifted group cost OPT_LP + sum_j cbold_j x_j of a kernel-space point."""
+        return self.shift + sum((c * v for c, v in zip(self.cbold, x)), Fraction(0))
 
 
 @dataclass
@@ -76,6 +82,12 @@ def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelax
     )
 
 
+def relax_ilp(inst: ILPInstance) -> GroupRelaxationData:
+    """Instance -> standard form -> exact optimal LP basis -> group relaxation."""
+    sf = to_standard_form(inst)
+    return build_group_relaxation(sf, solve_lp_exact(sf))
+
+
 def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
     """Lift kernel-space x_N (over kept columns) to a full vector.
 
@@ -101,12 +113,9 @@ def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
             raise AssertionError("non-integral basic lift: inconsistent coset input")
     for i, j in enumerate(bs.basis):
         full[j] = int(xb[i])
-    objective = grd.shift + sum(
-        (c * v for c, v in zip(grd.cbold, x_n)), Fraction(0)
-    )
     return GroupSolution(
         x_n_kernelspace=[int(v) for v in x_n],
-        objective=objective,
+        objective=grd.cost(x_n),
         lifted_x=full,
         ilp_feasible=all(v >= 0 for v in xb),
     )

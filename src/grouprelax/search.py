@@ -26,7 +26,7 @@ METHODS = ("mcs", "mcs-expander", "mcs-metropolis", "dijkstra", "brute")
 
 @dataclass
 class SearchConfig:
-    method: str = "mcs"
+    method: str = "dijkstra"
     seed: Optional[int] = None
     max_samples: int = 64
     mix_steps: Optional[int] = None
@@ -67,7 +67,8 @@ def default_mix_steps(fc: FeasibleCoset, epsilon: float) -> int:
     if k == 0 or kb.kernel_order <= 1:
         return 1
     u = max(kb.orders)
-    return math.ceil(k * u * u * math.log(kb.kernel_order / epsilon))
+    # log of each factor: |K| / eps overflows a float once |K| > 2^1024
+    return math.ceil(k * u * u * (math.log(kb.kernel_order) - math.log(epsilon)))
 
 
 def sample_budget(kernel_order: int, kstar_order: int, epsilon: float) -> int:
@@ -251,12 +252,9 @@ def brute_force_ilp(inst: ILPInstance, box: int, cap: int = 10**7):
 
 def solve_group(grd: GroupRelaxationData, fc: FeasibleCoset,
                 cfg: SearchConfig) -> SearchResult:
-    """Dispatch on cfg.method; f is the shifted linear group cost."""
-    def f(pt):
-        return grd.shift + sum((c * v for c, v in zip(grd.cbold, pt)), Fraction(0))
-
+    """Dispatch on cfg.method; the objective is the shifted group cost."""
     if cfg.method == "dijkstra":
         return gomory_shortest_path(grd)
     if cfg.method == "brute":
-        return brute_force_group(fc, f, cfg.cap, grd)
-    return markov_chain_search(fc, f, cfg, grd)
+        return brute_force_group(fc, grd.cost, cfg.cap, grd)
+    return markov_chain_search(fc, grd.cost, cfg, grd)

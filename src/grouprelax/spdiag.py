@@ -19,10 +19,10 @@ import numpy as np
 from .errors import DenseLimitExceeded, DiagnosticUnavailable
 from .kernel import FeasibleCoset, KernelBasis, enumerate_coset
 from .relax import GroupRelaxationData
-from .walks import (CayleyWalkSpec, cyclic_norm_max, log_sobolev_lower,
-                    pseudo_lipschitz, spectral_gap, transition_matrix)
+from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, cyclic_norm_max,
+                    log_sobolev_lower, pseudo_lipschitz, spectral_gap,
+                    transition_matrix)
 
-DENSE_LIMIT_DEFAULT = 4096
 BAND_DEFAULT = (0.25, 4.0)  # closed Theta(1) proxy band, both ends inclusive
 
 
@@ -95,8 +95,7 @@ class SPReport:
     e_star: Fraction
     shift_c: Fraction
     f_max: Fraction
-    cyclic_norm_max: Fraction
-    delta_p_bound: Fraction
+    cyclic_norm_max: Fraction         # also the one-step bound delta_p
     omega_hat: Fraction
     delta: Optional[float]
     gamma_plain: Optional[float]      # E_pi[ftilde] numerator variant
@@ -107,7 +106,6 @@ class SPReport:
     alpha_hat: Optional[float]
     condition_26a: ConditionCheck
     condition_26b: ConditionCheck
-    expander_condition: ConditionCheck
     degenerate: bool                  # every feasible point optimal
     sublevel_mass: Optional[float]    # pi(E <= (1-eta) E*), reported only
     pseudo_lipschitz_exact: Optional[Fraction]
@@ -118,28 +116,26 @@ class SPReport:
 def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
                        kstar_order: int,
                        band: tuple[float, float] = BAND_DEFAULT
-                       ) -> tuple[ConditionCheck, ConditionCheck, ConditionCheck]:
+                       ) -> tuple[ConditionCheck, ConditionCheck]:
     """Dimensionless ratios for the two super-quadratic conditions, with
     log base 2 and a closed band as the Theta(1) proxy:
       R1 = max_j cyclic_norm(h_j, c) * log2(|K|/|K*|) / |E*|
       R2 = u_max^2 * k / log2(|K|/|K*|)
-    The expander variant drops the second condition.
+    The expander variant drops the second condition and keeps R1.
     """
     if kstar_order < 1 or kb.kernel_order % kstar_order:
         raise DiagnosticUnavailable("|K*| must divide |K|")
     logr = math.log2(kb.kernel_order / kstar_order)
     if logr == 0:
         degenerate = ConditionCheck(float("nan"), False)
-        return degenerate, degenerate, degenerate
+        return degenerate, degenerate
     maxcyc = float(cyclic_norm_max(kb.generators, weights, kb.moduli))
     k = len(kb.generators)
     u_max = max(kb.orders, default=1)
     r1 = maxcyc * logr / float(abs(e_star))
     r2 = u_max * u_max * k / logr
     lo, hi = band
-    c1 = ConditionCheck(r1, lo <= r1 <= hi)
-    c2 = ConditionCheck(r2, lo <= r2 <= hi)
-    return c1, c2, ConditionCheck(r1, c1.in_band)
+    return ConditionCheck(r1, lo <= r1 <= hi), ConditionCheck(r2, lo <= r2 <= hi)
 
 
 def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
@@ -154,11 +150,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
             f"|K| = {kb.kernel_order} exceeds dense limit {params.dense_limit}")
     states = list(enumerate_coset(fc, params.dense_limit))
     n = len(states)
-
-    def f(pt):
-        return grd.shift + sum((c * v for c, v in zip(grd.cbold, pt)), Fraction(0))
-
-    values = [Fraction(f(s)) for s in states]
+    values = [grd.cost(s) for s in states]
     C, e_star = shifted_cost(values)
     f_max = C - 1
     ftilde = [v - C for v in values]
@@ -172,7 +164,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     weights = grd.cbold
     norms_max = cyclic_norm_max(kb.generators, weights, kb.moduli)
     omega = log_sobolev_lower(kb)
-    c1, c2, cexp = speedup_conditions(kb, weights, e_star, kstar_order, params.band)
+    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order, params.band)
 
     if n == 1 or not kb.generators:
         P = np.eye(n)
@@ -182,7 +174,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         dt = transition_matrix(spec, states, params.dense_limit)
         P = dt.P
         delta = spectral_gap(P)
-        plip, _ = pseudo_lipschitz(f, spec, states, weights)
+        plip, _ = pseudo_lipschitz(grd.cost, spec, states, weights)
 
     abs_e = float(abs(e_star))
     eta = params.eta
@@ -233,7 +225,6 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         shift_c=C,
         f_max=f_max,
         cyclic_norm_max=norms_max,
-        delta_p_bound=norms_max,
         omega_hat=omega,
         delta=delta,
         gamma_plain=gamma_plain,
@@ -244,7 +235,6 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         alpha_hat=alpha_hat,
         condition_26a=c1,
         condition_26b=c2,
-        expander_condition=cexp,
         degenerate=degenerate,
         sublevel_mass=sublevel,
         pseudo_lipschitz_exact=plip,

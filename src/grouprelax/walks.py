@@ -42,14 +42,6 @@ class CayleyWalkSpec:
             if len(h) != len(self.moduli):
                 raise ValueError("generator dimension mismatch")
 
-    @classmethod
-    def from_kernel_basis(cls, kb: KernelBasis, seed: Optional[int] = None) -> "CayleyWalkSpec":
-        return cls(
-            generators=kb.generators,
-            moduli=kb.moduli,
-            rng=random.Random(seed),
-        )
-
 
 def _move(state, h, a, moduli):
     return tuple((x + a * g) % m for x, g, m in zip(state, h, moduli))
@@ -146,13 +138,6 @@ def transition_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
     dt = DenseTransition(states, counts, den)
     assert dt.is_symmetric(), "Cayley walk matrix must be symmetric"
     assert dt.is_doubly_stochastic()
-    return dt
-
-
-def discriminant(dt: DenseTransition) -> DenseTransition:
-    """The discriminant of a reversible chain; equals P itself for the
-    symmetric Cayley walk."""
-    assert dt.is_symmetric()
     return dt
 
 
@@ -289,33 +274,3 @@ def tv_to_uniform(P: np.ndarray, t: int, start: int = 0) -> float:
     lam, Q = np.linalg.eigh(P)
     dist = Q @ (lam**t * Q[start, :])
     return float(0.5 * np.abs(dist - 1.0 / n).sum())
-
-
-@dataclass
-class WalkDiagnostics:
-    spectral_gap: Optional[float]
-    log_sobolev_lower: Fraction
-    pseudo_lipschitz: Optional[Fraction]
-    delta_p_bound: Fraction
-    cyclic_norms: list[Fraction]
-
-
-def walk_diagnostics(spec: CayleyWalkSpec, kb: KernelBasis,
-                     states: Optional[Sequence[tuple[int, ...]]],
-                     weights: Sequence,
-                     f: Optional[Callable] = None,
-                     dense_limit: int = DENSE_LIMIT_DEFAULT) -> WalkDiagnostics:
-    """Assemble the dense-mode diagnostics; gap and exact norm are None
-    when the coset is too large to enumerate."""
-    norms = [cyclic_metric(h, weights, spec.moduli) for h in spec.generators]
-    bound = max(norms, default=Fraction(0))
-    omega = log_sobolev_lower(kb)
-    gap = None
-    plip = None
-    if states is not None and len(states) <= dense_limit:
-        dt = transition_matrix(spec, states, dense_limit)
-        gap = spectral_gap(dt.P)
-        if f is not None:
-            plip, _ = pseudo_lipschitz(f, spec, states, weights)
-        assert float(omega) <= gap + 1e-12, "log-Sobolev bound exceeds the gap"
-    return WalkDiagnostics(gap, omega, plip, bound, norms)

@@ -11,22 +11,17 @@ from grouprelax import (
     ILPInstance,
     IntMatrix,
     brute_force_ilp,
-    build_group_relaxation,
     feasible_coset,
     gomory_shortest_path,
-    solve_lp_exact,
-    to_standard_form,
+    relax_ilp,
 )
 from grouprelax.relax import GroupRelaxationData
 
 
 def build(inst):
     """Instance -> (sf, bs, grd, fc) through the exact pipeline."""
-    sf = to_standard_form(inst)
-    bs = solve_lp_exact(sf)
-    grd = build_group_relaxation(sf, bs)
-    fc = feasible_coset(grd)
-    return sf, bs, grd, fc
+    grd = relax_ilp(inst)
+    return grd.sf, grd.bs, grd, feasible_coset(grd)
 
 
 def stub_grd(Abold_rows, r, bbold, cbold=None):
@@ -43,12 +38,6 @@ def stub_grd(Abold_rows, r, bbold, cbold=None):
         dropped_cols=[],
         shift=Fraction(0),
     )
-
-
-def group_cost(grd):
-    def f(pt):
-        return grd.shift + sum((c * v for c, v in zip(grd.cbold, pt)), Fraction(0))
-    return f
 
 
 def random_feasible_instance(seed):

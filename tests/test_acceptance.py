@@ -29,7 +29,7 @@ from grouprelax.spdiag import SPParams, shifted_cost, speedup_conditions
 from grouprelax.walks import (CayleyWalkSpec, cyclic_norm_max,
                               metropolis_matrix, pseudo_lipschitz, step,
                               tv_to_uniform)
-from tests.conftest import build, group_cost
+from tests.conftest import build
 
 
 # 1. planted-family exactness for (t, m) in {2,3} x {1..6}
@@ -52,7 +52,7 @@ def test_criterion_1_planted_exactness():
         budget = math.ceil(32 * kb.kernel_order * math.log(kb.kernel_order)) or 1
         cfg = SearchConfig(method="mcs", seed=t * 100 + m, max_samples=budget,
                            stop_at=Fraction(m))
-        mc = markov_chain_search(fc, group_cost(grd), cfg, grd)
+        mc = markov_chain_search(fc, grd.cost, cfg, grd)
         assert mc.objective == m
         assert mc.samples_used <= budget
     assert time.monotonic() - t0 < 30
@@ -94,7 +94,7 @@ def test_criterion_4_compression_preserves_optima(random_suite):
         grd, fc = case["grd"], case["fc"]
         if fc.basis.kernel_order > 3000:
             continue
-        f = group_cost(grd)
+        f = grd.cost
         fc2 = compress_coset(grd, fc)
         assert prod(fc2.basis.moduli) == fc2.basis.kernel_order * fc2.basis.range_order
         v1 = brute_force_group(fc, f, cap=10**4).objective
@@ -228,7 +228,7 @@ def test_criterion_9_pseudo_lipschitz_bound(random_suite):
             continue
         spec = CayleyWalkSpec(generators=kb.generators, moduli=kb.moduli)
         states = list(enumerate_coset(fc, 512))
-        exact, bound = pseudo_lipschitz(group_cost(grd), spec, states,
+        exact, bound = pseudo_lipschitz(grd.cost, spec, states,
                                         grd.cbold)
         maxcyc = cyclic_norm_max(kb.generators, grd.cbold, kb.moduli)
         assert exact <= bound == maxcyc**2
@@ -263,9 +263,9 @@ def test_criterion_11_condition_discrimination():
         inst, _ = planted(2, m, 1)
         _, _, grd, fc = build(inst)
         kb = fc.basis
-        values = [group_cost(grd)(pt) for pt in enumerate_coset(fc, 4096)]
+        values = [grd.cost(pt) for pt in enumerate_coset(fc, 4096)]
         _, e_star = shifted_cost(values)
-        c1, c2, _ = speedup_conditions(kb, grd.cbold, e_star, kstar_order=1)
+        c1, c2 = speedup_conditions(kb, grd.cbold, e_star, kstar_order=1)
         assert c1.in_band, f"R1 = {c1.ratio} at m = {m}"
         assert c2.in_band, f"R2 = {c2.ratio} at m = {m}"
 
@@ -273,7 +273,7 @@ def test_criterion_11_condition_discrimination():
     dense = KernelBasis(generators=((2,) * d,), orders=(2,),
                         moduli=(4,) * d, kernel_order=2,
                         range_order=4**d // 2)
-    c1, _, _ = speedup_conditions(dense, [1] * d, Fraction(-3), 1)
+    c1, _ = speedup_conditions(dense, [1] * d, Fraction(-3), 1)
     assert not c1.in_band
 
 
@@ -283,7 +283,7 @@ def test_criterion_12_metropolis_stationary():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
     kb = fc.basis
-    f = group_cost(grd)
+    f = grd.cost
     states = list(enumerate_coset(fc, 100))
     spec = CayleyWalkSpec(generators=kb.generators, moduli=kb.moduli)
     beta = 2.0

@@ -94,3 +94,74 @@ def test_gen_cutgen(tmp_path):
     res = run(["solve", str(out), "--method", "brute"])
     assert res.exit_code == 0, res.output
     assert "certified true" in res.output
+
+
+# Byte-exact stdout of the commands that print exact values. Any change
+# to these bytes is a change of the reported relaxation.
+GOLDEN = {
+    "planted": {
+        "relax": "opt_lp 0\nopt_b 3\nr_abs 3\ndegenerate_lp false\n",
+        "kernel": "moduli 2 2 2\nx_hat 1 1 1\nk_order 1\ng_order 8\n",
+    },
+    "cutgen": {
+        "relax": "opt_lp 3.5\nopt_b 4\nr_abs 0.5\ndegenerate_lp true\n",
+        "kernel": ("moduli 4 4 4 4\nx_hat 2 0 0 0\n"
+                   "gen 3 1 0 0 order 4\ngen 1 0 1 0 order 4\ngen 1 0 0 1 order 4\n"
+                   "k_order 64\ng_order 4\n"),
+    },
+}
+
+GOLDEN_REPORT = (
+    "instance,opt_lp,opt_b,opt_ilp,delta_lp_ilp,delta_b,r_abs,r_pct,certified,"
+    "degenerate_lp,k_order,g_order,method,seed,wall_ms\n"
+    "cutgen_m4_L20_v0.8_d2.0_s35,3.5,4,4,0.5,0,0.5,100.0,true,true,64,4,dijkstra,,0\n"
+    "planted_t2_m3_l1_identity_s0,0,3,3,3,0,3,100.0,true,false,8,8,dijkstra,,0\n"
+    "\nbin_start,count\n"
+    + "".join(f"{b},0\n" for b in range(0, 90, 10))
+    + "90,2\n100,2\n"
+)
+
+DIAGNOSE_KEYS = (
+    ["k_order", "kstar_order", "g_order", "e_star", "shift_c", "cyclic_norm_max",
+     "delta_p_bound", "omega_hat", "delta", "gamma_plain", "gamma_trunc",
+     "mu_star_ls", "mu_star_gap", "mu", "alpha_hat", "r1", "r1_in_band", "r2",
+     "r2_in_band", "degenerate", "sublevel_mass"] + ["overlap"] * 8
+)
+
+
+def write_golden_instances(tmp_path):
+    """planted (2,3) and cutgen m=4, L=20, seed 35, as the CLI writes them."""
+    paths = {"planted": tmp_path / "planted.mps", "cutgen": tmp_path / "cutgen.mps"}
+    res = run(["gen", "planted", "--t", "2", "--m", "3", "--ell", "1",
+               "--out", str(paths["planted"])])
+    assert res.exit_code == 0, res.output
+    res = run(["gen", "cutgen", "--m", "4", "--l", "20", "--v2", "0.8", "--dbar", "2",
+               "--seed", "35", "--out", str(paths["cutgen"])])
+    assert res.exit_code == 0, res.output
+    return paths
+
+
+def test_relax_kernel_golden_bytes(tmp_path):
+    for name, path in write_golden_instances(tmp_path).items():
+        res = run(["relax", str(path)])
+        assert res.exit_code == 0, res.output
+        assert res.output == GOLDEN[name]["relax"]
+        res = run(["kernel", "--compress", str(path)])
+        assert res.exit_code == 0, res.output
+        assert res.output == GOLDEN[name]["kernel"]
+
+
+def test_report_fixed_wall_golden_bytes(tmp_path):
+    write_golden_instances(tmp_path)
+    out = tmp_path / "out" / "r.csv"
+    out.parent.mkdir()
+    res = run(["report", str(tmp_path), "--out", str(out), "--fixed-wall"])
+    assert res.exit_code == 0, res.output
+    assert out.read_text() == GOLDEN_REPORT
+
+
+def test_diagnose_key_list(tmp_path):
+    path = write_golden_instances(tmp_path)["planted"]
+    res = run(["diagnose", str(path)])
+    assert res.exit_code == 0, res.output
+    assert [line.split(",", 1)[0] for line in res.output.splitlines()] == DIAGNOSE_KEYS

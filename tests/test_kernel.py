@@ -8,13 +8,13 @@ from math import prod
 
 import pytest
 
-from grouprelax import (IntMatrix, column_orders, compress_coset,
-                        compress_kernel, enumerate_coset, feasible_coset,
-                        null_gen_finding, solve_feasible_point)
+import grouprelax.kernel
+from grouprelax import (column_orders, compress_coset, compress_kernel,
+                        enumerate_coset, feasible_coset)
 from grouprelax.errors import CapExceeded, Infeasible
 from grouprelax.gen import planted
 from grouprelax.kernel import _group_residual, element_order, span
-from tests.conftest import build, group_cost, stub_grd
+from tests.conftest import build, stub_grd
 
 
 def ambient_kernel(grd):
@@ -28,25 +28,25 @@ def ambient_kernel(grd):
 def test_feasible_point_planted():
     inst, _ = planted(2, 2, 1)
     _, _, grd, _ = build(inst)
-    x_hat = solve_feasible_point(grd)
+    x_hat = feasible_coset(grd).x_hat
     assert x_hat in {(1, 1), (1, 3), (3, 1), (3, 3)}
 
 
 def test_feasible_point_infeasible():
     grd = stub_grd([[2]], [4], [1])
     with pytest.raises(Infeasible):
-        solve_feasible_point(grd)
+        feasible_coset(grd)
 
 
 def test_feasible_point_homogeneous():
     grd = stub_grd([[2, 1], [0, 3]], [4, 4], [0, 0])
-    assert solve_feasible_point(grd) == (0, 0)
+    assert feasible_coset(grd).x_hat == (0, 0)
 
 
 def test_null_gen_planted():
     inst, _ = planted(2, 2, 1)
     _, _, grd, _ = build(inst)
-    kb = null_gen_finding(grd)
+    kb = feasible_coset(grd).basis
     assert sorted(kb.orders) == [2, 2]
     assert kb.kernel_order == 4
     assert kb.range_order == 4
@@ -55,7 +55,7 @@ def test_null_gen_planted():
 
 def test_null_gen_single_constraint():
     grd = stub_grd([[2]], [4], [0])
-    kb = null_gen_finding(grd)
+    kb = feasible_coset(grd).basis
     assert kb.generators == ((2,),)
     assert kb.kernel_order == 2
     assert kb.range_order == 2
@@ -63,7 +63,7 @@ def test_null_gen_single_constraint():
 
 def test_null_gen_trivial_kernel():
     grd = stub_grd([[1]], [4], [0])
-    kb = null_gen_finding(grd)
+    kb = feasible_coset(grd).basis
     assert kb.generators == ()
     assert kb.kernel_order == 1
     assert kb.range_order == 4
@@ -83,7 +83,7 @@ def test_null_gen_matches_oracle_fuzz():
         grd = stub_grd(A, r, [0] * m)
         if grd.r_max**grd.d > 10**5:
             continue
-        kb = null_gen_finding(grd)
+        kb = feasible_coset(grd).basis
         oracle = ambient_kernel(grd)
         got = span(kb)
         assert got == oracle
@@ -127,14 +127,14 @@ def test_compress_planted_t2_m2():
     assert prod(kb2.moduli) == kb2.kernel_order * kb2.range_order
     fc2 = compress_coset(grd, fc)
     assert set(enumerate_coset(fc2, 10)) == {(1, 1)}
-    f = group_cost(grd)
+    f = grd.cost
     assert min(map(f, enumerate_coset(fc, 10))) == f((1, 1)) == 2
 
 
 def test_compress_single_constraint_6_mod_12():
     # K = {0,2,4,6,8,10} in Z12, s = 2; the image mod 2 is {0}: trivial
     grd = stub_grd([[6]], [12], [0])
-    kb = null_gen_finding(grd)
+    kb = feasible_coset(grd).basis
     assert span(kb) == {(0,), (2,), (4,), (6,), (8,), (10,)}
     kb2 = compress_kernel(grd, kb)
     assert kb2.moduli == (2,)
@@ -144,7 +144,7 @@ def test_compress_single_constraint_6_mod_12():
 
 def test_compress_trivial_kernel():
     grd = stub_grd([[1]], [4], [0])
-    kb2 = compress_kernel(grd, null_gen_finding(grd))
+    kb2 = compress_kernel(grd, feasible_coset(grd).basis)
     assert kb2.generators == ()
     assert kb2.kernel_order == 1
 
@@ -166,7 +166,7 @@ def test_compress_image_oracle_fuzz():
         grd = stub_grd(A, r, [0] * m)
         if grd.r_max**grd.d > 10**4:
             continue
-        kb = null_gen_finding(grd)
+        kb = feasible_coset(grd).basis
         s = column_orders(grd)
         kb2 = compress_kernel(grd, kb)
         image = {tuple(v % sj for v, sj in zip(x, s)) for x in span(kb)}
@@ -175,3 +175,23 @@ def test_compress_image_oracle_fuzz():
         assert prod(s) == kb2.kernel_order * kb2.range_order
         checked += 1
     assert checked >= 40
+
+
+def test_feasible_coset_factors_once(monkeypatch):
+    """The particular solution and the generators share one SNF of the
+    preconditioned matrix."""
+    calls = []
+    snf = grouprelax.kernel.snf
+
+    def counting_snf(M):
+        calls.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(grouprelax.kernel, "snf", counting_snf)
+    grds = [build(planted(2, 3, 1)[0])[2], stub_grd([[1, 1], [0, 3]], [2, 6], [1, 3])]
+    for grd in grds:
+        assert grd.d > 0 and grd.r_max > 1
+        calls.clear()
+        fc = feasible_coset(grd)
+        assert len(calls) == 1
+        assert fc.basis.kernel_order > 1

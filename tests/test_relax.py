@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from grouprelax import (ILPInstance, IntMatrix, bound_chain,
-                        build_group_relaxation, lift_to_ilp)
+from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, bound_chain,
+                        build_group_relaxation, cutgen, enumerate_coset,
+                        lift_to_ilp)
 from grouprelax.gen import planted
 from tests.conftest import build
 
@@ -127,3 +128,13 @@ def test_bound_chain_violations_raise():
         bound_chain(3, 2)
     with pytest.raises(AssertionError):
         bound_chain(0, 2, 1)
+
+
+def test_cost_matches_lift_objective():
+    for inst in (planted(2, 3, 1)[0],
+                 cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35))):
+        _, _, grd, fc = build(inst)
+        points = list(enumerate_coset(fc, 100))
+        assert len(points) == fc.basis.kernel_order
+        for x in points:
+            assert grd.cost(x) == lift_to_ilp(grd, x).objective

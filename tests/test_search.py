@@ -1,25 +1,26 @@
 """Group-relaxation solvers: MCS variants, Dijkstra over the range
 group, and the brute-force oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from grouprelax import (ILPInstance, IntMatrix, SearchConfig, brute_force_group,
-                        brute_force_ilp, gomory_shortest_path,
-                        markov_chain_search, solve_group)
+from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, SearchConfig,
+                        brute_force_group, brute_force_ilp, cutgen,
+                        gomory_shortest_path, markov_chain_search, solve_group)
 from grouprelax.errors import CapExceeded, Infeasible
 from grouprelax.gen import planted
-from grouprelax.kernel import feasible_coset
+from grouprelax.kernel import FeasibleCoset, KernelBasis, feasible_coset
 from grouprelax.search import default_mix_steps, sample_budget
-from tests.conftest import build, group_cost, stub_grd
+from tests.conftest import build, stub_grd
 
 
 def test_mcs_planted_finds_optimum():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
     cfg = SearchConfig(method="mcs", seed=1, max_samples=64)
-    res = markov_chain_search(fc, group_cost(grd), cfg, grd)
+    res = markov_chain_search(fc, grd.cost, cfg, grd)
     assert res.objective == 2
     assert res.best_point == (1, 1)
     assert not res.certified_optimal
@@ -35,7 +36,7 @@ def test_mcs_d0_instance():
         row_sense=["=", "="],
     )
     _, _, grd, fc = build(inst)
-    res = markov_chain_search(fc, group_cost(grd), SearchConfig(seed=0), grd)
+    res = markov_chain_search(fc, grd.cost, SearchConfig(seed=0), grd)
     assert res.objective == grd.shift == 8
     assert res.samples_used == 0
 
@@ -44,9 +45,9 @@ def test_mcs_max_samples_one():
     inst, _ = planted(3, 2, 1)
     _, _, grd, fc = build(inst)
     cfg = SearchConfig(method="mcs", seed=5, max_samples=1)
-    res = markov_chain_search(fc, group_cost(grd), cfg, grd)
+    res = markov_chain_search(fc, grd.cost, cfg, grd)
     assert res.samples_used == 1
-    assert res.objective <= group_cost(grd)(fc.x_hat)
+    assert res.objective <= grd.cost(fc.x_hat)
 
 
 def test_mcs_descends_from_suboptimal_start():
@@ -132,14 +133,14 @@ def test_dijkstra_unreachable():
 def test_brute_force_group_planted():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
-    res = brute_force_group(fc, group_cost(grd), cap=100, grd=grd)
+    res = brute_force_group(fc, grd.cost, cap=100, grd=grd)
     assert res.objective == 2
     assert res.argmin_points == [(1, 1)]
     assert res.certified_optimal
 
     inst, _ = planted(3, 2, 1)
     _, _, grd, fc = build(inst)
-    res = brute_force_group(fc, group_cost(grd), cap=100, grd=grd)
+    res = brute_force_group(fc, grd.cost, cap=100, grd=grd)
     assert res.objective == 2
     # coordinates of every coset point lie in {1, 4, 7}
     for pt in [res.best_point]:
@@ -157,7 +158,7 @@ def test_brute_force_group_cap():
     inst, _ = planted(2, 3, 1)
     _, _, grd, fc = build(inst)
     with pytest.raises(CapExceeded):
-        brute_force_group(fc, group_cost(grd), cap=2)
+        brute_force_group(fc, grd.cost, cap=2)
 
 
 def test_brute_force_ilp():
@@ -205,3 +206,22 @@ def test_budget_helpers():
     inst, _ = planted(2, 2, 1)
     _, _, _, fc = build(inst)
     assert default_mix_steps(fc, 0.01) >= 1
+
+
+def test_default_mix_steps_huge_kernel():
+    # 110 cyclic factors of order 2^10: |K| = 2^1100 does not fit a float
+    d, u = 110, 2**10
+    unit = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    kb = KernelBasis(unit, (u,) * d, (u,) * d, u**d, 1)
+    t = default_mix_steps(FeasibleCoset((0,) * d, kb), 0.01)
+    assert t == pytest.approx(d * u * u * (1100 * math.log(2) - math.log(0.01)), abs=2)
+    # walk lengths of cosets that fit a float are unchanged
+    cases = [(planted(2, 8, 1)[0], 325),
+             (planted(3, 6, 1, style="random-lower-unit")[0], 605),
+             (cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)), 421)]
+    for inst, t_mix in cases:
+        assert default_mix_steps(build(inst)[3], 0.01) == t_mix
+
+
+def test_default_method_is_dijkstra():
+    assert SearchConfig().method == "dijkstra"

@@ -14,13 +14,13 @@ from grouprelax.errors import DenseLimitExceeded, DiagnosticUnavailable
 from grouprelax.gen import planted
 from grouprelax.kernel import KernelBasis, enumerate_coset, feasible_coset
 from grouprelax.walks import CayleyWalkSpec, transition_matrix
-from tests.conftest import build, group_cost
+from tests.conftest import build
 
 
 def test_shifted_cost_planted_values():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
-    f = group_cost(grd)
+    f = grd.cost
     values = sorted(f(pt) for pt in enumerate_coset(fc, 100))
     assert values == [2, 4, 4, 6]
     C, e_star = shifted_cost(values)
@@ -45,7 +45,7 @@ def test_hamiltonian_mu0_is_minus_p():
     _, _, grd, fc = build(inst)
     kb = fc.basis
     states = list(enumerate_coset(fc, 100))
-    f = group_cost(grd)
+    f = grd.cost
     values = [f(s) for s in states]
     C, e_star = shifted_cost(values)
     ftilde = [v - C for v in values]
@@ -86,10 +86,10 @@ def test_speedup_conditions_planted_band():
             range_order=2**m,
         )
         e_star = Fraction(-(2 * m + 1))  # min m, max 3m, shift 3m+1
-        c1, c2, cexp = speedup_conditions(kb, [1] * m, e_star, 1)
+        c1, c2 = speedup_conditions(kb, [1] * m, e_star, 1)
         assert abs(c1.ratio - 2 * m / (2 * m + 1)) < 1e-12
         assert abs(c2.ratio - 4.0) < 1e-12
-        assert c1.in_band and c2.in_band and cexp.in_band
+        assert c1.in_band and c2.in_band
 
 
 def test_speedup_conditions_dense_counterexample():
@@ -101,14 +101,14 @@ def test_speedup_conditions_dense_counterexample():
         kernel_order=2,
         range_order=4**d // 2,
     )
-    c1, _, cexp = speedup_conditions(kb, [1] * d, Fraction(-3), 1)
+    c1, _ = speedup_conditions(kb, [1] * d, Fraction(-3), 1)
     assert c1.ratio == pytest.approx(2 * d / 3)
-    assert not c1.in_band and not cexp.in_band
+    assert not c1.in_band
 
 
 def test_speedup_conditions_degenerate():
     kb = KernelBasis(((2,),), (2,), (4,), 2, 2)
-    c1, c2, cexp = speedup_conditions(kb, [1], Fraction(-1), 2)
+    c1, c2 = speedup_conditions(kb, [1], Fraction(-1), 2)
     assert math.isnan(c1.ratio) and not c1.in_band
     with pytest.raises(DiagnosticUnavailable):
         speedup_conditions(kb, [1], Fraction(-1), 3)
@@ -126,7 +126,7 @@ def test_sp_diagnose_planted_t2_m3():
     assert float(rep.omega_hat) <= rep.delta
     assert rep.condition_26a.in_band and rep.condition_26b.in_band
     # pseudo-Lipschitz bound validity
-    assert rep.pseudo_lipschitz_exact <= rep.delta_p_bound ** 2
+    assert rep.pseudo_lipschitz_exact <= rep.cyclic_norm_max ** 2
 
 
 def test_sp_diagnose_degenerate_report():

@@ -15,9 +15,9 @@ from grouprelax import (cyclic_metric, expander_generation, log_sobolev_lower,
 from grouprelax.errors import DenseLimitExceeded
 from grouprelax.gen import planted
 from grouprelax.kernel import KernelBasis, enumerate_coset, span
-from grouprelax.walks import (CayleyWalkSpec, cyclic_norm_max, discriminant,
-                              metropolis_matrix, tv_to_uniform)
-from tests.conftest import build, group_cost
+from grouprelax.walks import (CayleyWalkSpec, cyclic_norm_max, metropolis_matrix,
+                              tv_to_uniform)
+from tests.conftest import build
 
 
 def simple_spec(generators, moduli, seed=0):
@@ -55,7 +55,6 @@ def test_transition_matrix_z2():
     assert dt.counts.tolist() == [[1, 2], [2, 1]]
     assert dt.den == 3
     assert dt.is_symmetric() and dt.is_doubly_stochastic()
-    assert discriminant(dt) is dt
     assert abs(spectral_gap(dt.P) - 2 / 3) < 1e-12
 
 
@@ -134,7 +133,7 @@ def test_pseudo_lipschitz_planted_bound():
     kb = fc.basis
     spec = simple_spec(kb.generators, kb.moduli)
     states = list(enumerate_coset(fc, 100))
-    exact, bound = pseudo_lipschitz(group_cost(grd), spec, states, grd.cbold)
+    exact, bound = pseudo_lipschitz(grd.cost, spec, states, grd.cbold)
     assert 0 < exact <= bound
     assert bound == cyclic_norm_max(kb.generators, grd.cbold, kb.moduli) ** 2
 
@@ -143,7 +142,7 @@ def test_metropolis_beta0_is_plain_walk():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
     kb = fc.basis
-    f = group_cost(grd)
+    f = grd.cost
     spec_a = simple_spec(kb.generators, kb.moduli, seed=9)
     spec_b = simple_spec(kb.generators, kb.moduli, seed=9)
     x = y = fc.x_hat
@@ -170,7 +169,7 @@ def test_metropolis_stationary_law():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
     kb = fc.basis
-    f = group_cost(grd)
+    f = grd.cost
     states = list(enumerate_coset(fc, 100))
     spec = simple_spec(kb.generators, kb.moduli)
     beta = 2.0
