@@ -1,9 +1,10 @@
 """Exact group relaxations of pure integer programs: bound chains,
 kernel-coset search, and spectral diagnostics at desk scale."""
 
-from .errors import (CapExceeded, DenseLimitExceeded, DiagnosticUnavailable,
-                     EmptyWidthBand, GroupRelaxError, Infeasible, MalformedMPS,
-                     NotPureILP, PatternLimitExceeded, Unbounded)
+from .errors import (CapExceeded, CertificateError, DenseLimitExceeded,
+                     DiagnosticUnavailable, EmptyWidthBand, GroupRelaxError,
+                     Infeasible, MalformedMPS, NotPureILP, PatternLimitExceeded,
+                     Unbounded)
 from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, is_unimodular, snf, solve_mod
 from .gen import CutStockSpec, cutgen, planted
 from .kernel import (FeasibleCoset, KernelBasis, column_orders, compress_coset,

@@ -52,3 +52,8 @@ class EmptyWidthBand(GroupRelaxError):
 
 class DiagnosticUnavailable(GroupRelaxError):
     """A diagnostic needs |K*| but no oracle value or estimate is available."""
+
+
+class CertificateError(GroupRelaxError):
+    """A correctness certificate failed: a computed object broke a law it
+    must satisfy by construction, which indicates a library fault."""

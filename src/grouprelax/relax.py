@@ -6,8 +6,11 @@ LP <= group <= ILP bound chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .exact import IntMatrix, SNFResult, snf, solve_rational
@@ -40,9 +43,16 @@ class GroupRelaxationData:
     def r_max(self) -> int:
         return self.r[-1]
 
+    @cached_property
+    def _cost_scale(self) -> tuple[int, int, list[int]]:
+        """(L, L * shift, L * cbold) with L the lcm of their denominators."""
+        den = math.lcm(self.shift.denominator, *(c.denominator for c in self.cbold))
+        return den, int(self.shift * den), [int(c * den) for c in self.cbold]
+
     def cost(self, x: Sequence[int]) -> Fraction:
         """Shifted group cost OPT_LP + sum_j cbold_j x_j of a kernel-space point."""
-        return self.shift + sum((c * v for c, v in zip(self.cbold, x)), Fraction(0))
+        den, shift, cbold = self._cost_scale
+        return Fraction(shift + sum(map(mul, cbold, x)), den)
 
 
 @dataclass
@@ -113,8 +123,9 @@ def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
             raise AssertionError("non-integral basic lift: inconsistent coset input")
     for i, j in enumerate(bs.basis):
         full[j] = int(xb[i])
+    x_n = [int(v) for v in x_n]
     return GroupSolution(
-        x_n_kernelspace=[int(v) for v in x_n],
+        x_n_kernelspace=x_n,
         objective=grd.cost(x_n),
         lifted_x=full,
         ilp_feasible=all(v >= 0 for v in xb),

@@ -19,7 +19,7 @@ from .errors import CapExceeded, Infeasible
 from .kernel import FeasibleCoset, enumerate_coset
 from .lp import ILPInstance
 from .relax import GroupRelaxationData, GroupSolution, lift_to_ilp
-from .walks import CayleyWalkSpec, expander_generation, metropolis_step, step
+from .walks import CayleyWalkSpec, expander_generation, walk
 
 METHODS = ("mcs", "mcs-expander", "mcs-metropolis", "dijkstra", "brute")
 
@@ -57,6 +57,8 @@ class SearchResult:
     solution: Optional[GroupSolution] = None
     argmin_points: Optional[list[tuple[int, ...]]] = None  # K*, brute only
     seed: Optional[int] = None
+    proposals: int = 0   # non-null Metropolis proposals, MCS only
+    accepted: int = 0
 
 
 def default_mix_steps(fc: FeasibleCoset, epsilon: float) -> int:
@@ -98,37 +100,32 @@ def markov_chain_search(fc: FeasibleCoset, f: Callable[[tuple[int, ...]], Fracti
     else:
         gens = kb.generators
     spec = CayleyWalkSpec(generators=gens, moduli=kb.moduli, rng=rng)
-    if cfg.method == "mcs-metropolis":
-        def advance(x):
-            return metropolis_step(x, cfg.beta, spec, f)
-    else:
-        def advance(x):
-            return step(x, spec)
+    beta = cfg.beta if cfg.method == "mcs-metropolis" else 0.0
 
     t_mix = cfg.mix_steps if cfg.mix_steps is not None else default_mix_steps(fc, cfg.epsilon)
-    z = fc.x_hat
-    for _ in range(t_mix):  # burn-in before the first comparison
-        z = advance(z)
-    fz = Fraction(f(z))
+    # burn-in before the first comparison
+    z, fz, proposals, accepted = walk(spec, fc.x_hat, t_mix, f, beta)
+    fz = Fraction(fz)
     if fz < fbest:
-        best, fbest = z, fz
+        best, fbest = tuple(z), fz
         trace.append((0, fbest))
     samples = 0
     for i in range(1, cfg.max_samples + 1):
-        zt = z
-        for _ in range(t_mix):
-            zt = advance(zt)
-        fzt = Fraction(f(zt))
+        zt, fzt, p, a = walk(spec, z, t_mix, f, beta)
+        proposals += p
+        accepted += a
+        fzt = Fraction(fzt)
         if fzt <= fz:  # plateau moves allowed
             z, fz = zt, fzt
         if fz < fbest:
-            best, fbest = z, fz
+            best, fbest = tuple(z), fz
             trace.append((i, fbest))
         samples = i
         if cfg.stop_at is not None and fbest <= cfg.stop_at:
             break
     sol = lift_to_ilp(grd, best) if grd is not None else None
-    return SearchResult(best, fbest, samples, False, trace, sol, seed=cfg.seed)
+    return SearchResult(best, fbest, samples, False, trace, sol, seed=cfg.seed,
+                        proposals=proposals, accepted=accepted)
 
 
 def gomory_shortest_path(grd: GroupRelaxationData) -> SearchResult:

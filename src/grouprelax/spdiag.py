@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DenseLimitExceeded, DiagnosticUnavailable
+from .errors import CertificateError, DenseLimitExceeded, DiagnosticUnavailable
 from .kernel import FeasibleCoset, KernelBasis, enumerate_coset
 from .relax import GroupRelaxationData
 from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, cyclic_norm_max,
@@ -63,9 +63,11 @@ def build_sp_hamiltonian(P: np.ndarray, ftilde: Sequence[Fraction], mu: float,
     diag = []
     for v in ftilde:
         x = Fraction(v) / abs_e
-        assert -1 <= x <= 0, "shifted cost left the normalized range"
+        if not -1 <= x <= 0:
+            raise CertificateError("shifted cost left the normalized range")
         th = theta_eta(float(x), eta)
-        assert -1 - 1e-12 <= th <= 0
+        if not -1 - 1e-12 <= th <= 0:
+            raise CertificateError(f"theta_eta value {th} outside [-1, 0]")
         diag.append(mu * th)
     return -P + np.diag(diag)
 
@@ -76,7 +78,8 @@ def ground_overlap(H: np.ndarray, kstar_idx: Sequence[int]) -> tuple[float, floa
     lam, Q = np.linalg.eigh(H)
     psi = Q[:, 0]
     resid = np.linalg.norm(H @ psi - lam[0] * psi)
-    assert resid <= 1e-10 * max(1.0, np.abs(lam).max())
+    if not resid <= 1e-10 * max(1.0, np.abs(lam).max()):
+        raise CertificateError(f"ground eigenpair residual {resid:.3g} too large")
     overlap = float(np.sum(psi[list(kstar_idx)] ** 2))
     return float(lam[0]), overlap
 
@@ -123,9 +126,10 @@ def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
       R2 = u_max^2 * k / log2(|K|/|K*|)
     The expander variant drops the second condition and keeps R1.
     """
-    if kstar_order < 1 or kb.kernel_order % kstar_order:
-        raise DiagnosticUnavailable("|K*| must divide |K|")
-    logr = math.log2(kb.kernel_order / kstar_order)
+    if not 1 <= kstar_order <= kb.kernel_order:
+        raise DiagnosticUnavailable(f"|K*| = {kstar_order} must lie in [1, |K|]")
+    # the optimal set is not a subgroup coset, so |K*| need not divide |K|
+    logr = math.log2(kb.kernel_order) - math.log2(kstar_order)
     if logr == 0:
         degenerate = ConditionCheck(float("nan"), False)
         return degenerate, degenerate
@@ -215,7 +219,9 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         overlap_curve.append((mu_i, ov))
         lambda_curve.append((mu_i, lam1))
     # mu = 0 ground state is uniform, overlap must equal |K*|/|K|
-    assert abs(overlap_curve[0][1] - len(kstar_idx) / n) < 1e-10
+    if not abs(overlap_curve[0][1] - len(kstar_idx) / n) < 1e-10:
+        raise CertificateError(
+            f"mu = 0 overlap {overlap_curve[0][1]} differs from |K*|/|K| = {len(kstar_idx)}/{n}")
 
     return SPReport(
         k_order=kb.kernel_order,

@@ -4,6 +4,12 @@ Lazy product-of-cycles Cayley walk, expander generator sampling, a
 Metropolis filter tilting the stationary law toward low cost, and the
 walk-level diagnostics (dense transition matrix, spectral gap,
 log-Sobolev lower bound, pseudo-Lipschitz norm, cyclic metric).
+
+Every walk, plain or Metropolis, runs in one loop, ``walk``, on a
+float hold threshold and sparse generator supports precomputed by
+``CayleyWalkSpec``, so no step does rational arithmetic; ``step`` and
+``metropolis_step`` are its one-step forms. The dense diagnostics share
+one neighbour table, ``_neighbours``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DenseLimitExceeded
+from .errors import CertificateError, DenseLimitExceeded
 from .kernel import KernelBasis
 
 DENSE_LIMIT_DEFAULT = 4096
@@ -41,22 +47,74 @@ class CayleyWalkSpec:
         for h in self.generators:
             if len(h) != len(self.moduli):
                 raise ValueError("generator dimension mismatch")
+        # random() returns k / 2^53, so u < hold exactly when u < laziness
+        self._hold = math.ceil(self.laziness * 2**53) / 2**53
+        self._supports = tuple(
+            tuple((i, g % m) for i, (g, m) in enumerate(zip(h, self.moduli)) if g % m)
+            for h in self.generators)
 
 
 def _move(state, h, a, moduli):
     return tuple((x + a * g) % m for x, g, m in zip(state, h, moduli))
 
 
+def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
+         f: Optional[Callable[[tuple[int, ...]], Fraction]] = None,
+         beta: float = 0.0) -> tuple[list[int], object, int, int]:
+    """Run n steps from state x, reduced mod the moduli on entry; x
+    itself is not modified. With f and beta > 0 each non-null proposal
+    y is accepted with probability min(1, exp(-beta * (f(y) - f(x))));
+    f(x) is carried, so f runs once per non-null proposal, always on a
+    tuple. The RNG draws per step are the hold random(), randrange(k),
+    the sign random() and, only for a Metropolis proposal that raises
+    f, the acceptance random().
+
+    Returns (state as a list, f(state) or None without f, proposals,
+    accepted), the last two counting non-null Metropolis proposals."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    moduli = spec.moduli
+    x = [v % m for v, m in zip(x, moduli)]
+    supports = spec._supports
+    k = len(supports)
+    filtered = f is not None and beta > 0
+    fx = None
+    proposals = accepted = 0
+    if k:
+        rand, randrange = spec.rng.random, spec.rng.randrange
+        hold = spec._hold
+        for _ in range(n):
+            if rand() < hold:
+                continue
+            support = supports[randrange(k)]
+            a = 1 if rand() < 0.5 else -1
+            if not support:
+                continue
+            if not filtered:
+                for i, h in support:
+                    x[i] = (x[i] + a * h) % moduli[i]
+                continue
+            y = x.copy()
+            for i, h in support:
+                y[i] = (y[i] + a * h) % moduli[i]
+            if fx is None:
+                fx = f(tuple(x))
+            fy = f(tuple(y))
+            proposals += 1
+            delta = float(fy - fx)
+            if delta <= 0 or rand() < math.exp(-beta * delta):
+                x, fx = y, fy
+                accepted += 1
+    if f is not None and fx is None:
+        fx = f(tuple(x))
+    return x, fx, proposals, accepted
+
+
 def step(state: tuple[int, ...], spec: CayleyWalkSpec) -> tuple[int, ...]:
     """One walk step; with the default laziness 1/3 this is exactly
-    'pick a generator uniformly, pick a in {-1, 0, +1} uniformly'."""
-    if not spec.generators:
-        return state
-    if spec.rng.random() < spec.laziness:
-        return state
-    h = spec.generators[spec.rng.randrange(len(spec.generators))]
-    a = 1 if spec.rng.random() < 0.5 else -1
-    return _move(state, h, a, spec.moduli)
+    'pick a generator uniformly, pick a in {-1, 0, +1} uniformly'.
+    The state comes back reduced mod the moduli."""
+    return tuple(walk(spec, state, 1)[0])
 
 
 def expander_generation(kb: KernelBasis, C: float = 8.0,
@@ -104,6 +162,28 @@ class DenseTransition:
         )
 
 
+def _neighbours(spec: CayleyWalkSpec, states: list[tuple[int, ...]]) -> np.ndarray:
+    """(n, 2k) index table: column 2j holds the index of state + h_j and
+    column 2j + 1 that of state - h_j. Raises ValueError when a move
+    leaves the state set."""
+    index = {s: i for i, s in enumerate(states)}
+    n, d = len(states), len(spec.moduli)
+    # states and generators are residues, so x + h < 2 * modulus: int64
+    # is exact below 2^62, Python ints beyond
+    dtype = object if max(spec.moduli, default=0) >= 2**62 else np.int64
+    moduli = np.array(spec.moduli, dtype=dtype)
+    S = np.array(states, dtype=dtype).reshape(n, d)
+    table = np.empty((n, 2 * len(spec.generators)), dtype=np.intp)
+    for j, h in enumerate(spec.generators):
+        H = np.array([g % m for g, m in zip(h, spec.moduli)], dtype=dtype)
+        for c, moved in enumerate(((S + H) % moduli, (S - H) % moduli)):
+            idx = list(map(index.get, map(tuple, moved.tolist())))
+            if None in idx:
+                raise ValueError("state set is not closed under the generators")
+            table[:, 2 * j + c] = idx
+    return table
+
+
 def transition_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
                       dense_limit: int = DENSE_LIMIT_DEFAULT) -> DenseTransition:
     """Dense P for the lazy Cayley walk on a state set closed under the
@@ -114,7 +194,6 @@ def transition_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
     if n > dense_limit:
         raise DenseLimitExceeded(f"{n} states > dense limit {dense_limit}")
     states = list(states)
-    index = {s: i for i, s in enumerate(states)}
     k = len(spec.generators)
     if k == 0:
         dt = DenseTransition(states, np.eye(n, dtype=np.int64), 1)
@@ -125,19 +204,15 @@ def transition_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
     )
     hold = int(spec.laziness * den)
     per_move = int(move_w * den)
+    nb = _neighbours(spec, states)
     counts = np.zeros((n, n), dtype=np.int64)
-    for i, s in enumerate(states):
-        counts[i, i] += hold
-        for h in spec.generators:
-            for a in (1, -1):
-                t = _move(s, h, a, spec.moduli)
-                j = index.get(t)
-                if j is None:
-                    raise ValueError("state set is not closed under the generators")
-                counts[i, j] += per_move
+    np.fill_diagonal(counts, hold)
+    np.add.at(counts, (np.arange(n).repeat(2 * k), nb.ravel()), per_move)
     dt = DenseTransition(states, counts, den)
-    assert dt.is_symmetric(), "Cayley walk matrix must be symmetric"
-    assert dt.is_doubly_stochastic()
+    if not dt.is_symmetric():
+        raise CertificateError("Cayley walk matrix must be symmetric")
+    if not dt.is_doubly_stochastic():
+        raise CertificateError("Cayley walk matrix must be doubly stochastic")
     return dt
 
 
@@ -202,25 +277,25 @@ def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
     """Exact ||f||_P = max_x E_y[(f(x) - f(y))^2] over one walk step,
     plus the generator bound (max_j cyclic norm)^2 when weights (the
     linear cost on coordinates) are given. Returns (exact, bound); the
-    bound is None without weights."""
+    bound is None without weights. The state set must be closed under
+    the generators (ValueError otherwise)."""
+    states = list(states)
     k = len(spec.generators)
     best = Fraction(0)
-    if k:
+    if k and states:
+        nb = _neighbours(spec, states)
+        values = [Fraction(f(s)) for s in states]
+        den = math.lcm(*(v.denominator for v in values))
+        iv = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+        diff = iv[:, None] - iv[nb]
         move_w = (1 - spec.laziness) / (2 * k)
-        for s in states:
-            fs = Fraction(f(s))
-            acc = Fraction(0)
-            for h in spec.generators:
-                for a in (1, -1):
-                    d = fs - Fraction(f(_move(s, h, a, spec.moduli)))
-                    acc += move_w * d * d
-            if acc > best:
-                best = acc
+        best = move_w * Fraction(int((diff * diff).sum(axis=1).max()), den * den)
     bound = None
     if weights is not None:
         b = cyclic_norm_max(spec.generators, weights, spec.moduli)
         bound = b * b
-        assert best <= bound, "cyclic bound violated by exact pseudo-Lipschitz norm"
+        if best > bound:
+            raise CertificateError("cyclic bound violated by exact pseudo-Lipschitz norm")
     return best, bound
 
 
@@ -229,15 +304,7 @@ def metropolis_step(state: tuple[int, ...], beta: float, spec: CayleyWalkSpec,
     """Propose one lazy Cayley move and accept with probability
     min(1, exp(-beta * (f(y) - f(x)))). Detailed balance holds for
     pi_beta proportional to exp(-beta f); beta = 0 is the plain walk."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    y = step(state, spec)
-    if y == state or beta == 0:
-        return y
-    delta = float(f(y) - f(state))
-    if delta <= 0 or spec.rng.random() < math.exp(-beta * delta):
-        return y
-    return state
+    return tuple(walk(spec, state, 1, f, beta)[0])
 
 
 def metropolis_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],

@@ -3,6 +3,7 @@
 from click.testing import CliRunner
 
 from grouprelax.cli import main
+from grouprelax.walks import DenseTransition
 
 
 def run(args, **kw):
@@ -158,6 +159,22 @@ def test_report_fixed_wall_golden_bytes(tmp_path):
     res = run(["report", str(tmp_path), "--out", str(out), "--fixed-wall"])
     assert res.exit_code == 0, res.output
     assert out.read_text() == GOLDEN_REPORT
+
+
+def test_diagnose_cutgen_optimal_set_not_dividing_k(tmp_path):
+    # 3 cost minimisers among |K| = 64 coset points
+    path = write_golden_instances(tmp_path)["cutgen"]
+    res = run(["diagnose", str(path)])
+    assert res.exit_code == 0, res.output
+    assert "k_order,64\nkstar_order,3\n" in res.output
+
+
+def test_certificate_failure_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(DenseTransition, "is_doubly_stochastic", lambda self: False)
+    path = write_golden_instances(tmp_path)["planted"]
+    res = run(["diagnose", str(path)])
+    assert res.exit_code == 1
+    assert "error: Cayley walk matrix must be doubly stochastic" in res.output
 
 
 def test_diagnose_key_list(tmp_path):

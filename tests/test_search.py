@@ -11,7 +11,8 @@ from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, SearchConfig,
                         gomory_shortest_path, markov_chain_search, solve_group)
 from grouprelax.errors import CapExceeded, Infeasible
 from grouprelax.gen import planted
-from grouprelax.kernel import FeasibleCoset, KernelBasis, feasible_coset
+from grouprelax.kernel import (FeasibleCoset, KernelBasis, enumerate_coset,
+                               feasible_coset)
 from grouprelax.search import default_mix_steps, sample_budget
 from tests.conftest import build, stub_grd
 
@@ -225,3 +226,126 @@ def test_default_mix_steps_huge_kernel():
 
 def test_default_method_is_dijkstra():
     assert SearchConfig().method == "dijkstra"
+
+
+# Markov chain search outputs pinned run by run: same RNG draws in the
+# same order, so the same points, objectives, sample counts and traces.
+# Each planted coset starts at its optimum, so "-" runs also negate the
+# group cost to make the walk climb away from it.
+MCS_CASES = {
+    "planted_2_8": lambda: planted(2, 8, 1)[0],
+    "planted_3_6_rlu": lambda: planted(3, 6, 1, style="random-lower-unit")[0],
+    "cutgen_m4_L20_s35": lambda: cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0,
+                                                     seed=35)),
+}
+MCS_RUNS = [("mcs", 0.0), ("mcs-expander", 0.0), ("mcs-metropolis", 0.3),
+            ("mcs-metropolis", 1.0), ("mcs-metropolis", 3.0)]
+
+
+def mcs_golden_lines(max_samples=16):
+    lines = []
+    for case, make in MCS_CASES.items():
+        _, _, grd, fc = build(make())
+        for sign in "+-":
+            f = grd.cost if sign == "+" else (lambda x: -grd.cost(x))
+            for method, beta in MCS_RUNS:
+                for seed in (1, 2):
+                    cfg = SearchConfig(method=method, seed=seed, beta=beta,
+                                       max_samples=max_samples)
+                    res = markov_chain_search(fc, f, cfg)
+                    trace = " ".join(f"{i}:{v}" for i, v in res.trace)
+                    lines.append(f"{case} {sign} {method} {beta} {seed} | "
+                                 f"{' '.join(map(str, res.best_point))} | "
+                                 f"{res.objective} | {res.samples_used} | {trace}")
+    return lines
+
+
+MCS_GOLDEN = """\
+planted_2_8 + mcs 0.0 1 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs 0.0 2 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-expander 0.0 1 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-expander 0.0 2 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-metropolis 0.3 1 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-metropolis 0.3 2 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-metropolis 1.0 1 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-metropolis 1.0 2 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-metropolis 3.0 1 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 + mcs-metropolis 3.0 2 | 1 1 1 1 1 1 1 1 | 8 | 16 | 0:8
+planted_2_8 - mcs 0.0 1 | 3 3 3 3 3 3 3 1 | -22 | 16 | 0:-8 0:-16 2:-18 9:-22
+planted_2_8 - mcs 0.0 2 | 3 1 3 3 3 3 3 3 | -22 | 16 | 0:-8 0:-16 3:-20 10:-22
+planted_2_8 - mcs-expander 0.0 1 | 1 3 3 3 3 1 3 3 | -20 | 16 | 0:-8 0:-18 3:-20
+planted_2_8 - mcs-expander 0.0 2 | 3 3 3 1 1 3 3 3 | -20 | 16 | 0:-8 0:-16 1:-18 5:-20
+planted_2_8 - mcs-metropolis 0.3 1 | 3 3 3 3 1 3 3 3 | -22 | 16 | 0:-8 0:-18 3:-20 9:-22
+planted_2_8 - mcs-metropolis 0.3 2 | 3 3 3 3 3 3 3 3 | -24 | 16 | 0:-8 0:-22 2:-24
+planted_2_8 - mcs-metropolis 1.0 1 | 3 3 3 3 3 3 3 3 | -24 | 16 | 0:-8 0:-18 1:-24
+planted_2_8 - mcs-metropolis 1.0 2 | 3 3 3 3 3 3 3 3 | -24 | 16 | 0:-8 0:-24
+planted_2_8 - mcs-metropolis 3.0 1 | 3 3 3 3 3 3 3 3 | -24 | 16 | 0:-8 0:-24
+planted_2_8 - mcs-metropolis 3.0 2 | 3 3 3 3 3 3 3 3 | -24 | 16 | 0:-8 0:-24
+planted_3_6_rlu + mcs 0.0 1 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs 0.0 2 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-expander 0.0 1 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-expander 0.0 2 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-metropolis 0.3 1 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-metropolis 0.3 2 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-metropolis 1.0 1 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-metropolis 1.0 2 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-metropolis 3.0 1 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu + mcs-metropolis 3.0 2 | 1 1 1 1 1 1 | 6 | 16 | 0:6
+planted_3_6_rlu - mcs 0.0 1 | 7 7 7 4 4 4 | -33 | 16 | 0:-6 0:-30 6:-33
+planted_3_6_rlu - mcs 0.0 2 | 7 7 7 4 7 4 | -36 | 16 | 0:-6 0:-21 1:-24 4:-27 7:-36
+planted_3_6_rlu - mcs-expander 0.0 1 | 7 7 4 4 7 7 | -36 | 16 | 0:-6 0:-21 1:-30 12:-36
+planted_3_6_rlu - mcs-expander 0.0 2 | 1 7 7 4 7 7 | -33 | 16 | 0:-6 0:-27 3:-33
+planted_3_6_rlu - mcs-metropolis 0.3 1 | 7 7 7 7 7 7 | -42 | 16 | 0:-6 0:-30 2:-39 4:-42
+planted_3_6_rlu - mcs-metropolis 0.3 2 | 7 7 7 7 7 7 | -42 | 16 | 0:-6 0:-39 12:-42
+planted_3_6_rlu - mcs-metropolis 1.0 1 | 7 7 7 7 7 7 | -42 | 16 | 0:-6 0:-42
+planted_3_6_rlu - mcs-metropolis 1.0 2 | 7 7 7 7 7 7 | -42 | 16 | 0:-6 0:-42
+planted_3_6_rlu - mcs-metropolis 3.0 1 | 7 7 7 7 7 7 | -42 | 16 | 0:-6 0:-42
+planted_3_6_rlu - mcs-metropolis 3.0 2 | 7 7 7 7 7 7 | -42 | 16 | 0:-6 0:-42
+cutgen_m4_L20_s35 + mcs 0.0 1 | 0 0 1 1 | 4 | 16 | 0:5 9:4
+cutgen_m4_L20_s35 + mcs 0.0 2 | 2 0 0 0 | 5 | 16 | 0:5
+cutgen_m4_L20_s35 + mcs-expander 0.0 1 | 0 0 2 0 | 4 | 16 | 0:5 14:4
+cutgen_m4_L20_s35 + mcs-expander 0.0 2 | 2 0 0 0 | 5 | 16 | 0:5
+cutgen_m4_L20_s35 + mcs-metropolis 0.3 1 | 2 0 0 0 | 5 | 16 | 0:5
+cutgen_m4_L20_s35 + mcs-metropolis 0.3 2 | 2 0 0 0 | 5 | 16 | 0:5
+cutgen_m4_L20_s35 + mcs-metropolis 1.0 1 | 0 0 2 0 | 4 | 16 | 0:5 5:4
+cutgen_m4_L20_s35 + mcs-metropolis 1.0 2 | 0 0 0 2 | 4 | 16 | 0:5 1:4
+cutgen_m4_L20_s35 + mcs-metropolis 3.0 1 | 0 0 0 2 | 4 | 16 | 0:5 0:4
+cutgen_m4_L20_s35 + mcs-metropolis 3.0 2 | 0 0 1 1 | 4 | 16 | 0:5 0:4
+cutgen_m4_L20_s35 - mcs 0.0 1 | 2 3 1 2 | -8 | 16 | 0:-5 0:-6 6:-8
+cutgen_m4_L20_s35 - mcs 0.0 2 | 3 3 3 1 | -9 | 16 | 0:-5 1:-8 4:-9
+cutgen_m4_L20_s35 - mcs-expander 0.0 1 | 3 3 3 1 | -9 | 16 | 0:-5 0:-8 2:-9
+cutgen_m4_L20_s35 - mcs-expander 0.0 2 | 3 3 3 1 | -9 | 16 | 0:-5 0:-6 4:-7 8:-9
+cutgen_m4_L20_s35 - mcs-metropolis 0.3 1 | 3 3 1 3 | -9 | 16 | 0:-5 0:-9
+cutgen_m4_L20_s35 - mcs-metropolis 0.3 2 | 3 3 3 1 | -9 | 16 | 0:-5 0:-6 1:-8 9:-9
+cutgen_m4_L20_s35 - mcs-metropolis 1.0 1 | 3 3 1 3 | -9 | 16 | 0:-5 0:-9
+cutgen_m4_L20_s35 - mcs-metropolis 1.0 2 | 3 3 1 3 | -9 | 16 | 0:-5 0:-9
+cutgen_m4_L20_s35 - mcs-metropolis 3.0 1 | 3 3 2 2 | -9 | 16 | 0:-5 0:-9
+cutgen_m4_L20_s35 - mcs-metropolis 3.0 2 | 3 3 3 1 | -9 | 16 | 0:-5 0:-8 1:-9
+"""
+
+
+def test_mcs_golden_runs():
+    assert mcs_golden_lines() == MCS_GOLDEN.splitlines()
+
+
+def test_mcs_counts_metropolis_proposals():
+    inst, _ = planted(2, 3, 1)
+    _, _, grd, fc = build(inst)
+    res = markov_chain_search(fc, grd.cost, SearchConfig(
+        method="mcs-metropolis", seed=3, beta=1.5, max_samples=20), grd)
+    assert 0 < res.accepted <= res.proposals
+    res = markov_chain_search(fc, grd.cost, SearchConfig(
+        method="mcs", seed=3, max_samples=20), grd)
+    assert res.proposals == res.accepted == 0
+
+
+@pytest.mark.parametrize("method,beta", [("mcs", 0.0), ("mcs-metropolis", 1.0)])
+def test_mcs_cost_lookup_table(method, beta):
+    # a cost read from a table keyed by coset tuples must see tuples only
+    _, _, grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))
+    table = {x: -grd.cost(x) for x in enumerate_coset(fc, cap=10**4)}
+    cfg = SearchConfig(method=method, seed=2, beta=beta, max_samples=16)
+    res = markov_chain_search(fc, table.__getitem__, cfg)
+    ref = markov_chain_search(fc, lambda x: -grd.cost(x), cfg)
+    assert (res.best_point, res.objective, res.trace) == (
+        ref.best_point, ref.objective, ref.trace)

@@ -114,6 +114,15 @@ def test_speedup_conditions_degenerate():
         speedup_conditions(kb, [1], Fraction(-1), 3)
 
 
+def test_speedup_conditions_huge_kernel():
+    # |K| = 2^1100 does not fit a float, and |K*| = 3 does not divide it
+    d, u = 110, 2**10
+    unit = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    kb = KernelBasis(unit, (u,) * d, (u,) * d, u**d, 1)
+    _, c2 = speedup_conditions(kb, [1] * d, Fraction(-1), 3)
+    assert c2.ratio == pytest.approx(u * u * d / (1100 - math.log2(3)))
+
+
 def test_sp_diagnose_planted_t2_m3():
     inst, _ = planted(2, 3, 1)
     _, _, grd, fc = build(inst)

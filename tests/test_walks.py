@@ -3,12 +3,17 @@ quantities, cyclic metric, Metropolis filter, expander sampling."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grouprelax
 from grouprelax import (cyclic_metric, expander_generation, log_sobolev_lower,
                         metropolis_step, pseudo_lipschitz, spectral_gap,
                         step, transition_matrix)
@@ -40,6 +45,14 @@ def test_step_wraparound():
     spec = simple_spec([(2, 0)], (4, 4), seed=2)
     moves = {step((3, 1), spec) for _ in range(100)}
     assert moves == {(3, 1), (1, 1)}
+
+
+def test_step_reduces_unreduced_state():
+    # every coordinate comes back as a residue, as the old per-move
+    # (x + a*g) % m did, also along a zero generator
+    spec = simple_spec([(2, 0), (0, 0)], (4, 4), seed=5)
+    seen = {step((7, 9), spec) for _ in range(100)}
+    assert seen == {(3, 1), (1, 1)}
 
 
 def test_step_laziness_frequency():
@@ -203,3 +216,120 @@ def test_tv_bound_small_walks():
         k = kb.kernel_order
         tmix = math.ceil(math.log(2 * k) / delta)
         assert tv_to_uniform(dt.P, tmix) <= 2 * (1 - delta) ** tmix + 1e-12
+
+
+class ScriptedRng:
+    """random() replays the given values; randrange always picks 0."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+    def randrange(self, k):
+        return 0
+
+
+def test_hold_threshold_exact():
+    # random() returns k / 2^53; the walk holds exactly when that is
+    # below the rational laziness, also for k next to the cut
+    for lazy in (Fraction(1, 3), Fraction(2, 7)):
+        cut = math.ceil(lazy * 2**53)
+        for k in range(cut - 3, cut + 3):
+            u = k / 2**53
+            spec = CayleyWalkSpec(((1,),), (5,), laziness=lazy,
+                                  rng=ScriptedRng([u, 0.0]))
+            held = step((0,), spec) == (0,)
+            assert held == (Fraction(k, 2**53) < lazy), (lazy, k)
+
+
+# plain Python definitions of the dense walk quantities, move by move
+
+def reference_counts(spec, states):
+    k = len(spec.generators)
+    move_w = (1 - spec.laziness) / (2 * k)
+    den = math.lcm(spec.laziness.denominator, move_w.denominator)
+    index = {s: i for i, s in enumerate(states)}
+    counts = [[0] * len(states) for _ in states]
+    for i, s in enumerate(states):
+        counts[i][i] += int(spec.laziness * den)
+        for h in spec.generators:
+            for a in (1, -1):
+                t = tuple((x + a * g) % m for x, g, m in zip(s, h, spec.moduli))
+                counts[i][index[t]] += int(move_w * den)
+    return counts, den
+
+
+def reference_pseudo_lipschitz(f, spec, states):
+    move_w = (1 - spec.laziness) / (2 * len(spec.generators))
+    best = Fraction(0)
+    for s in states:
+        acc = Fraction(0)
+        for h in spec.generators:
+            for a in (1, -1):
+                t = tuple((x + a * g) % m for x, g, m in zip(s, h, spec.moduli))
+                acc += move_w * (Fraction(f(s)) - Fraction(f(t))) ** 2
+        best = max(best, acc)
+    return best
+
+
+def neighbour_table_cases():
+    for t, m, style in [(2, 3, "identity"), (3, 2, "identity"),
+                        (2, 4, "random-lower-unit"), (3, 3, "random-lower-unit")]:
+        inst, _ = planted(t, m, 1, seed=2, style=style)
+        _, _, grd, fc = build(inst)
+        kb = fc.basis
+        states = list(enumerate_coset(fc, 1000))
+        yield simple_spec(kb.generators, kb.moduli), states, grd.cost
+        gens = expander_generation(kb, C=2.0, rng=random.Random(t * m))
+        yield simple_spec(gens, kb.moduli), states, grd.cost
+    # one coordinate whose modulus and residues exceed int64
+    big = 3 * 2**62
+    yield (simple_spec([(2**62,)], (big,)), [(0,), (2**62,), (2**63,)],
+           lambda s: Fraction(s[0], 7))
+
+
+def test_transition_matrix_matches_reference():
+    for spec, states, _ in neighbour_table_cases():
+        counts, den = reference_counts(spec, states)
+        dt = transition_matrix(spec, states)
+        assert dt.counts.tolist() == counts and dt.den == den
+
+
+def test_pseudo_lipschitz_matches_reference():
+    for spec, states, f in neighbour_table_cases():
+        exact, bound = pseudo_lipschitz(f, spec, states)
+        assert exact == reference_pseudo_lipschitz(f, spec, states)
+        assert bound is None
+
+
+def test_neighbour_table_needs_closed_state_set():
+    # (1, 0) + (1, 0) = (2, 0) is missing; the second set takes the
+    # Python-int path of a modulus >= 2^62
+    for spec, states in [(simple_spec([(1, 0)], (3, 2)), [(0, 0), (1, 0)]),
+                         (simple_spec([(1,)], (2**62,)), [(0,), (1,)])]:
+        with pytest.raises(ValueError, match="not closed"):
+            transition_matrix(spec, states)
+        with pytest.raises(ValueError, match="not closed"):
+            pseudo_lipschitz(lambda s: Fraction(0), spec, states)
+
+
+def test_certificates_fire_under_python_O():
+    script = (
+        "assert False\n"  # stripped by -O, so this line shows -O is on
+        "from grouprelax.errors import CertificateError\n"
+        "from grouprelax.walks import CayleyWalkSpec, DenseTransition, transition_matrix\n"
+        "DenseTransition.is_doubly_stochastic = lambda self: False\n"
+        "spec = CayleyWalkSpec(((1,),), (3,))\n"
+        "try:\n"
+        "    transition_matrix(spec, [(0,), (1,), (2,)])\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
