@@ -20,8 +20,8 @@ from .search import (SearchConfig, SearchResult, brute_force_group,
                      markov_chain_search, solve_group)
 from .spdiag import (SPParams, SPReport, build_sp_hamiltonian, ground_overlap,
                      shifted_cost, sp_diagnose, speedup_conditions, theta_eta)
-from .walks import (CayleyWalkSpec, cyclic_metric, expander_generation,
-                    log_sobolev_lower, metropolis_step, pseudo_lipschitz,
-                    spectral_gap, step, transition_matrix)
+from .walks import (CayleyWalkSpec, character_gap, cyclic_metric,
+                    expander_generation, log_sobolev_lower, metropolis_step,
+                    pseudo_lipschitz, spectral_gap, step, transition_matrix)
 
 __version__ = "0.1.0"

@@ -129,7 +129,8 @@ def kernel(file, compress):
 @click.option("--mu-sweep", type=int, default=8)
 @_handle_errors
 def diagnose(file, eta, dense_limit, expander_c, mu_sweep):
-    """Short-path spectral diagnostics (dense mode)."""
+    """Short-path spectral diagnostics up to the dense limit (sparse
+    Lanczos ground states, gap from characters)."""
     grd = relax_ilp(_load(file))
     fc = feasible_coset(grd)
     rep = sp_diagnose(grd, fc, SPParams(eta=eta, dense_limit=dense_limit,

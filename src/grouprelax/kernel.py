@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, Infeasible
+from .errors import CapExceeded, CertificateError, Infeasible
 from .exact import IntMatrix, SNFResult, snf, solve_mod
 from .relax import GroupRelaxationData
 
@@ -71,7 +71,8 @@ def _kernel_generators(fact: SNFResult, r_max: int, A: IntMatrix, r: Sequence[in
             gens.append(h)
             orders.append(g)
     for h in gens:
-        assert not any(_group_residual(A, r, h)), "generator fails the congruence"
+        if any(_group_residual(A, r, h)):
+            raise CertificateError(f"kernel generator {h} fails the congruence")
     return gens, orders, kernel_order
 
 
@@ -103,11 +104,17 @@ def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
         x_hat = tuple(v % r_max for v in fact.Vinv.matvec(y))
         residual = _group_residual(grd.Abold, grd.r, x_hat)
         if residual != [grd.bbold[i] % grd.r[i] for i in range(m)]:
-            raise AssertionError("feasible-point substitution check failed")
+            raise CertificateError("feasible-point substitution check failed")
         gens, orders, korder = _kernel_generators(fact, r_max, grd.Abold, grd.r)
     basis = KernelBasis(generators=tuple(gens), orders=tuple(orders), moduli=(r_max,) * d,
                         kernel_order=korder, range_order=r_max**d // korder)
     return FeasibleCoset(x_hat=x_hat, basis=basis)
+
+
+def _check_order_minimal(grd: GroupRelaxationData, col: Sequence[int], j: int,
+                         s: int, p: int) -> None:
+    if not any(((s // p) * v) % grd.r[i] for i, v in enumerate(col)):
+        raise CertificateError(f"column {j} order {s} is not minimal: {s // p} suffices")
 
 
 def column_orders(grd: GroupRelaxationData) -> list[int]:
@@ -119,19 +126,27 @@ def column_orders(grd: GroupRelaxationData) -> list[int]:
         s = 1
         for i, r_i in enumerate(grd.r):
             s = lcm(s, r_i // gcd(r_i, col[i] % r_i))
-        assert not any((s * v) % grd.r[i] for i, v in enumerate(col))
+        if any((s * v) % grd.r[i] for i, v in enumerate(col)):
+            raise CertificateError(f"column {j} is not annihilated by its order {s}")
         p = 2
         ss = s
         while p * p <= ss:  # every prime quotient of s must fail
             if ss % p == 0:
-                assert any(((s // p) * v) % grd.r[i] for i, v in enumerate(col))
+                _check_order_minimal(grd, col, j, s, p)
                 while ss % p == 0:
                     ss //= p
             p += 1
         if ss > 1:
-            assert any(((s // ss) * v) % grd.r[i] for i, v in enumerate(col))
+            _check_order_minimal(grd, col, j, s, ss)
         out.append(s)
     return out
+
+
+def _check_order_bookkeeping(s: Sequence[int], korder: int, range_order: int) -> None:
+    if prod(s) != korder * range_order:
+        raise CertificateError(
+            f"compressed order bookkeeping broke: prod(s) = {prod(s)} != "
+            f"|K'| * |G| = {korder} * {range_order}")
 
 
 def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
@@ -147,9 +162,8 @@ def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
     d, r_max = grd.d, grd.r_max
     range_order = kb.range_order
     if kb.kernel_order == 1 or not kb.generators:
-        out = KernelBasis((), (), tuple(s), 1, range_order)
-        assert prod(s) == out.kernel_order * range_order
-        return out
+        _check_order_bookkeeping(s, 1, range_order)
+        return KernelBasis((), (), tuple(s), 1, range_order)
 
     k = len(kb.generators)
     D = IntMatrix([[kb.generators[i][row] for i in range(k)] for row in range(d)])
@@ -176,13 +190,13 @@ def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
         o = element_order(g, s)
         if o == 1:
             continue
-        assert not any(_group_residual(grd.Abold, grd.r, g))
+        if any(_group_residual(grd.Abold, grd.r, g)):
+            raise CertificateError(f"compressed generator {g} fails the congruence")
         gens.append(g)
         orders.append(o)
     korder = prod(orders) if orders else 1
-    out = KernelBasis(tuple(gens), tuple(orders), tuple(s), korder, range_order)
-    assert prod(s) == korder * range_order, "compressed order bookkeeping broke"
-    return out
+    _check_order_bookkeeping(s, korder, range_order)
+    return KernelBasis(tuple(gens), tuple(orders), tuple(s), korder, range_order)
 
 
 def compress_coset(grd: GroupRelaxationData, fc: FeasibleCoset) -> FeasibleCoset:

@@ -13,6 +13,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
+from .errors import CertificateError
 from .exact import IntMatrix, SNFResult, snf, solve_rational
 from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
@@ -69,7 +70,8 @@ def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelax
     AB = sf.A.select_columns(bs.basis)
     fact = snf(AB)
     r = [int(x) for x in fact.D]
-    assert all(x >= 1 for x in r), "basis matrix must be nonsingular"
+    if not all(x >= 1 for x in r):
+        raise CertificateError("basis matrix must be nonsingular")
     m = len(r)
 
     bbold = [v % r[i] for i, v in enumerate(fact.Uinv.matvec(sf.b))]
@@ -85,7 +87,8 @@ def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelax
             dropped.append(j)
     Abold = IntMatrix([[cols[k][i] for k in range(len(cols))] for i in range(m)])
     cbold = [bs.reduced_costs[j] for j in kept]
-    assert all(c >= 0 for c in cbold)
+    if any(c < 0 for c in cbold):
+        raise CertificateError("optimal basis has a negative reduced cost")
     return GroupRelaxationData(
         sf=sf, bs=bs, snf_basis=fact, r=r, Abold=Abold, bbold=bbold,
         cbold=cbold, kept_cols=kept, dropped_cols=dropped, shift=bs.opt_lp,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapExceeded, Infeasible
+from .errors import CapExceeded, CertificateError, Infeasible
 from .kernel import FeasibleCoset, enumerate_coset
 from .lp import ILPInstance
 from .relax import GroupRelaxationData, GroupSolution, lift_to_ilp
@@ -169,10 +169,13 @@ def gomory_shortest_path(grd: GroupRelaxationData) -> SearchResult:
     for j, mult in enumerate(x_n):
         for i in range(m):
             acc[i] = (acc[i] + mult * cols[j][i]) % r[i]
-    assert tuple(acc) == target
+    if tuple(acc) != target:
+        raise CertificateError("shortest path does not sum to the target residue")
     sol = lift_to_ilp(grd, x_n)
     obj = grd.shift + dist[target]
-    assert sol.objective == obj
+    if sol.objective != obj:
+        raise CertificateError(
+            f"lifted objective {sol.objective} differs from the path length {obj}")
     return SearchResult(tuple(x_n), obj, len(done), True, [(0, obj)], sol)
 
 

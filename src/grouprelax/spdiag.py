@@ -1,10 +1,14 @@
 """Short-path spectral diagnostics at desk scale.
 
 Everything the quantum short-path analysis needs, computed exactly or
-via dense eigensolves: shifted cost, the truncation theta_eta, the
-short-path Hamiltonian and its ground-state overlap with the optimal
-set, gamma / mu* / alpha estimates, and the two dimensionless
-super-quadratic condition ratios with a Theta(1) proxy band.
+from certified sparse solves: shifted cost, the truncation theta_eta,
+the short-path Hamiltonian H_mu = -P + mu * diag(theta) on the sparse
+walk matrix, its ground state by Lanczos with residual and Perron
+certificates, the ground-state overlap with the optimal set, the walk
+gap from the characters of K, gamma / mu* / alpha estimates, and the
+two dimensionless super-quadratic condition ratios with a Theta(1)
+proxy band. No full spectrum is computed. scipy is imported inside the
+functions that use it, so ``import grouprelax`` does not load it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 from .errors import CertificateError, DenseLimitExceeded, DiagnosticUnavailable
 from .kernel import FeasibleCoset, KernelBasis, enumerate_coset
 from .relax import GroupRelaxationData
-from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, cyclic_norm_max,
-                    log_sobolev_lower, pseudo_lipschitz, spectral_gap,
+from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, character_gap,
+                    cyclic_norm_max, log_sobolev_lower, pseudo_lipschitz,
                     transition_matrix)
 
 BAND_DEFAULT = (0.25, 4.0)  # closed Theta(1) proxy band, both ends inclusive
@@ -55,33 +59,72 @@ def theta_eta(x, eta):
     return min(0, (x + 1 - eta) / eta)
 
 
-def build_sp_hamiltonian(P: np.ndarray, ftilde: Sequence[Fraction], mu: float,
-                         eta: float, e_star: Fraction) -> np.ndarray:
-    """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
-    P is. The theta arguments all land in [-1, 0]."""
+def _theta_vector(ftilde: Sequence[Fraction], eta: float,
+                  e_star: Fraction) -> np.ndarray:
+    """theta_eta(ftilde / |E*|) per state; the arguments must land in
+    [-1, 0] exactly and the values in [-1, 0]."""
     abs_e = abs(Fraction(e_star))
-    diag = []
-    for v in ftilde:
+    theta = np.empty(len(ftilde))
+    for i, v in enumerate(ftilde):
         x = Fraction(v) / abs_e
         if not -1 <= x <= 0:
             raise CertificateError("shifted cost left the normalized range")
         th = theta_eta(float(x), eta)
         if not -1 - 1e-12 <= th <= 0:
             raise CertificateError(f"theta_eta value {th} outside [-1, 0]")
-        diag.append(mu * th)
-    return -P + np.diag(diag)
+        theta[i] = th
+    return theta
 
 
-def ground_overlap(H: np.ndarray, kstar_idx: Sequence[int]) -> tuple[float, float]:
-    """Lowest eigenpair of the symmetric H; overlap is the squared mass
-    of the ground state on the optimal index set."""
-    lam, Q = np.linalg.eigh(H)
-    psi = Q[:, 0]
-    resid = np.linalg.norm(H @ psi - lam[0] * psi)
-    if not resid <= 1e-10 * max(1.0, np.abs(lam).max()):
+def _hamiltonian(P, mu: float, theta: np.ndarray):
+    """-P + diag(mu * theta): dense for a numpy P, CSR for a sparse P."""
+    if isinstance(P, np.ndarray):
+        return -P + np.diag(mu * theta)
+    import scipy.sparse as sp
+    return (-P + sp.diags_array(mu * theta)).tocsr()
+
+
+def build_sp_hamiltonian(P, ftilde: Sequence[Fraction], mu: float,
+                         eta: float, e_star: Fraction):
+    """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
+    P is, sparse when P is. The theta arguments all land in [-1, 0]."""
+    return _hamiltonian(P, mu, _theta_vector(ftilde, eta, e_star))
+
+
+def ground_overlap(H, kstar_idx: Sequence[int]) -> tuple[float, float]:
+    """Lowest eigenpair of the symmetric stoquastic H (dense or sparse;
+    every off-diagonal entry <= 0, ValueError otherwise) by Lanczos;
+    overlap is the squared mass of the ground state on the optimal
+    index set.
+
+    Certificates (CertificateError): the residual |H psi - lam psi| is
+    at most 1e-10 max(1, |lam|), and psi, up to sign, has every entry
+    > 0. By Perron-Frobenius on cI - H >= 0, a positive eigenvector of
+    a stoquastic H belongs to its smallest eigenvalue, so the second
+    check certifies that the solver found the ground state; it needs
+    an irreducible H (a connected walk), as every diagnose H is."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
+    n = H.shape[0]
+    C = sp.coo_array(H)
+    if np.any(C.data[C.row != C.col] > 0):
+        raise ValueError("H has a positive off-diagonal entry: not stoquastic")
+    if n == 1:
+        lam0, psi = float(H.diagonal()[0]), np.ones(1)
+    else:
+        # a fixed start vector makes the solve repeat bit for bit
+        lam, Q = eigsh(H, k=1, which="SA", v0=np.ones(n), tol=0)
+        lam0, psi = float(lam[0]), Q[:, 0]
+    if psi.sum() < 0:
+        psi = -psi
+    resid = np.linalg.norm(H @ psi - lam0 * psi)
+    if not resid <= 1e-10 * max(1.0, abs(lam0)):
         raise CertificateError(f"ground eigenpair residual {resid:.3g} too large")
+    if not np.all(psi > 0):
+        raise CertificateError(
+            "Lanczos eigenvector has a non-positive entry: not the ground state")
     overlap = float(np.sum(psi[list(kstar_idx)] ** 2))
-    return float(lam[0]), overlap
+    return lam0, overlap
 
 
 @dataclass
@@ -145,9 +188,12 @@ def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
 def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
                 params: SPParams,
                 kstar_order: Optional[int] = None) -> SPReport:
-    """Full dense-mode diagnostic: enumerates the coset, builds the walk
-    matrix and H_mu, sweeps mu in [0, mu_chosen), and evaluates every
-    estimate. kstar_order defaults to the brute-force count."""
+    """Full diagnostic up to the dense limit: enumerates the coset,
+    builds the exact walk matrix (checked symmetric and doubly
+    stochastic) and keeps it as a sparse P, takes the gap delta from
+    the characters of K, sweeps mu in [0, mu_chosen) with a Lanczos
+    ground state of each sparse H_mu, and evaluates every estimate.
+    kstar_order defaults to the brute-force count."""
     kb = fc.basis
     if kb.kernel_order > params.dense_limit:
         raise DenseLimitExceeded(
@@ -175,9 +221,10 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         delta = 1.0
         plip = Fraction(0)
     else:
+        import scipy.sparse as sp
         dt = transition_matrix(spec, states, params.dense_limit)
-        P = dt.P
-        delta = spectral_gap(P)
+        P = sp.csr_array(dt.counts) / dt.den
+        delta = character_gap(kb, spec.laziness)
         plip, _ = pseudo_lipschitz(grd.cost, spec, states, weights)
 
     abs_e = float(abs(e_star))
@@ -212,10 +259,10 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     overlap_curve = []
     lambda_curve = []
     steps = max(params.mu_sweep, 1)
+    theta = _theta_vector(ftilde, eta, e_star)
     for i in range(steps):
         mu_i = sweep_top * i / steps
-        H = build_sp_hamiltonian(P, ftilde, mu_i, eta, e_star)
-        lam1, ov = ground_overlap(H, kstar_idx)
+        lam1, ov = ground_overlap(_hamiltonian(P, mu_i, theta), kstar_idx)
         overlap_curve.append((mu_i, ov))
         lambda_curve.append((mu_i, lam1))
     # mu = 0 ground state is uniform, overlap must equal |K*|/|K|

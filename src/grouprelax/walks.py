@@ -2,8 +2,9 @@
 
 Lazy product-of-cycles Cayley walk, expander generator sampling, a
 Metropolis filter tilting the stationary law toward low cost, and the
-walk-level diagnostics (dense transition matrix, spectral gap,
-log-Sobolev lower bound, pseudo-Lipschitz norm, cyclic metric).
+walk-level diagnostics (dense transition matrix, spectral gap, the gap
+of K's own generators from its characters, log-Sobolev lower bound,
+pseudo-Lipschitz norm, cyclic metric).
 
 Every walk, plain or Metropolis, runs in one loop, ``walk``, on a
 float hold threshold and sparse generator supports precomputed by
@@ -226,6 +227,25 @@ def spectral_gap(P: np.ndarray) -> float:
     # principal eigenvalue is the largest (=1); drop one copy of it
     rest = np.abs(np.delete(lam, np.argmax(lam)))
     return float(1.0 - rest.max())
+
+
+def character_gap(kb: KernelBasis, laziness: Fraction = Fraction(1, 3)) -> float:
+    """spectral_gap of the lazy walk on K's cyclic generators in O(k),
+    with no eigensolve. The generators are independent of orders u_j,
+    so each character c of K is an eigenvector with eigenvalue
+    L + (1 - L)/k * sum_j cos(2 pi c_j / u_j). The largest non-principal
+    one is 1 - (1 - L)/k * 2 sin^2(pi / u_max), the sine form keeping
+    full relative precision on long cycles; the smallest puts
+    c_j = floor(u_j / 2) on every cycle. 1 for a trivial kernel."""
+    if math.prod(kb.orders) != kb.kernel_order:
+        raise CertificateError("cyclic generator orders do not multiply to |K|")
+    if kb.kernel_order == 1:
+        return 1.0
+    k = len(kb.orders)
+    w = float((1 - Fraction(laziness)) / k)
+    lowest = float(laziness) + w * sum(math.cos(2 * math.pi * (u // 2) / u)
+                                       for u in kb.orders)
+    return min(2 * w * math.sin(math.pi / max(kb.orders)) ** 2, 1 - abs(lowest))
 
 
 def log_sobolev_lower(kb_or_k, u_max: Optional[int] = None) -> Fraction:

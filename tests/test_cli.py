@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, reproducible report bytes."""
 
+import scipy.sparse.linalg
 from click.testing import CliRunner
 
 from grouprelax.cli import main
 from grouprelax.walks import DenseTransition
+from tests.test_spdiag import second_eigenpair
 
 
 def run(args, **kw):
@@ -175,6 +177,14 @@ def test_certificate_failure_exits_1(tmp_path, monkeypatch):
     res = run(["diagnose", str(path)])
     assert res.exit_code == 1
     assert "error: Cayley walk matrix must be doubly stochastic" in res.output
+
+
+def test_perron_certificate_failure_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", second_eigenpair)
+    path = write_golden_instances(tmp_path)["planted"]
+    res = run(["diagnose", str(path)])
+    assert res.exit_code == 1
+    assert "error: Lanczos eigenvector has a non-positive entry" in res.output
 
 
 def test_diagnose_key_list(tmp_path):

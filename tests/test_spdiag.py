@@ -1,19 +1,30 @@
-"""Short-path spectral diagnostics: shifted cost, truncation, dense
-Hamiltonian, ground overlaps, condition ratios."""
+"""Short-path spectral diagnostics: shifted cost, truncation, the
+Hamiltonian, Lanczos ground overlaps, the character gap, condition
+ratios."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
+import grouprelax
 from grouprelax import (SPParams, build_sp_hamiltonian, ground_overlap,
                         shifted_cost, sp_diagnose, speedup_conditions,
                         theta_eta)
-from grouprelax.errors import DenseLimitExceeded, DiagnosticUnavailable
-from grouprelax.gen import planted
+from grouprelax.errors import (CertificateError, DenseLimitExceeded,
+                               DiagnosticUnavailable)
+from grouprelax.gen import CutStockSpec, cutgen, planted
 from grouprelax.kernel import KernelBasis, enumerate_coset, feasible_coset
-from grouprelax.walks import CayleyWalkSpec, transition_matrix
+from grouprelax.walks import (CayleyWalkSpec, character_gap, spectral_gap,
+                              transition_matrix)
 from tests.conftest import build
 
 
@@ -155,3 +166,127 @@ def test_sp_diagnose_dense_limit():
     _, _, grd, fc = build(inst)
     with pytest.raises(DenseLimitExceeded):
         sp_diagnose(grd, fc, SPParams(dense_limit=4))
+
+
+# Sparse Lanczos ground states and the character gap, each checked
+# against the dense oracle (numpy eigh / spectral_gap) inside the test.
+
+def oracle_cosets(random_suite):
+    """Named cosets of the benchmark ladder and the tier-1 tests, plus
+    every random-suite coset with generators and |K| <= 729."""
+    named = [planted(2, 3, 1)[0], planted(2, 8, 1)[0], planted(3, 4, 1)[0],
+             planted(3, 6, 2, style="random-lower-unit")[0], planted(5, 2, 1)[0],
+             cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35))]
+    out = [build(inst)[2:] for inst in named]
+    out += [(c["grd"], c["fc"]) for c in random_suite["cases"]
+            if c["fc"].basis.generators and c["fc"].basis.kernel_order <= 729]
+    assert len(out) > 100
+    return out
+
+
+def dense_inputs(grd, fc):
+    """(P, ftilde, E*, optimal indices) exactly as sp_diagnose forms them."""
+    kb = fc.basis
+    states = list(enumerate_coset(fc, 4096))
+    values = [grd.cost(s) for s in states]
+    C, e_star = shifted_cost(values)
+    fmin = min(values)
+    kstar = [i for i, v in enumerate(values) if v == fmin]
+    P = transition_matrix(CayleyWalkSpec(kb.generators, kb.moduli), states).P
+    return P, [v - C for v in values], e_star, kstar
+
+
+def test_ground_overlap_matches_dense_eigh(random_suite):
+    for grd, fc in oracle_cosets(random_suite):
+        rep = sp_diagnose(grd, fc, SPParams())
+        P, ftilde, e_star, kstar = dense_inputs(grd, fc)
+        theta = np.array([theta_eta(float(v / abs(e_star)), 0.5) for v in ftilde])
+        mu_top = rep.overlap_curve[-1][0]
+        H = -P + np.diag(mu_top * theta)
+        assert np.array_equal(build_sp_hamiltonian(P, ftilde, mu_top, 0.5, e_star), H)
+        Hsp = build_sp_hamiltonian(scipy.sparse.csr_array(P), ftilde, mu_top, 0.5, e_star)
+        assert scipy.sparse.issparse(Hsp) and np.array_equal(Hsp.toarray(), H)
+        for (mu, ov), (_, lam) in zip(rep.overlap_curve, rep.lambda_curve):
+            H = -P + np.diag(mu * theta)
+            w, Q = np.linalg.eigh(H)
+            ov_dense = float(np.sum(Q[kstar, 0] ** 2))
+            lam_sp, ov_sp = ground_overlap(scipy.sparse.csr_array(H), kstar)
+            for lam1, ov1 in ((lam, ov), (lam_sp, ov_sp)):
+                assert abs(lam1 - w[0]) < 1e-12
+                assert abs(ov1 - ov_dense) < 1e-10
+
+
+def test_character_gap_matches_spectral_gap(random_suite):
+    for grd, fc in oracle_cosets(random_suite):
+        P = dense_inputs(grd, fc)[0]
+        assert abs(character_gap(fc.basis) - spectral_gap(P)) < 1e-12
+    # mixed even and odd cycles, a long cycle, and another laziness
+    for orders, lazy in [((2, 3, 5), Fraction(1, 3)), ((7,), Fraction(1, 3)),
+                         ((3, 3), Fraction(1, 2)), ((64, 2), Fraction(1, 5))]:
+        k = len(orders)
+        gens = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        kb = KernelBasis(gens, orders, orders, math.prod(orders), 1)
+        spec = CayleyWalkSpec(gens, orders, laziness=lazy)
+        states = list(itertools.product(*(range(u) for u in orders)))
+        P = transition_matrix(spec, states).P
+        assert abs(character_gap(kb, lazy) - spectral_gap(P)) < 1e-12
+
+
+def test_character_gap_certificate():
+    assert character_gap(KernelBasis((), (), (4,), 1, 4)) == 1.0
+    with pytest.raises(CertificateError, match="multiply"):
+        character_gap(KernelBasis(((2,),), (2,), (4,), 4, 1))
+
+
+def test_ground_overlap_single_state():
+    for H in (np.array([[-1.5]]), scipy.sparse.csr_array([[-1.5]])):
+        assert ground_overlap(H, [0]) == (-1.5, 1.0)
+        assert ground_overlap(H, []) == (-1.5, 0.0)
+
+
+def test_ground_overlap_needs_stoquastic():
+    lam, ov = ground_overlap(np.array([[0.0, -1.0], [-1.0, 0.0]]), [0])
+    assert abs(lam + 1) < 1e-12 and abs(ov - 0.5) < 1e-12
+    for H in (np.array([[0.0, 1.0], [1.0, 0.0]]),
+              scipy.sparse.csr_array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.5],
+                                      [0.0, 0.5, 0.0]])):
+        with pytest.raises(ValueError, match="stoquastic"):
+            ground_overlap(H, [0])
+
+
+def second_eigenpair(H, k, **kwargs):
+    """Stand-in solver that returns the second eigenpair: a true
+    eigenpair, so only the Perron certificate can reject it."""
+    dense = H.toarray() if scipy.sparse.issparse(H) else H
+    w, Q = np.linalg.eigh(dense)
+    return w[1:2], Q[:, 1:2]
+
+
+def test_perron_certificate_rejects_second_eigenpair(monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", second_eigenpair)
+    inst, _ = planted(2, 3, 1)
+    _, _, grd, fc = build(inst)
+    with pytest.raises(CertificateError, match="non-positive"):
+        sp_diagnose(grd, fc, SPParams(mu_sweep=2))
+    H = -transition_matrix(CayleyWalkSpec(fc.basis.generators, fc.basis.moduli),
+                           list(enumerate_coset(fc, 100))).P
+    with pytest.raises(CertificateError, match="non-positive"):
+        ground_overlap(H, [0])
+
+
+def test_sp_diagnose_repeats_bit_for_bit():
+    inst, _ = planted(3, 6, 2, style="random-lower-unit")
+    _, _, grd, fc = build(inst)
+    assert fc.basis.kernel_order == 729
+    assert sp_diagnose(grd, fc, SPParams()) == sp_diagnose(grd, fc, SPParams())
+
+
+def test_import_does_not_load_scipy():
+    script = ("import sys, grouprelax\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

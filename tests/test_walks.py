@@ -326,10 +326,23 @@ def test_certificates_fire_under_python_O():
         "    transition_matrix(spec, [(0,), (1,), (2,)])\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        # a former assert in gomory_shortest_path: the lifted objective
+        # must equal the path length
+        "from grouprelax import planted, relax_ilp, search\n"
+        "lift = search.lift_to_ilp\n"
+        "def off_by_one(grd, x):\n"
+        "    sol = lift(grd, x)\n"
+        "    sol.objective += 1\n"
+        "    return sol\n"
+        "search.lift_to_ilp = off_by_one\n"
+        "try:\n"
+        "    search.gomory_shortest_path(relax_ilp(planted(2, 2, 1)[0]))\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(grouprelax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\n"
+    assert out.stdout == "raised\nraised\n"
