@@ -3,6 +3,12 @@
 Provides the feasible-point solve, cyclic kernel generators, per-column
 orders, ambient-space compression, and coset enumeration (the brute
 force oracle used throughout the tests).
+
+``feasible_coset`` reads x_hat and the generators of K off one Smith
+normal form over Python ints. ``compress_kernel`` runs no SNF: it
+row-reduces the generators of K, reduced mod the column orders, over
+Z/p^e for each prime power of r_max in numpy, and certifies the result
+by substitution, element orders and the order count prod(s) = |K'| |G|.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
 from .exact import IntMatrix, SNFResult, snf, solve_mod
@@ -111,10 +119,21 @@ def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
     return FeasibleCoset(x_hat=x_hat, basis=basis)
 
 
-def _check_order_minimal(grd: GroupRelaxationData, col: Sequence[int], j: int,
-                         s: int, p: int) -> None:
-    if not any(((s // p) * v) % grd.r[i] for i, v in enumerate(col)):
-        raise CertificateError(f"column {j} order {s} is not minimal: {s // p} suffices")
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def column_orders(grd: GroupRelaxationData) -> list[int]:
@@ -128,16 +147,10 @@ def column_orders(grd: GroupRelaxationData) -> list[int]:
             s = lcm(s, r_i // gcd(r_i, col[i] % r_i))
         if any((s * v) % grd.r[i] for i, v in enumerate(col)):
             raise CertificateError(f"column {j} is not annihilated by its order {s}")
-        p = 2
-        ss = s
-        while p * p <= ss:  # every prime quotient of s must fail
-            if ss % p == 0:
-                _check_order_minimal(grd, col, j, s, p)
-                while ss % p == 0:
-                    ss //= p
-            p += 1
-        if ss > 1:
-            _check_order_minimal(grd, col, j, s, ss)
+        for p, _ in _prime_powers(s):  # every prime quotient of s must fail
+            if not any(((s // p) * v) % grd.r[i] for i, v in enumerate(col)):
+                raise CertificateError(
+                    f"column {j} order {s} is not minimal: {s // p} suffices")
         out.append(s)
     return out
 
@@ -149,52 +162,109 @@ def _check_order_bookkeeping(s: Sequence[int], korder: int, range_order: int) ->
             f"|K'| * |G| = {korder} * {range_order}")
 
 
+def _check_congruence(grd: GroupRelaxationData, G: np.ndarray) -> None:
+    """Abold g = 0 (mod R Z^m) for every row g of G, all rows at once."""
+    for i, r_i in enumerate(grd.r):
+        if r_i > 1:
+            a = np.array([v % r_i for v in grd.Abold.data[i]], dtype=G.dtype)
+            bad = np.flatnonzero((G * a % r_i).sum(axis=1) % r_i)
+            if len(bad):
+                raise CertificateError(
+                    f"compressed generator {tuple(G[bad[0]].tolist())} fails the congruence")
+
+
+def _eliminate(H: np.ndarray, p: int, e: int) -> tuple[np.ndarray, list[int]]:
+    """Independent cyclic generators of the row span of H over Z/p^e.
+
+    Row elimination with a pivot of minimal p-valuation a, in the
+    rightmost column that holds one: it divides every remaining entry,
+    so each other row clears the pivot column by subtracting an exact
+    multiple of the pivot row, which is scaled to make the pivot p^a.
+    Earlier pivot rows are reduced in that column modulo p^a. Pivot
+    columns are distinct and each pivot row is zero in the earlier
+    pivot columns, so the span is the direct sum of the cyclic groups of
+    the pivot rows, of orders p^(e-a). A column without entries of
+    valuation a never gains one at that level, so the search sweeps the
+    columns once per level; cleared rows stay in place as zeros.
+    Returns (rows, orders) with the orders descending.
+    """
+    q = p**e
+    R = H % q
+    P = np.zeros((min(H.shape), H.shape[1]), dtype=H.dtype)
+    orders: list[int] = []
+    pa = 1
+    for _ in range(e):  # pivots of valuation a = 0, 1, ..., e-1
+        c = H.shape[1] - 1
+        while c >= 0:
+            hits = np.flatnonzero(R[:, c] % (pa * p))
+            if not len(hits):
+                c -= 1
+                continue
+            t = int(hits[0])
+            row = R[t] * pow(int(R[t, c]) // pa, -1, q) % q  # row[c] == pa
+            idx = np.flatnonzero(R[:, c])  # includes t, which becomes zero
+            R[idx] = (R[idx] - (R[idx, c] // pa)[:, None] * row) % q
+            n = len(orders)
+            idx = np.flatnonzero(P[:n, c] >= pa)
+            P[idx] = (P[idx] - (P[idx, c] // pa)[:, None] * row) % q
+            P[n] = row
+            orders.append(q // pa)
+        pa *= p
+    return P[:len(orders)], orders
+
+
 def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
     """Cyclic generators of K' = image of K in the compressed ambient
     group  ⊕_j Z_{s_j}  (coordinatewise reduction mod the column orders).
 
-    Works in the coefficient space of the generators of K: the kernel of
-    the reduction map restricted to K is spanned by the coefficient
-    vectors found by re-running generator finding on the scaled system,
-    and the quotient K / ker is read off one SNF.
+    x -> ((r_max / s_j) x_j)_j embeds ⊕_j Z_{s_j} in Z_{r_max}^d, so K'
+    is the row span of the k x d matrix of the generators of K reduced
+    mod s and scaled so. For each prime power p^e exactly dividing r_max
+    the row span is reduced over Z/p^e (``_eliminate``); the i-th
+    largest generators of the p-parts are summed with CRT weights into
+    one generator whose order is the product of theirs, and coordinate j
+    is divided back by r_max / s_j. The generators are listed with
+    their orders ascending, each dividing the next (invariant factors).
+
+    The arithmetic is int64 numpy while r_max < 2^31, so that a product
+    of two residues stays below 2^62, and the same code runs on Python
+    ints in object dtype above that. Certificates, each raising
+    ``CertificateError``: the column orders are minimal; every generator
+    satisfies Abold g = 0 (mod R Z^m), checked for all generators at
+    once; ``element_order`` of each generator equals its stated order;
+    and prod(s) = |K'| |G|, which with the congruence shows that K' is
+    the whole kernel of Abold on ⊕_j Z_{s_j}.
     """
     s = column_orders(grd)
-    d, r_max = grd.d, grd.r_max
     range_order = kb.range_order
     if kb.kernel_order == 1 or not kb.generators:
         _check_order_bookkeeping(s, 1, range_order)
         return KernelBasis((), (), tuple(s), 1, range_order)
 
-    k = len(kb.generators)
-    D = IntMatrix([[kb.generators[i][row] for i in range(k)] for row in range(d)])
-    # coefficient vectors n with D n = 0 (mod S Z^d), found via the
-    # scaled system diag(r_max/s_j) D n = 0 (mod r_max Z^d)
-    BD = IntMatrix([[(r_max // s[row]) * v for v in D.data[row]] for row in range(d)])
-    coeff_gens, _, _ = _kernel_generators(snf(BD), r_max, BD, [r_max] * d)
-    # present K / ker as a quotient in coefficient space: relations are
-    # the kernel coefficients plus the generator orders u_i e_i
-    rel_cols: list[list[int]] = [list(g) for g in coeff_gens]
-    for i, u in enumerate(kb.orders):
-        col = [0] * k
-        col[i] = u
-        rel_cols.append(col)
-    C = IntMatrix([[rel_cols[c][row] for c in range(len(rel_cols))] for row in range(k)])
-    fact = snf(C)
-    gens, orders = [], []
-    for j in range(k):
-        mjj = fact.D[j] if j < len(fact.D) else 0
-        if mjj in (0, 1):
-            continue
-        w = fact.U.column(j)
-        g = tuple(v % s[row] for row, v in enumerate(D.matvec(w)))
-        o = element_order(g, s)
-        if o == 1:
-            continue
-        if any(_group_residual(grd.Abold, grd.r, g)):
-            raise CertificateError(f"compressed generator {g} fails the congruence")
-        gens.append(g)
-        orders.append(o)
-    korder = prod(orders) if orders else 1
+    r_max = grd.r_max
+    dtype = np.int64 if r_max < 2**31 else object
+    scale = np.array([r_max // sj for sj in s], dtype=dtype)
+    H = np.array(kb.generators, dtype=dtype) % r_max * scale % r_max
+    parts = []
+    for p, e in _prime_powers(r_max):
+        q = p**e
+        crt = (r_max // q) * pow(r_max // q, -1, q)  # 1 mod q, 0 mod r_max / q
+        rows, orders = _eliminate(H, p, e)
+        parts.append((rows * crt % r_max, orders))
+    n = max(len(orders) for _, orders in parts)
+    G = np.zeros((n, len(s)), dtype=dtype)
+    orders = [1] * n
+    for rows, p_orders in parts:
+        G[:len(rows)] += rows
+        orders[:len(p_orders)] = [o * po for o, po in zip(orders, p_orders)]
+    G = (G % r_max)[::-1] // scale
+    orders.reverse()
+    _check_congruence(grd, G)
+    gens = [tuple(g) for g in G.tolist()]
+    for g, o in zip(gens, orders):
+        if element_order(g, s) != o:
+            raise CertificateError(f"compressed generator {g} does not have order {o}")
+    korder = prod(orders)
     _check_order_bookkeeping(s, korder, range_order)
     return KernelBasis(tuple(gens), tuple(orders), tuple(s), korder, range_order)
 

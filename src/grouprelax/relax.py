@@ -123,7 +123,7 @@ def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
     xb = solve_rational(sf.A, bs.basis, rhs)
     for v in xb:
         if v.denominator != 1:
-            raise AssertionError("non-integral basic lift: inconsistent coset input")
+            raise CertificateError("non-integral basic lift: inconsistent coset input")
     for i, j in enumerate(bs.basis):
         full[j] = int(xb[i])
     x_n = [int(v) for v in x_n]
@@ -152,13 +152,13 @@ def bound_chain(opt_lp, opt_group, opt_ilp=None) -> BoundChain:
     opt_lp = Fraction(opt_lp)
     opt_group = Fraction(opt_group)
     if opt_group < opt_lp:
-        raise AssertionError(f"bound chain violated: OPT_B {opt_group} < OPT_LP {opt_lp}")
+        raise CertificateError(f"bound chain violated: OPT_B {opt_group} < OPT_LP {opt_lp}")
     r_abs = opt_group - opt_lp
     if opt_ilp is None:
         return BoundChain(opt_lp, opt_group, None, None, None, r_abs, None)
     opt_ilp = Fraction(opt_ilp)
     if opt_ilp < opt_group:
-        raise AssertionError(f"bound chain violated: OPT {opt_ilp} < OPT_B {opt_group}")
+        raise CertificateError(f"bound chain violated: OPT {opt_ilp} < OPT_B {opt_group}")
     delta_lp_ilp = opt_ilp - opt_lp
     delta_b = opt_ilp - opt_group
     r_pct = 100 * r_abs / delta_lp_ilp if delta_lp_ilp > 0 else None

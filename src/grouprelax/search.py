@@ -128,11 +128,12 @@ def markov_chain_search(fc: FeasibleCoset, f: Callable[[tuple[int, ...]], Fracti
                         proposals=proposals, accepted=accepted)
 
 
-def gomory_shortest_path(grd: GroupRelaxationData) -> SearchResult:
+def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchResult:
     """Dijkstra from 0 to the target residue over the range group: nodes
     are residue tuples mod (r_1..r_m), one outgoing edge per kept column
     with weight equal to its reduced cost. The reconstructed edge
-    multiplicities are an optimal x_N; the result is certified."""
+    multiplicities are an optimal x_N; the result is certified. Raises
+    CapExceeded once more than cap distinct residues have a distance."""
     m, r = grd.m, grd.r
     target = tuple(grd.bbold[i] % r[i] for i in range(m))
     src = (0,) * m
@@ -156,6 +157,8 @@ def gomory_shortest_path(grd: GroupRelaxationData) -> SearchResult:
                 dist[v] = nd
                 pred[v] = (u, j)
                 heapq.heappush(heap, (nd, v))
+                if old is None and len(dist) > cap:
+                    raise CapExceeded(f"Dijkstra reached more than {cap} residues")
     if target not in done:
         raise Infeasible("target residue unreachable: group relaxation infeasible")
 
@@ -254,7 +257,7 @@ def solve_group(grd: GroupRelaxationData, fc: FeasibleCoset,
                 cfg: SearchConfig) -> SearchResult:
     """Dispatch on cfg.method; the objective is the shifted group cost."""
     if cfg.method == "dijkstra":
-        return gomory_shortest_path(grd)
+        return gomory_shortest_path(grd, cfg.cap)
     if cfg.method == "brute":
         return brute_force_group(fc, grd.cost, cfg.cap, grd)
     return markov_chain_search(fc, grd.cost, cfg, grd)

@@ -3,6 +3,7 @@
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
+from grouprelax import search
 from grouprelax.cli import main
 from grouprelax.walks import DenseTransition
 from tests.test_spdiag import second_eigenpair
@@ -60,6 +61,15 @@ def test_infeasible_exit_code(tmp_path):
     )
     res = run(["solve", str(path)])
     assert res.exit_code == 2
+
+
+def test_dijkstra_cap_exit_code(tmp_path, monkeypatch):
+    # |G| = 4096 on planted (2,12); relax runs Dijkstra with the default cap
+    monkeypatch.setattr(search.gomory_shortest_path, "__defaults__", (100,))
+    path = write_planted(tmp_path, m=12)
+    res = run(["relax", str(path)])
+    assert res.exit_code == 5
+    assert "error: Dijkstra reached more than 100 residues" in res.output
 
 
 def test_not_pure_ilp_exit_code(tmp_path):

@@ -11,9 +11,10 @@ import pytest
 import grouprelax.kernel
 from grouprelax import (column_orders, compress_coset, compress_kernel,
                         enumerate_coset, feasible_coset)
-from grouprelax.errors import CapExceeded, Infeasible
-from grouprelax.gen import planted
+from grouprelax.errors import CapExceeded, CertificateError, Infeasible
+from grouprelax.gen import CutStockSpec, cutgen, planted
 from grouprelax.kernel import _group_residual, element_order, span
+from tests.compress_oracle import two_snf_compress_kernel
 from tests.conftest import build, stub_grd
 
 
@@ -195,3 +196,95 @@ def test_feasible_coset_factors_once(monkeypatch):
         fc = feasible_coset(grd)
         assert len(calls) == 1
         assert fc.basis.kernel_order > 1
+
+
+def assert_matches_oracle(grd, kb, span_limit=10**4):
+    """Same |K'|, |G| and sorted orders as the two-SNF compression, and
+    the same subgroup where it is small enough to enumerate."""
+    new = compress_kernel(grd, kb)
+    old = two_snf_compress_kernel(grd, kb)
+    assert new.moduli == old.moduli
+    assert new.kernel_order == old.kernel_order
+    assert new.range_order == old.range_order
+    assert sorted(new.orders) == sorted(old.orders)
+    assert list(new.orders) == sorted(new.orders)
+    assert all(b % a == 0 for a, b in zip(new.orders, new.orders[1:]))
+    if new.kernel_order <= span_limit:
+        assert span(new) == span(old)
+    return new
+
+
+def test_compress_matches_oracle_random_suite(random_suite):
+    for case in random_suite["cases"]:
+        assert_matches_oracle(case["grd"], case["fc"].basis)
+
+
+def test_compress_matches_oracle_cutgen():
+    # 48 small draws, then the benchmark's L=1000 ladder (d = 110, 127, 53;
+    # r_max = 22, 64 and r = (.., 2, 4))
+    specs = [CutStockSpec(m=m, L=20, v2=0.8, dbar=2.0, seed=seed)
+             for m in (3, 4, 5) for seed in range(16)]
+    specs += [CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed)
+              for m, seed in ((6, 51), (8, 26), (10, 11))]
+    nontrivial = 0
+    for spec in specs:
+        _, _, grd, fc = build(cutgen(spec))
+        nontrivial += assert_matches_oracle(grd, fc.basis).kernel_order > 1
+    assert nontrivial >= 40
+
+
+def test_compress_object_dtype_matches_oracle():
+    # r_max >= 2^31 runs the elimination on Python ints (object dtype);
+    # column entries near multiples of r_i / c make some column orders small
+    rng = random.Random(5)
+    for r in ([3 * 2**31], [2**31, 3 * 2**32], [5**14], [7, 7 * 3**20]):
+        r_max = r[-1]
+        for _ in range(12):
+            d = rng.randint(1, 4)
+            A = [[(r_i // rng.choice([2, 3, 4, 5, 6, 7, 9])) * rng.randrange(1, 12) % r_i
+                  for _ in range(d)] for r_i in r]
+            if any(not any(col) for col in zip(*A)):
+                continue
+            grd = stub_grd(A, r, [0] * len(r))
+            assert r_max >= 2**31
+            kb2 = assert_matches_oracle(grd, feasible_coset(grd).basis)
+            assert all(type(v) is int for g in kb2.generators for v in g)
+
+
+def test_compress_runs_no_snf(monkeypatch):
+    def no_snf(M):
+        raise RuntimeError("compression must not call snf")
+
+    _, _, grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))
+    monkeypatch.setattr(grouprelax.kernel, "snf", no_snf)
+    assert compress_kernel(grd, fc.basis).kernel_order == 64
+
+
+def corrupt_elimination(monkeypatch, how):
+    eliminate = grouprelax.kernel._eliminate
+
+    def corrupted(H, p, e):
+        rows, orders = eliminate(H, p, e)
+        if how == "shift":
+            rows = rows.copy()
+            rows[0, 0] += 1
+        elif how == "order":
+            orders = [o * p for o in orders]
+        else:
+            rows, orders = rows[1:], orders[1:]
+        return rows, orders
+
+    monkeypatch.setattr(grouprelax.kernel, "_eliminate", corrupted)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("shift", "fails the congruence"),
+    ("order", "does not have order"),
+    ("drop", "bookkeeping broke"),
+])
+def test_compress_certificates_fire(monkeypatch, how, message):
+    # cutgen m=4 L=20 s35: r_max = 4, three generators of order 4
+    _, _, grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))
+    corrupt_elimination(monkeypatch, how)
+    with pytest.raises(CertificateError, match=message):
+        compress_kernel(grd, fc.basis)

@@ -1,0 +1,77 @@
+"""Property tests (hypothesis): the SNF contract, linear congruences, and
+compression against the two-SNF reference. Examples are derandomized
+and bounded so the suite stays fast and repeatable."""
+
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from grouprelax import IntMatrix, feasible_coset, snf, solve_mod
+from grouprelax.errors import Infeasible
+from grouprelax.kernel import span
+from tests.conftest import stub_grd
+from tests.test_exact import check_snf_contract
+from tests.test_kernel import assert_matches_oracle
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def int_matrices(draw, max_dim=5, bound=12):
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    cell = st.integers(-bound, bound)
+    return IntMatrix(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)))
+
+
+@PROPERTY
+@given(int_matrices())
+def test_snf_contract_property(M):
+    check_snf_contract(M)
+
+
+@PROPERTY
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60))
+def test_solve_mod_property(t, b, r):
+    g = gcd(t, r)
+    try:
+        y, count = solve_mod(t, b, r)
+    except Infeasible:
+        assert b % g != 0
+        return
+    assert b % g == 0
+    assert count == g
+    assert 0 <= y < r // g
+    assert (t * y - b) % r == 0
+    # exactly count solutions in [0, r), spaced r // g apart
+    assert [v for v in range(r) if (t * v - b) % r == 0] == [y + i * (r // g) for i in range(g)]
+
+
+@st.composite
+def congruence_systems(draw):
+    """Row moduli r_1 | ... | r_m and a matrix with no zero column."""
+    r_max = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 18, 30, 36]))
+    divisors = [v for v in range(1, r_max + 1) if r_max % v == 0]
+    m = draw(st.integers(1, 3))
+    r = sorted(draw(st.lists(st.sampled_from(divisors), min_size=m - 1, max_size=m - 1)))
+    r.append(r_max)
+    d = draw(st.integers(1, 4))
+    A = [[draw(st.integers(0, r_i - 1)) for _ in range(d)] for r_i in r]
+    for j in range(d):
+        if not any(row[j] for row in A):
+            A[-1][j] = draw(st.integers(1, r_max - 1))
+    return stub_grd(A, r, [0] * m)
+
+
+@PROPERTY
+@given(congruence_systems())
+def test_compress_matches_oracle_property(grd):
+    kb = feasible_coset(grd).basis
+    kb2 = assert_matches_oracle(grd, kb)
+    # and K' is the image of K, where K is small enough to enumerate
+    if kb.kernel_order <= 2000:
+        image = {tuple(v % s for v, s in zip(x, kb2.moduli)) for x in span(kb)}
+        assert span(kb2) == image

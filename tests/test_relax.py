@@ -7,6 +7,7 @@ import pytest
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, bound_chain,
                         build_group_relaxation, cutgen, enumerate_coset,
                         lift_to_ilp)
+from grouprelax.errors import CertificateError
 from grouprelax.gen import planted
 from tests.conftest import build
 
@@ -100,6 +101,13 @@ def test_lift_rejects_bad_input():
         lift_to_ilp(grd, [-1, 0])
 
 
+def test_lift_off_coset_raises():
+    # (0, 0) is not in the coset {1, 3}^2: x_B = (2 - 0) / 4 per row
+    grd = build(planted(2, 2, 1)[0])[2]
+    with pytest.raises(CertificateError, match="non-integral"):
+        lift_to_ilp(grd, [0, 0])
+
+
 def test_lift_satisfies_original_equations():
     inst, _ = planted(3, 2, 1, seed=5, style="random-lower-unit")
     sf, _, grd, fc = build(inst)
@@ -124,9 +132,9 @@ def test_bound_chain_values():
 
 
 def test_bound_chain_violations_raise():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         bound_chain(3, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         bound_chain(0, 2, 1)
 
 

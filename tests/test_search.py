@@ -92,6 +92,17 @@ def test_dijkstra_planted():
     assert res.best_point == (1, 1)
 
 
+def test_dijkstra_node_cap():
+    # |G| = 4096 range residues; the target needs 12 steps
+    grd = build(planted(2, 12, 1)[0])[2]
+    with pytest.raises(CapExceeded, match="more than 100 residues"):
+        gomory_shortest_path(grd, cap=100)
+    with pytest.raises(CapExceeded):
+        solve_group(grd, None, SearchConfig(method="dijkstra", cap=100))
+    res = solve_group(grd, None, SearchConfig(method="dijkstra"))
+    assert res.objective == 12 and res.certified_optimal
+
+
 def single_constraint_inst(b):
     # basis column 4 gives the congruence 2*x2 = b (mod 4), unit cost
     return ILPInstance(

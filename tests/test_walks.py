@@ -339,10 +339,24 @@ def test_certificates_fire_under_python_O():
         "    search.gomory_shortest_path(relax_ilp(planted(2, 2, 1)[0]))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        # compression: a generator that breaks the congruence
+        "from grouprelax import kernel\n"
+        "eliminate = kernel._eliminate\n"
+        "def shifted(H, p, e):\n"
+        "    rows, orders = eliminate(H, p, e)\n"
+        "    rows[0, 0] += 1\n"
+        "    return rows, orders\n"
+        "kernel._eliminate = shifted\n"
+        "from grouprelax import CutStockSpec, cutgen\n"
+        "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
+        "try:\n"
+        "    kernel.compress_coset(grd, kernel.feasible_coset(grd))\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(grouprelax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\nraised\n"
+    assert out.stdout == "raised\nraised\nraised\n"
