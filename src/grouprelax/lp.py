@@ -1,18 +1,37 @@
-"""Pure-ILP modelling, standard-form conversion, and an exact rational
-two-phase simplex with Bland's rule.
+"""Pure-ILP modelling, standard-form conversion, and an exact two-phase
+revised simplex with Bland's rule.
 
 The simplex is deliberately exact: the group relaxation downstream needs
 the *integer* basis matrix A_B identified without rounding, since its
-Smith normal form drives everything else.
+Smith normal form drives everything else. It is also deterministic in
+its choice of optimal basis, which fixes K, G and every later output.
+
+The simplex works on the m×m basis only, in Python ints. It keeps the
+invariant adj = det·B^-1 for the current basis matrix B with its signed
+determinant det, and xb = adj·b, so x_B = xb / det. Entering B at
+position r, a column with a = adj·A_j gives det' = a_r and, for every
+row i != r, adj'_i = (a_r·adj_i - a_i·adj_r) / det exactly (Bareiss's
+integer-preserving update); row r is unchanged.
+
+Pivot rules (Bland): the entering column is the first one, in column
+order, with a negative reduced cost; the leaving row has the minimum
+ratio x_B,i / (B^-1 A_j)_i over rows where (B^-1 A_j)_i > 0, ties to the
+smallest basis index. These are the rules of the full-tableau simplex
+it replaced, so it returns the same basis in the same order.
+
+Certificate: at exit adj·A_B = det·I, A_B·xb = det·b, x_B >= 0 and every
+reduced cost >= 0 are checked; a failure raises CertificateError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
-from .errors import Infeasible, Unbounded
+from .errors import CertificateError, Infeasible, Unbounded
 from .exact import IntMatrix, det_exact, solve_rational
 
 LE, EQ, GE = "<=", "=", ">="
@@ -129,97 +148,131 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     )
 
 
-def _simplex(T: list[list[Fraction]], basis: list[int], n: int) -> None:
-    """Bland-rule simplex on tableau T (m rows + objective row at end).
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
-    T has n+1 columns (last is the rhs); the objective row holds reduced
-    costs (to be minimized) and the current negated objective value.
-    Mutates T and basis in place. Raises Unbounded.
-    """
-    m = len(T) - 1
+
+def _duals(cost: list[int], basis: list[int], adj: list[list[int]]) -> list[int]:
+    """y = c_B·adj, the simplex multipliers scaled by det."""
+    cb = [cost[bi] for bi in basis]
+    return [_dot(cb, col) for col in zip(*adj)]
+
+
+def _pivot(adj: list[list[int]], xb: list[int], a: list[int], r: int, det: int) -> int:
+    """Column j with a = adj·A_j enters at basis position r: the Bareiss
+    update of adj and xb in place (see the module docstring). Returns the
+    new det, a_r."""
+    ar, adj_r, xr = a[r], adj[r], xb[r]
+    for i, ai in enumerate(a):
+        if i != r:
+            adj[i] = [(ar * v - ai * w) // det for v, w in zip(adj[i], adj_r)]
+            xb[i] = (ar * xb[i] - ai * xr) // det
+    return ar
+
+
+def _simplex(cols: list[tuple[int, ...]], cost: list[int], ncols: int, basis: list[int],
+             adj: list[list[int]], xb: list[int], det: int) -> int:
+    """Bland-rule pivots over columns 0..ncols-1 with integer costs until
+    no reduced cost is negative. d_j has the sign of
+    (cost_j·det - y·A_j)·sign(det) with y = c_B·adj, and row i is a
+    candidate to leave when a_i·det > 0. Mutates basis, adj and xb and
+    returns the final det. Raises Unbounded."""
+    m = len(basis)
     while True:
-        enter = next((j for j in range(n) if T[m][j] < 0), None)
+        y = _duals(cost, basis, adj)
+        s = 1 if det > 0 else -1
+        enter = next((j for j in range(ncols)
+                      if (cost[j] * det - _dot(y, cols[j])) * s < 0), None)
         if enter is None:
-            return
-        leave_row = None
-        best = None
+            return det
+        a = [_dot(row, cols[enter]) for row in adj]
+        leave = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][n] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave_row]
-                ):
-                    best = ratio
-                    leave_row = i
-        if leave_row is None:
+            if a[i] * s > 0 and (leave is None or xb[i] * a[leave] < xb[leave] * a[i] or (
+                    xb[i] * a[leave] == xb[leave] * a[i] and basis[i] < basis[leave])):
+                leave = i
+        if leave is None:
             raise Unbounded(f"column {enter} has no blocking row")
-        piv = T[leave_row][enter]
-        T[leave_row] = [x / piv for x in T[leave_row]]
-        for i in range(m + 1):
-            if i != leave_row and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave_row])]
-        basis[leave_row] = enter
+        det = _pivot(adj, xb, a, leave, det)
+        basis[leave] = enter
+
+
+def _certify(cols: list[tuple[int, ...]], b: list[int], basis: list[int],
+             adj: list[list[int]], xb: list[int], det: int,
+             x: list[Fraction], reduced: dict[int, Fraction]) -> None:
+    """The optimality certificate: adj·A_B = det·I, A_B·xb = det·b,
+    x >= 0 and every nonbasic reduced cost >= 0. O(m^3 + mn)."""
+    m = len(basis)
+    if any(_dot(adj[i], cols[bk]) != (det if i == k else 0)
+           for i in range(m) for k, bk in enumerate(basis)):
+        raise CertificateError("adj·A_B differs from det·I")
+    if any(sum(cols[bk][i] * v for bk, v in zip(basis, xb)) != det * b[i] for i in range(m)):
+        raise CertificateError("A_B·xb differs from det·b")
+    if any(v < 0 for v in x):
+        raise CertificateError("the LP basis is not primal feasible")
+    if any(v < 0 for v in reduced.values()):
+        raise CertificateError("the LP basis is not dual feasible")
 
 
 def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
-    """Two-phase exact rational simplex; returns an optimal basis."""
+    """Two-phase revised simplex with Bland's rule on the m×m basis, in
+    integers only; returns an optimal basis.
+
+    The basis inverse is kept as adj = det·B^-1 with the signed
+    determinant det, and xb = adj·b. Phase 1 adds an artificial
+    sign(b_i)·e_i per row (cost 1), starts from that basis and lets
+    artificials re-enter. Zero-valued artificials left in the basis are
+    then driven out, row by row, by the first structural column j with
+    adj_i·A_j != 0. Phase 2 prices the structural columns with costs
+    scaled by the lcm of their denominators. Both phases enter the first
+    column with a negative reduced cost and leave by the minimum ratio
+    xb_i / a_i, ties to the smallest basis index: the pivots of the
+    tableau simplex, so the basis and its order are the ones it picks.
+    At exit adj·A_B = det·I, A_B·xb = det·b, x_B >= 0 and the reduced
+    costs >= 0 are checked; a failure raises CertificateError.
+    """
     m, n = sf.A.rows, sf.A.cols
-    # phase 1: rows flipped so b >= 0, one artificial per row
-    rows = []
-    for i in range(m):
-        sign = 1 if sf.b[i] >= 0 else -1
-        rows.append([Fraction(sign * x) for x in sf.A.data[i]] + [Fraction(0)] * m + [Fraction(sign * sf.b[i])])
-        rows[i][n + i] = Fraction(1)
+    cols = list(zip(*sf.A.data)) if m else [()] * n
+    signs = [1 if v >= 0 else -1 for v in sf.b]
+    cols += [tuple(signs[i] if k == i else 0 for k in range(m)) for i in range(m)]
+    # phase 1: B = diag(signs), so det = prod(signs) and adj = det·B
+    det = prod(signs)
+    adj = [[det * signs[i] if k == i else 0 for k in range(m)] for i in range(m)]
+    xb = [_dot(row, sf.b) for row in adj]
     basis = list(range(n, n + m))
-    obj = [Fraction(0)] * (n + m + 1)
-    for j in range(n, n + m):
-        obj[j] = Fraction(1)
-    # price out the artificial basis
-    for i in range(m):
-        obj = [x - y for x, y in zip(obj, rows[i])]
-    T = rows + [obj]
-    _simplex(T, basis, n + m)  # artificials allowed to re-enter; Bland terminates
-    if -T[m][n + m] > 0:
+    det = _simplex(cols, [0] * n + [1] * m, n + m, basis, adj, xb, det)
+    if sum(v for v, bi in zip(xb, basis) if bi >= n) * det > 0:
         raise Infeasible("phase 1 optimum is positive")
     # drive any zero-valued artificials out of the basis
     for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if T[i][j] != 0), None)
+            enter = next((j for j in range(n) if _dot(adj[i], cols[j]) != 0), None)
             if enter is None:
                 continue  # fully redundant row (rank repair should prevent this)
-            piv = T[i][enter]
-            T[i] = [x / piv for x in T[i]]
-            for r in range(m + 1):
-                if r != i and T[r][enter] != 0:
-                    f = T[r][enter]
-                    T[r] = [x - f * y for x, y in zip(T[r], T[i])]
+            det = _pivot(adj, xb, [_dot(row, cols[enter]) for row in adj], i, det)
             basis[i] = enter
     if any(bi >= n for bi in basis):
         raise Infeasible("could not form a basis from structural columns")
 
-    # phase 2 on the original columns
-    T2 = [row[:n] + [row[n + m]] for row in T[:m]]
-    obj2 = [Fraction(c) for c in sf.c] + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if obj2[bi] != 0:
-            f = obj2[bi]
-            obj2 = [x - f * y for x, y in zip(obj2, T2[i])]
-    T2.append(obj2)
-    _simplex(T2, basis, n)
+    # phase 2 on the original columns, costs scaled to integers
+    scale = lcm(*(c.denominator for c in sf.c))
+    cost = [c.numerator * (scale // c.denominator) for c in sf.c]
+    det = _simplex(cols, cost, n, basis, adj, xb, det)
 
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = T2[i][n]
-    nonbasic = [j for j in range(n) if j not in set(basis)]
-    reduced = {j: T2[m][j] for j in nonbasic}
-    opt = sum((c * xi for c, xi in zip(sf.c, x)), Fraction(0))
+    for bi, v in zip(basis, xb):
+        x[bi] = Fraction(v, det)
+    basic = set(basis)
+    nonbasic = [j for j in range(n) if j not in basic]
+    y = _duals(cost, basis, adj)
+    reduced = {j: Fraction(cost[j] * det - _dot(y, cols[j]), scale * det) for j in nonbasic}
+    _certify(cols, sf.b, basis, adj, xb, det, x, reduced)
     return BasisSolution(
         basis=list(basis),
         nonbasic=nonbasic,
         x_lp=x,
         reduced_costs=reduced,
-        opt_lp=opt,
+        opt_lp=sum((c * xi for c, xi in zip(sf.c, x)), Fraction(0)),
         degenerate_primal=any(x[bi] == 0 for bi in basis),
     )
 

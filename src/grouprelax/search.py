@@ -10,7 +10,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -205,52 +204,51 @@ def brute_force_group(fc: FeasibleCoset, f: Callable[[tuple[int, ...]], Fraction
                         argmin_points=argmin)
 
 
-@lru_cache(maxsize=8)
-def _box_grid(n: int, box: int) -> np.ndarray:
-    """All points of {0..box}^n as an int64 array, cached across calls."""
-    side = box + 1
-    total = side**n
-    idx = np.arange(total, dtype=np.int64)
-    cols = []
-    for _ in range(n):
-        cols.append(idx % side)
-        idx //= side
-    return np.stack(cols, axis=1)
+def _box_sums(coeffs: list[int], side: int, dtype) -> np.ndarray:
+    """sum_j coeffs[j]·x_j at every point of {0..side-1}^n, flat in
+    mixed radix with x_0 the fastest digit, as a Kronecker sum: one
+    pass per column, no n-column grid."""
+    digits = np.arange(side, dtype=dtype)
+    acc = np.zeros(1, dtype=dtype)
+    for a in reversed(coeffs):
+        acc = (acc[:, None] + digits * a).ravel()
+    return acc
+
+
+def _sum_dtype(coeffs: list[int], box: int, rhs: int = 0):
+    """int64 while no sum over the box (nor the rhs) can reach 2^62,
+    Python ints (object dtype) above that."""
+    big = max((abs(v) for v in coeffs), default=0) * box * max(len(coeffs), 1)
+    return np.int64 if max(big, abs(rhs)) < 2**62 else object
 
 
 def brute_force_ilp(inst: ILPInstance, box: int, cap: int = 10**7):
     """Exact optimum of the original ILP over the box {0..box}^n by
-    vectorized enumeration. Returns (value, x). Raises Infeasible when
+    vectorized enumeration. Returns (value, x): the first minimiser in
+    mixed-radix order with x_0 the fastest digit. Raises Infeasible when
     nothing in the box is feasible, CapExceeded when the box is too big.
     """
-    n = inst.n_vars
-    if (box + 1) ** n > cap:
-        raise CapExceeded(f"{(box+1)**n} box points exceed cap {cap}")
-    X = _box_grid(n, box)
-    mask = np.ones(X.shape[0], dtype=bool)
-    for i in range(inst.n_rows):
-        lhs = X @ np.asarray(inst.A.data[i], dtype=np.int64)
-        s = inst.row_sense[i]
+    n, side = inst.n_vars, box + 1
+    if side**n > cap:
+        raise CapExceeded(f"{side**n} box points exceed cap {cap}")
+    mask = np.ones(side**n, dtype=bool)
+    for row, s, rhs in zip(inst.A.data, inst.row_sense, inst.b):
+        lhs = _box_sums(row, side, _sum_dtype(row, box, rhs))
         if s == "<=":
-            mask &= lhs <= inst.b[i]
+            mask &= lhs <= rhs
         elif s == ">=":
-            mask &= lhs >= inst.b[i]
+            mask &= lhs >= rhs
         else:
-            mask &= lhs == inst.b[i]
-    if not mask.any():
+            mask &= lhs == rhs
+    feasible = np.flatnonzero(mask)
+    if not feasible.size:
         raise Infeasible("no feasible point in the box")
-    scale = math.lcm(*(c.denominator for c in inst.c)) if inst.c else 1
-    cs = [int(c * scale) for c in inst.c]
-    if max((abs(v) for v in cs), default=0) * box * max(n, 1) >= 2**62:
-        # exact fallback for huge scaled costs
-        feas = X[mask]
-        vals = [sum(Fraction(c) * int(x) for c, x in zip(inst.c, row)) for row in feas]
-        k = min(range(len(vals)), key=vals.__getitem__)
-        return vals[k], [int(v) for v in feas[k]]
-    obj = X[mask] @ np.asarray(cs, dtype=np.int64)
-    k = int(np.argmin(obj))
-    xbest = [int(v) for v in X[mask][k]]
-    return Fraction(int(obj[k]), scale), xbest
+    scale = math.lcm(*(c.denominator for c in inst.c))
+    cs = [c.numerator * (scale // c.denominator) for c in inst.c]
+    obj = _box_sums(cs, side, _sum_dtype(cs, box))[feasible]
+    best = int(np.argmin(obj))
+    k = int(feasible[best])
+    return Fraction(int(obj[best]), scale), [k // side**j % side for j in range(n)]
 
 
 def solve_group(grd: GroupRelaxationData, fc: FeasibleCoset,

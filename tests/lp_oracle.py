@@ -1,0 +1,108 @@
+"""The two-phase tableau simplex with Bland's rule: the reference that
+``lp.solve_lp_exact`` is tested against.
+
+It updates the whole m x (n+m) tableau of Fractions on every pivot. The
+revised simplex in ``lp.py`` must choose the same entering column, the
+same leaving row and the same drive-out pivots, so both return the same
+basis, in the same order, and the same ``BasisSolution``.
+"""
+
+from fractions import Fraction
+
+from grouprelax.errors import Infeasible, Unbounded
+from grouprelax.lp import BasisSolution, StandardFormILP
+
+
+def _simplex(T: list[list[Fraction]], basis: list[int], n: int) -> None:
+    """Bland-rule simplex on tableau T (m rows + objective row at end).
+
+    T has n+1 columns (last is the rhs); the objective row holds reduced
+    costs (to be minimized) and the current negated objective value.
+    Mutates T and basis in place. Raises Unbounded.
+    """
+    m = len(T) - 1
+    while True:
+        enter = next((j for j in range(n) if T[m][j] < 0), None)
+        if enter is None:
+            return
+        leave_row = None
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][n] / T[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave_row]
+                ):
+                    best = ratio
+                    leave_row = i
+        if leave_row is None:
+            raise Unbounded(f"column {enter} has no blocking row")
+        piv = T[leave_row][enter]
+        T[leave_row] = [x / piv for x in T[leave_row]]
+        for i in range(m + 1):
+            if i != leave_row and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave_row])]
+        basis[leave_row] = enter
+
+
+def tableau_solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
+    """Two-phase exact rational simplex; returns an optimal basis."""
+    m, n = sf.A.rows, sf.A.cols
+    # phase 1: rows flipped so b >= 0, one artificial per row
+    rows = []
+    for i in range(m):
+        sign = 1 if sf.b[i] >= 0 else -1
+        rows.append([Fraction(sign * x) for x in sf.A.data[i]] + [Fraction(0)] * m + [Fraction(sign * sf.b[i])])
+        rows[i][n + i] = Fraction(1)
+    basis = list(range(n, n + m))
+    obj = [Fraction(0)] * (n + m + 1)
+    for j in range(n, n + m):
+        obj[j] = Fraction(1)
+    # price out the artificial basis
+    for i in range(m):
+        obj = [x - y for x, y in zip(obj, rows[i])]
+    T = rows + [obj]
+    _simplex(T, basis, n + m)  # artificials allowed to re-enter; Bland terminates
+    if -T[m][n + m] > 0:
+        raise Infeasible("phase 1 optimum is positive")
+    # drive any zero-valued artificials out of the basis
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if T[i][j] != 0), None)
+            if enter is None:
+                continue  # fully redundant row (rank repair should prevent this)
+            piv = T[i][enter]
+            T[i] = [x / piv for x in T[i]]
+            for r in range(m + 1):
+                if r != i and T[r][enter] != 0:
+                    f = T[r][enter]
+                    T[r] = [x - f * y for x, y in zip(T[r], T[i])]
+            basis[i] = enter
+    if any(bi >= n for bi in basis):
+        raise Infeasible("could not form a basis from structural columns")
+
+    # phase 2 on the original columns
+    T2 = [row[:n] + [row[n + m]] for row in T[:m]]
+    obj2 = [Fraction(c) for c in sf.c] + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        if obj2[bi] != 0:
+            f = obj2[bi]
+            obj2 = [x - f * y for x, y in zip(obj2, T2[i])]
+    T2.append(obj2)
+    _simplex(T2, basis, n)
+
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = T2[i][n]
+    nonbasic = [j for j in range(n) if j not in set(basis)]
+    reduced = {j: T2[m][j] for j in nonbasic}
+    opt = sum((c * xi for c, xi in zip(sf.c, x)), Fraction(0))
+    return BasisSolution(
+        basis=list(basis),
+        nonbasic=nonbasic,
+        x_lp=x,
+        reduced_costs=reduced,
+        opt_lp=opt,
+        degenerate_primal=any(x[bi] == 0 for bi in basis),
+    )

@@ -1,13 +1,17 @@
-"""Standard-form conversion and the exact rational simplex."""
+"""Standard-form conversion and the exact revised simplex, against the
+tableau simplex of ``tests/lp_oracle.py``."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from grouprelax import (ILPInstance, IntMatrix, check_asymptotic_sufficiency,
                         solve_lp_exact, to_standard_form)
-from grouprelax.errors import Infeasible, Unbounded
-from grouprelax.gen import planted
+from grouprelax.errors import GroupRelaxError, Infeasible, Unbounded
+from grouprelax.gen import CutStockSpec, cutgen, planted
+from tests.conftest import random_feasible_instance
+from tests.lp_oracle import tableau_solve_lp_exact
 
 
 def inst_4I_2I(b=(2, 2)):
@@ -162,3 +166,45 @@ def test_asymptotic_sufficiency():
     sf = to_standard_form(inst_4I_2I(b=(2 * 10**6, 2 * 10**6)))
     bs = solve_lp_exact(sf)
     assert check_asymptotic_sufficiency(sf, bs)
+
+
+def lp_outcome(solve, sf):
+    """Every BasisSolution field, or the type of the library error raised."""
+    try:
+        bs = solve(sf)
+    except GroupRelaxError as e:
+        return type(e)
+    return (bs.basis, bs.nonbasic, bs.x_lp, bs.reduced_costs, bs.opt_lp,
+            bs.degenerate_primal)
+
+
+def assert_revised_matches_tableau(inst):
+    sf = to_standard_form(inst)
+    assert lp_outcome(solve_lp_exact, sf) == lp_outcome(tableau_solve_lp_exact, sf), inst.name
+
+
+def test_revised_matches_tableau_oracle():
+    # same basis, in the same order, so the same K, G and CLI bytes
+    for seed in range(2000):
+        assert_revised_matches_tableau(random_feasible_instance(seed))
+    for t, m in ((2, 3), (2, 8), (3, 4), (3, 6), (4, 4), (5, 2), (4, 5), (2, 12)):
+        for style in ("identity", "random-lower-unit"):
+            assert_revised_matches_tableau(planted(t, m, 1, seed=0, style=style)[0])
+    specs = [CutStockSpec(m=m, L=20, v2=0.8, dbar=2.0, seed=seed)
+             for m in (3, 4, 5, 6) for seed in range(12)]
+    # the benchmark's L=1000 ladder, and 336 columns
+    specs += [CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed)
+              for m, seed in ((6, 51), (8, 26), (10, 11), (10, 3))]
+    for spec in specs:
+        assert_revised_matches_tableau(cutgen(spec))
+
+
+def test_lp_pinned_basis_1000_columns():
+    # cutgen m=10 L=1000 v2=0.4 dbar=10 seed 3 (997 patterns): the tableau
+    # simplex takes about 10 s here, so its basis and value are pinned
+    sf = to_standard_form(cutgen(CutStockSpec(m=10, L=1000, v2=0.4, dbar=10.0, seed=3)))
+    bs = solve_lp_exact(sf)
+    assert hashlib.sha256(repr(bs.basis).encode()).hexdigest() == (
+        "0cd0f31e3e802c04715d42cd61682cebc8ed2f0b55948ab0fc55aad53880cb63")
+    assert bs.opt_lp == Fraction(3826, 181)
+

@@ -1,18 +1,23 @@
-"""Property tests (hypothesis): the SNF contract, linear congruences, and
-compression against the two-SNF reference. Examples are derandomized
+"""Property tests (hypothesis): the SNF contract, linear congruences,
+compression against the two-SNF reference, and the revised simplex
+against the tableau simplex. Examples are derandomized
 and bounded so the suite stays fast and repeatable."""
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grouprelax import IntMatrix, feasible_coset, snf, solve_mod
+from grouprelax import (ILPInstance, IntMatrix, feasible_coset, snf, solve_lp_exact, solve_mod,
+                        to_standard_form)
 from grouprelax.errors import Infeasible
 from grouprelax.kernel import span
 from tests.conftest import stub_grd
+from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
 from tests.test_kernel import assert_matches_oracle
+from tests.test_lp import lp_outcome
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -75,3 +80,27 @@ def test_compress_matches_oracle_property(grd):
     if kb.kernel_order <= 2000:
         image = {tuple(v % s for v, s in zip(x, kb2.moduli)) for x in span(kb)}
         assert span(kb2) == image
+
+
+@st.composite
+def small_lps(draw):
+    """Mixed-sense LPs with signed data and costs, so that infeasible and
+    unbounded outcomes are drawn as well as optimal ones."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    A = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    sense = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    c = [Fraction(p, q) for p, q in draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=n, max_size=n))]
+    return ILPInstance(name="lp", A=IntMatrix(A), b=b, c=c, row_sense=sense)
+
+
+@PROPERTY
+@given(small_lps())
+def test_revised_matches_tableau_property(inst):
+    try:
+        sf = to_standard_form(inst)
+    except Infeasible:
+        return
+    assert lp_outcome(solve_lp_exact, sf) == lp_outcome(tableau_solve_lp_exact, sf)

@@ -1,6 +1,7 @@
 """Group-relaxation solvers: MCS variants, Dijkstra over the range
 group, and the brute-force oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -211,6 +212,49 @@ def test_brute_force_ilp_rational_costs():
     )
     val, x = brute_force_ilp(inst, box=6)
     assert val == Fraction(4, 3) and x == [4, 0]
+
+
+def product_scan_ilp(inst, box):
+    """The box optimum by a plain scan in Python ints, x_0 the fastest
+    digit, keeping the first minimiser."""
+    best = None
+    for p in itertools.product(range(box + 1), repeat=inst.n_vars):
+        x = list(reversed(p))
+        lhs = [sum(a * v for a, v in zip(row, x)) for row in inst.A.data]
+        if all(v <= b if s == "<=" else v >= b if s == ">=" else v == b
+               for v, s, b in zip(lhs, inst.row_sense, inst.b)):
+            val = sum(c * v for c, v in zip(inst.c, x))
+            if best is None or val < best[0]:
+                best = (val, x)
+    if best is None:
+        raise Infeasible("no feasible point in the box")
+    return best
+
+
+def test_brute_force_ilp_matches_product_scan(random_suite):
+    # each instance is drawn around a point of {0..3}^n, so box 2 leaves
+    # some of them infeasible
+    def outcome(scan, inst):
+        try:
+            return scan(inst, 2)
+        except Infeasible:
+            return "infeasible"
+
+    outcomes = [(outcome(brute_force_ilp, case["inst"]), outcome(product_scan_ilp, case["inst"]))
+                for case in random_suite["cases"]]
+    assert all(a == b for a, b in outcomes)
+    assert 0 < sum(a == "infeasible" for a, _ in outcomes) < len(outcomes)
+
+
+def test_brute_force_ilp_wide_sums():
+    # 2^62 * 10 wraps in int64: the scan must not accept x_1 > 1
+    inst = ILPInstance(name="wide", A=IntMatrix([[2**62, 0], [0, 1]]), b=[2**62, 3],
+                       c=[Fraction(-1), Fraction(0)], row_sense=["<=", "<="])
+    assert brute_force_ilp(inst, box=10) == (-1, [1, 0])
+    # a right-hand side beyond int64, and costs whose sums are
+    big = ILPInstance(name="big", A=IntMatrix([[1, 1]]), b=[2**70], c=[Fraction(2**61), Fraction(-3, 2**64)],
+                      row_sense=["<="])
+    assert brute_force_ilp(big, box=4) == product_scan_ilp(big, 4) == (Fraction(-12, 2**64), [0, 4])
 
 
 def test_budget_helpers():

@@ -353,10 +353,22 @@ def test_certificates_fire_under_python_O():
         "    kernel.compress_coset(grd, kernel.feasible_coset(grd))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        # the LP: a pivot that corrupts the adjugate breaks adj·A_B = det·I
+        "from grouprelax import lp\n"
+        "pivot = lp._pivot\n"
+        "def corrupted(adj, xb, a, r, det):\n"
+        "    det = pivot(adj, xb, a, r, det)\n"
+        "    adj[0][0] += 1\n"
+        "    return det\n"
+        "lp._pivot = corrupted\n"
+        "try:\n"
+        "    relax_ilp(planted(2, 2, 1)[0])\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(grouprelax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\nraised\nraised\n"
+    assert out.stdout == "raised\nraised\nraised\nraised\n"
