@@ -24,7 +24,7 @@ from .spdiag import SPParams, sp_diagnose
 from .walks import DENSE_LIMIT_DEFAULT
 
 
-def _exit_code(exc: GroupRelaxError) -> int:
+def _exit_code(exc: Exception) -> int:
     if isinstance(exc, Infeasible):
         return 2
     if isinstance(exc, Unbounded):
@@ -41,7 +41,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except GroupRelaxError as exc:
+        except (GroupRelaxError, ValueError) as exc:  # ValueError: a bad option value
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
     return wrapper
@@ -125,17 +125,15 @@ def kernel(file, compress):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--eta", type=float, default=0.5)
 @click.option("--dense-limit", type=int, default=DENSE_LIMIT_DEFAULT)
-@click.option("--expander-c", type=float, default=8.0)
 @click.option("--mu-sweep", type=int, default=8)
 @_handle_errors
-def diagnose(file, eta, dense_limit, expander_c, mu_sweep):
+def diagnose(file, eta, dense_limit, mu_sweep):
     """Short-path spectral diagnostics up to the dense limit (sparse
     Lanczos ground states, gap from characters)."""
     grd = relax_ilp(_load(file))
     fc = feasible_coset(grd)
     rep = sp_diagnose(grd, fc, SPParams(eta=eta, dense_limit=dense_limit,
-                                        mu_sweep=mu_sweep,
-                                        expander_c=expander_c))
+                                        mu_sweep=mu_sweep))
     def emit(k, v):
         click.echo(f"{k},{v}")
     emit("k_order", rep.k_order)
@@ -214,8 +212,11 @@ def gen_planted(t_, m_, ell, seed, style, out):
 @_handle_errors
 def report(directory, out, method, seed, compress, fixed_wall):
     """Run the pipeline over every .mps file in DIRECTORY."""
+    paths = sorted(Path(directory).glob("*.mps"))
+    if not paths:
+        raise ValueError(f"no .mps file in {directory}")
     rows = []
-    for path in sorted(Path(directory).glob("*.mps")):
+    for path in paths:
         inst = parse_mps(path.read_text(), name_hint=path.stem)
         cfg = PipelineConfig(
             search=SearchConfig(method=method, seed=seed),

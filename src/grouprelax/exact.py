@@ -1,15 +1,19 @@
 """Exact integer linear algebra: Smith normal form, extended gcd,
-linear congruences, and unimodularity checks.
+linear congruences, unimodularity checks, and the fraction-free pivot.
 
 All scalars are Python ints (arbitrary precision), so nothing here can
 overflow. Rationals elsewhere in the package are fractions.Fraction.
+
+``bareiss_pivot`` is the package's only elimination step over Z
+(Bareiss, 1968): each entry it makes is a minor of the input (Sylvester's
+identity), so every division is exact and no entry outgrows a minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import Infeasible
@@ -59,9 +63,6 @@ class IntMatrix:
     def select_columns(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
         return IntMatrix([[row[j] for j in idx] for row in self.data])
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(col) for col in zip(*self.data)]) if self.rows else IntMatrix([])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -241,31 +242,42 @@ def snf(M: IntMatrix) -> SNFResult:
     return SNFResult(U=U, D=D, V=V, Uinv=Uinv, Vinv=Vinv)
 
 
+def bareiss_pivot(rows: list[list[int]], xb: list[int], a: list[int], r: int, det: int) -> int:
+    """One fraction-free Gauss–Jordan step, in place: a is the pivot
+    column, a[r] != 0 the pivot and det the previous pivot (1 at first).
+    Every row i != r, and xb_i alike, becomes (a_r·row_i - a_i·row_r) / det,
+    exact over Z; rows are replaced, never mutated. Returns a_r."""
+    ar, row_r, xr = a[r], rows[r], xb[r]
+    for i, ai in enumerate(a):
+        if i != r:
+            rows[i] = [(ar * v - ai * w) // det for v, w in zip(rows[i], row_r)]
+            xb[i] = (ar * xb[i] - ai * xr) // det
+    return ar
+
+
+def gauss_jordan(rows: list[list[int]], xb: list[int]) -> int:
+    """Fraction-free Gauss–Jordan on the leading square block of the
+    rows, in place: column t is pivoted at the first row at or below t
+    with a nonzero entry, swapped to position t with a sign change (xb
+    alike) so that the determinant is kept. Afterwards the block is
+    det·I; returns det, the block's determinant (0 when singular)."""
+    n, det = len(rows), 1
+    for t in range(n):
+        p = next((i for i in range(t, n) if rows[i][t]), None)
+        if p is None:
+            return 0
+        if p != t:
+            rows[t], rows[p] = rows[p], [-v for v in rows[t]]
+            xb[t], xb[p] = xb[p], -xb[t]
+        det = bareiss_pivot(rows, xb, [row[t] for row in rows], t, det)
+    return det
+
+
 def det_exact(M: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant needs a square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in M.data]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+    return gauss_jordan(list(M.data), [0] * M.rows)
 
 
 def is_unimodular(M: IntMatrix) -> bool:
@@ -276,21 +288,15 @@ def is_unimodular(M: IntMatrix) -> bool:
 
 
 def solve_rational(A: IntMatrix, cols: Sequence[int] | None, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve A[:, cols] x = rhs exactly (square nonsingular system)."""
-    sub = A.select_columns(cols) if cols is not None else A
-    n = sub.rows
-    if sub.cols != n or len(rhs) != n:
+    """Solve A[:, cols] x = rhs exactly (square nonsingular system); the
+    rhs is scaled to integers by the lcm of its denominators."""
+    rows = [[row[j] for j in cols] for row in A.data] if cols is not None else list(A.data)
+    n = len(rows)
+    if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError("square system expected")
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(sub.data)]
-    for t in range(n):
-        piv = next((i for i in range(t, n) if aug[i][t] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[t], aug[piv] = aug[piv], aug[t]
-        inv = 1 / aug[t][t]
-        aug[t] = [x * inv for x in aug[t]]
-        for i in range(n):
-            if i != t and aug[i][t] != 0:
-                f = aug[i][t]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[t])]
-    return [aug[i][n] for i in range(n)]
+    scale = lcm(*(Fraction(v).denominator for v in rhs))
+    xb = [int(Fraction(v) * scale) for v in rhs]
+    det = gauss_jordan(rows, xb)
+    if det == 0:
+        raise ValueError("singular system")
+    return [Fraction(v, det * scale) for v in xb]

@@ -10,8 +10,10 @@ The simplex works on the m×m basis only, in Python ints. It keeps the
 invariant adj = det·B^-1 for the current basis matrix B with its signed
 determinant det, and xb = adj·b, so x_B = xb / det. Entering B at
 position r, a column with a = adj·A_j gives det' = a_r and, for every
-row i != r, adj'_i = (a_r·adj_i - a_i·adj_r) / det exactly (Bareiss's
-integer-preserving update); row r is unchanged.
+row i != r, adj'_i = (a_r·adj_i - a_i·adj_r) / det exactly: the
+fraction-free pivot ``exact.bareiss_pivot``, which is also the only
+elimination in the row-rank repair of ``to_standard_form`` and in
+``check_asymptotic_sufficiency``. Row r is unchanged.
 
 Pivot rules (Bland): the entering column is the first one, in column
 order, with a negative reduced cost; the leaving row has the minimum
@@ -32,7 +34,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import CertificateError, Infeasible, Unbounded
-from .exact import IntMatrix, det_exact, solve_rational
+from .exact import IntMatrix, bareiss_pivot as _pivot, gauss_jordan
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -96,7 +98,8 @@ class BasisSolution:
 
 def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     """Append +1 slack per <= row and -1 surplus per >= row, then drop
-    linearly dependent rows by exact elimination.
+    linearly dependent rows by exact elimination. When no row survives,
+    the instance is read as one zero <= row, as an MPS model without rows.
 
     Since the data is integral, slacks and surpluses are themselves
     integer and nonnegative, so the result is still a pure ILP.
@@ -118,24 +121,25 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     c = list(inst.c) + [Fraction(0)] * (col - n)
     b = list(inst.b)
 
-    # exact row-rank repair on [A | b]
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(data)]
-    keep: list[int] = []
-    pivots: list[tuple[int, int]] = []
-    for i in range(m):
-        row = aug[i][:]
-        for kr, pc in pivots:
-            if row[pc] != 0:
-                f = row[pc] / aug[kr][pc]
-                row = [x - f * y for x, y in zip(row, aug[kr])]
-        pc = next((j for j in range(col) if row[j] != 0), None)
+    # Row-rank repair of [A | b]: a <= or >= row owns a slack column, zero
+    # in every other row, so it is in no linear dependency. The equality rows
+    # are eliminated in order; one that reduces to zero is dropped.
+    eq = [i for i, sense in enumerate(inst.row_sense) if sense == EQ]
+    rows, rhs = [inst.A.data[i] for i in eq], [b[i] for i in eq]
+    det, dropped = 1, set()
+    for k, i in enumerate(eq):
+        pc = next((j for j, v in enumerate(rows[k]) if v), None)
         if pc is None:
-            if row[col] != 0:
+            if rhs[k]:
                 raise Infeasible(f"row {i+1} is inconsistent with earlier rows")
-            continue  # redundant row
-        aug[i] = row
-        pivots.append((i, pc))
-        keep.append(i)
+            dropped.add(i)
+            continue
+        det = _pivot(rows, rhs, [row[pc] for row in rows], k, det)
+    keep = [i for i in range(m) if i not in dropped]
+    if not keep:
+        return to_standard_form(ILPInstance(
+            name=inst.name, A=IntMatrix([[0] * n]), b=[0], c=inst.c,
+            row_sense=[LE], var_names=inst.var_names))
 
     A2 = IntMatrix([data[i] for i in keep])
     b2 = [b[i] for i in keep]
@@ -156,18 +160,6 @@ def _duals(cost: list[int], basis: list[int], adj: list[list[int]]) -> list[int]
     """y = c_B·adj, the simplex multipliers scaled by det."""
     cb = [cost[bi] for bi in basis]
     return [_dot(cb, col) for col in zip(*adj)]
-
-
-def _pivot(adj: list[list[int]], xb: list[int], a: list[int], r: int, det: int) -> int:
-    """Column j with a = adj·A_j enters at basis position r: the Bareiss
-    update of adj and xb in place (see the module docstring). Returns the
-    new det, a_r."""
-    ar, adj_r, xr = a[r], adj[r], xb[r]
-    for i, ai in enumerate(a):
-        if i != r:
-            adj[i] = [(ar * v - ai * w) // det for v, w in zip(adj[i], adj_r)]
-            xb[i] = (ar * xb[i] - ai * xr) // det
-    return ar
 
 
 def _simplex(cols: list[tuple[int, ...]], cost: list[int], ncols: int, basis: list[int],
@@ -280,17 +272,16 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
 def check_asymptotic_sufficiency(sf: StandardFormILP, bs: BasisSolution) -> bool:
     """Sufficient condition for the group relaxation to solve the ILP:
     A_B^{-1} b >= max_ij |(A_B^{-1} A_N)_ij| * |det A_B| componentwise.
+
+    One fraction-free elimination of [A_B | A_N | b] leaves N = D·A_B^{-1} A_N
+    and X = D·x_B with D = det A_B, so the test is D·X_i >= D^2·max |N_ij|.
     """
     if not bs.nonbasic:
         return True
-    AB = sf.A.select_columns(bs.basis)
-    xb = solve_rational(sf.A, bs.basis, [Fraction(v) for v in sf.b])
-    det = abs(det_exact(AB))
-    biggest = Fraction(0)
-    for j in bs.nonbasic:
-        col = solve_rational(sf.A, bs.basis, [Fraction(v) for v in sf.A.column(j)])
-        for v in col:
-            if abs(v) > biggest:
-                biggest = abs(v)
-    bound = biggest * det
-    return all(v >= bound for v in xb)
+    rows = [[row[j] for j in bs.basis + bs.nonbasic] for row in sf.A.data]
+    xb = list(sf.b)
+    det = gauss_jordan(rows, xb)
+    if det == 0:
+        raise ValueError("singular basis")
+    bound = det * det * max(abs(v) for row in rows for v in row[len(bs.basis):])
+    return all(v * det >= bound for v in xb)

@@ -116,10 +116,8 @@ def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
         if v < 0:
             raise ValueError("kernel-space entries must be nonnegative")
         full[j] = int(v)
-    rhs = [
-        Fraction(bv - sum(sf.A.data[i][j] * full[j] for j in grd.kept_cols))
-        for i, bv in enumerate(sf.b)
-    ]
+    rhs = [bv - sum(sf.A.data[i][j] * full[j] for j in grd.kept_cols)
+           for i, bv in enumerate(sf.b)]
     xb = solve_rational(sf.A, bs.basis, rhs)
     for v in xb:
         if v.denominator != 1:

@@ -137,9 +137,11 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
     target = tuple(grd.bbold[i] % r[i] for i in range(m))
     src = (0,) * m
     cols = [tuple(grd.Abold.column(j)) for j in range(grd.d)]
-    dist: dict[tuple[int, ...], Fraction] = {src: Fraction(0)}
+    # the group cost scaled by L > 0 to integers keeps every comparison and tie
+    den, shift, cbold = grd._cost_scale
+    dist: dict[tuple[int, ...], int] = {src: 0}
     pred: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    heap: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(0), src)]
+    heap: list[tuple[int, tuple[int, ...]]] = [(0, src)]
     done = set()
     while heap:
         dcur, u = heapq.heappop(heap)
@@ -150,7 +152,7 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
             break
         for j, col in enumerate(cols):
             v = tuple((u[i] + col[i]) % r[i] for i in range(m))
-            nd = dcur + grd.cbold[j]
+            nd = dcur + cbold[j]
             old = dist.get(v)
             if old is None or nd < old:
                 dist[v] = nd
@@ -174,7 +176,7 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
     if tuple(acc) != target:
         raise CertificateError("shortest path does not sum to the target residue")
     sol = lift_to_ilp(grd, x_n)
-    obj = grd.shift + dist[target]
+    obj = Fraction(shift + dist[target], den)
     if sol.objective != obj:
         raise CertificateError(
             f"lifted objective {sol.objective} differs from the path length {obj}")

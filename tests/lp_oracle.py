@@ -1,16 +1,106 @@
-"""The two-phase tableau simplex with Bland's rule: the reference that
-``lp.solve_lp_exact`` is tested against.
+"""References in Fraction arithmetic for the exact LP layer.
 
-It updates the whole m x (n+m) tableau of Fractions on every pivot. The
-revised simplex in ``lp.py`` must choose the same entering column, the
-same leaving row and the same drive-out pivots, so both return the same
-basis, in the same order, and the same ``BasisSolution``.
+The two-phase tableau simplex with Bland's rule is the reference that
+``lp.solve_lp_exact`` is tested against. It updates the whole m x (n+m)
+tableau of Fractions on every pivot. The revised simplex in ``lp.py``
+must choose the same entering column, the same leaving row and the same
+drive-out pivots, so both return the same basis, in the same order, and
+the same ``BasisSolution``.
+
+The row-rank repair over all rows, the Gauss–Jordan solve and the
+sufficiency test with one solve per nonbasic column are the Fraction
+references for ``to_standard_form``, ``solve_rational``, ``det_exact``
+and ``check_asymptotic_sufficiency``, which run on the fraction-free
+pivot of ``exact.py``.
 """
 
 from fractions import Fraction
 
 from grouprelax.errors import Infeasible, Unbounded
-from grouprelax.lp import BasisSolution, StandardFormILP
+from grouprelax.exact import IntMatrix
+from grouprelax.lp import EQ, LE, BasisSolution, ILPInstance, StandardFormILP
+
+
+def fraction_to_standard_form(inst: ILPInstance) -> StandardFormILP:
+    """Slacks and surpluses appended, then every row of [A | b], in order,
+    reduced in Fractions by the rows kept before it: a row that reduces
+    to zero is dropped, or raises Infeasible when its b does not."""
+    m, n = inst.A.rows, inst.A.cols
+    data = [row[:] for row in inst.A.data]
+    names = list(inst.var_names)
+    slack_map: dict[int, int] = {}
+    col = n
+    for i, sense in enumerate(inst.row_sense):
+        if sense == EQ:
+            continue
+        coeff = 1 if sense == LE else -1
+        for r in range(m):
+            data[r].append(coeff if r == i else 0)
+        slack_map[col] = i
+        names.append(f"_s{i+1}")
+        col += 1
+    c = list(inst.c) + [Fraction(0)] * (col - n)
+    b = list(inst.b)
+
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(data)]
+    keep: list[int] = []
+    pivots: list[tuple[int, int]] = []
+    for i in range(m):
+        row = aug[i][:]
+        for kr, pc in pivots:
+            if row[pc] != 0:
+                f = row[pc] / aug[kr][pc]
+                row = [x - f * y for x, y in zip(row, aug[kr])]
+        pc = next((j for j in range(col) if row[j] != 0), None)
+        if pc is None:
+            if row[col] != 0:
+                raise Infeasible(f"row {i+1} is inconsistent with earlier rows")
+            continue  # redundant row
+        aug[i] = row
+        pivots.append((i, pc))
+        keep.append(i)
+
+    pos = {orig: new for new, orig in enumerate(keep)}
+    return StandardFormILP(
+        name=inst.name, A=IntMatrix([data[i] for i in keep]), b=[b[i] for i in keep],
+        c=c, slack_map={j: pos[i] for j, i in slack_map.items() if i in pos},
+        n_original=n, var_names=names,
+    )
+
+
+def fraction_solve(A: IntMatrix, cols, rhs) -> tuple[list[Fraction], Fraction]:
+    """Gauss–Jordan in Fractions on A[:, cols] x = rhs (square, nonsingular):
+    returns x and the determinant, the signed product of the pivots."""
+    sub = A.select_columns(cols)
+    n = sub.rows
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(sub.data)]
+    det = Fraction(1)
+    for t in range(n):
+        piv = next((i for i in range(t, n) if aug[i][t] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        if piv != t:
+            aug[t], aug[piv] = aug[piv], aug[t]
+            det = -det
+        det *= aug[t][t]
+        inv = 1 / aug[t][t]
+        aug[t] = [x * inv for x in aug[t]]
+        for i in range(n):
+            if i != t and aug[i][t] != 0:
+                f = aug[i][t]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[t])]
+    return [aug[i][n] for i in range(n)], det
+
+
+def fraction_sufficiency(sf: StandardFormILP, bs: BasisSolution) -> bool:
+    """A_B^{-1} b >= max_ij |(A_B^{-1} A_N)_ij| * |det A_B| by one Fraction
+    solve per nonbasic column."""
+    if not bs.nonbasic:
+        return True
+    xb, det = fraction_solve(sf.A, bs.basis, sf.b)
+    biggest = max(abs(v) for j in bs.nonbasic
+                  for v in fraction_solve(sf.A, bs.basis, sf.A.column(j))[0])
+    return all(v >= biggest * abs(det) for v in xb)
 
 
 def _simplex(T: list[list[Fraction]], basis: list[int], n: int) -> None:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, reproducible report bytes."""
 
+import pytest
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
@@ -80,6 +81,43 @@ def test_not_pure_ilp_exit_code(tmp_path):
     )
     res = run(["solve", str(path)])
     assert res.exit_code == 4
+
+
+def redundant_row_model(tmp_path, cost_x):
+    """One equality row 0·x + 0·y = 0: the rank repair drops it."""
+    path = tmp_path / "red.mps"
+    path.write_text(
+        "NAME red\nROWS\n N COST\n E R1\nCOLUMNS\n"
+        f"    M 'MARKER' 'INTORG'\n    x COST {cost_x}\n    x R1 0\n"
+        "    y COST 2\n    y R1 0\n    M 'MARKER' 'INTEND'\nENDATA\n"
+    )
+    return path
+
+
+def test_all_rows_redundant(tmp_path):
+    # read as the one zero <= row of a model without rows
+    path = redundant_row_model(tmp_path, 1)
+    for cmd in ("relax", "solve"):
+        res = run([cmd, str(path)])
+        assert res.exit_code == 0, res.output
+        assert "opt_lp 0\nopt_b 0\n" in res.output
+    res = run(["relax", str(redundant_row_model(tmp_path, -1))])
+    assert res.exit_code == 3, res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "{p}", "--max-samples", "0"], "max_samples must be >= 1"),
+    (["diagnose", "{p}", "--eta", "1.5"], "eta must be in (0, 1)"),
+    (["solve", "{p}", "--method", "mcs-metropolis", "--beta", "-1"], "beta must be >= 0"),
+    (["report", "{d}"], "no .mps file in"),
+])
+def test_bad_option_values_exit_1(tmp_path, args, message):
+    path = write_planted(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    res = run([a.format(p=path, d=empty) for a in args])
+    assert res.exit_code == 1, res.output
+    assert f"error: {message}" in res.output
 
 
 def test_report_fixed_wall_deterministic(tmp_path):

@@ -1,17 +1,20 @@
-"""Standard-form conversion and the exact revised simplex, against the
-tableau simplex of ``tests/lp_oracle.py``."""
+"""Standard-form conversion, the exact revised simplex and the
+fraction-free eliminations, against the Fraction references of
+``tests/lp_oracle.py``."""
 
 import hashlib
 from fractions import Fraction
 
 import pytest
 
-from grouprelax import (ILPInstance, IntMatrix, check_asymptotic_sufficiency,
+from grouprelax import (ILPInstance, IntMatrix, check_asymptotic_sufficiency, det_exact,
                         solve_lp_exact, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, Unbounded
+from grouprelax.exact import solve_rational
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from tests.conftest import random_feasible_instance
-from tests.lp_oracle import tableau_solve_lp_exact
+from tests.lp_oracle import (fraction_solve, fraction_sufficiency, fraction_to_standard_form,
+                             tableau_solve_lp_exact)
 
 
 def inst_4I_2I(b=(2, 2)):
@@ -208,3 +211,77 @@ def test_lp_pinned_basis_1000_columns():
         "0cd0f31e3e802c04715d42cd61682cebc8ed2f0b55948ab0fc55aad53880cb63")
     assert bs.opt_lp == Fraction(3826, 181)
 
+
+
+def outcome(fn, *args):
+    """The result, or the type of the library error raised."""
+    try:
+        return fn(*args)
+    except GroupRelaxError as e:
+        return type(e)
+
+
+def assert_eliminations_match_fraction_oracle(inst):
+    """to_standard_form, then solve_rational and det_exact on the optimal
+    A_B and check_asymptotic_sufficiency, against the Fraction references."""
+    sf = outcome(to_standard_form, inst)
+    assert sf == outcome(fraction_to_standard_form, inst), inst.name
+    if isinstance(sf, type) or isinstance(bs := outcome(solve_lp_exact, sf), type):
+        return
+    x, det = fraction_solve(sf.A, bs.basis, sf.b)
+    assert solve_rational(sf.A, bs.basis, sf.b) == x
+    assert det_exact(sf.A.select_columns(bs.basis)) == det
+    rhs = [Fraction(v + 1, i + 2) for i, v in enumerate(sf.b)]
+    assert solve_rational(sf.A, bs.basis, rhs) == fraction_solve(sf.A, bs.basis, rhs)[0]
+    assert check_asymptotic_sufficiency(sf, bs) == fraction_sufficiency(sf, bs), inst.name
+
+
+def test_eliminations_match_fraction_oracle():
+    # the instance families of test_revised_matches_tableau_oracle
+    for seed in range(2000):
+        assert_eliminations_match_fraction_oracle(random_feasible_instance(seed))
+    for t, m in ((2, 3), (2, 8), (3, 4), (3, 6), (4, 4), (5, 2), (4, 5), (2, 12)):
+        for style in ("identity", "random-lower-unit"):
+            assert_eliminations_match_fraction_oracle(planted(t, m, 1, seed=0, style=style)[0])
+    specs = [CutStockSpec(m=m, L=20, v2=0.8, dbar=2.0, seed=seed)
+             for m in (3, 4, 5, 6) for seed in range(12)]
+    specs += [CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed)
+              for m, seed in ((6, 51), (8, 26), (10, 11), (10, 3))]
+    for spec in specs:
+        assert_eliminations_match_fraction_oracle(cutgen(spec))
+
+
+def rows_instance(rows, b, sense):
+    n = len(rows[0])
+    return ILPInstance(name="rows", A=IntMatrix(rows), b=b,
+                       c=[Fraction(j + 1) for j in range(n)], row_sense=sense)
+
+
+@pytest.mark.parametrize("rows, b, sense, kept", [
+    # duplicated, scaled and summed equality rows
+    ([[1, 2, 0], [1, 2, 0]], [4, 4], ["=", "="], 1),
+    ([[1, 2, 0], [-3, -6, 0]], [4, -12], ["=", "="], 1),
+    ([[1, 2, 0], [0, 1, 3], [1, 3, 3], [2, 5, 3]], [4, 5, 9, 13], ["="] * 4, 2),
+    # a redundant row first: the later copy is the one dropped
+    ([[2, 4, 0], [1, 2, 0], [0, 0, 1]], [8, 4, 2], ["=", "=", "="], 2),
+    # inconsistent combinations
+    ([[1, 2, 0], [1, 2, 0]], [4, 5], ["=", "="], None),
+    ([[1, 2, 0], [0, 1, 3], [1, 3, 3]], [4, 5, 8], ["="] * 3, None),
+    ([[0, 0, 0]], [1], ["="], None),
+    # equality rows between <= and >= rows: the inequality rows, with
+    # their slacks, take part in no dependency
+    ([[1, 2, 0], [1, 2, 0], [1, 2, 0], [2, 4, 0], [0, 1, 1]], [4, 4, 4, 8, 1],
+     ["<=", "=", ">=", "=", "<="], 4),
+    ([[1, 1, 1], [1, 0, 1], [0, 1, 0], [1, 1, 1], [2, 1, 2]], [3, 2, 1, 3, 5],
+     ["<=", "=", "=", ">=", "="], 4),
+    ([[1, 1, 1], [1, 0, 1], [0, 1, 0], [1, 1, 1], [2, 1, 2]], [3, 2, 1, 3, 6],
+     [">=", "=", "=", "<=", "="], None),
+])
+def test_standard_form_rank_repair_cases(rows, b, sense, kept):
+    inst = rows_instance(rows, b, sense)
+    assert_eliminations_match_fraction_oracle(inst)
+    if kept is None:
+        with pytest.raises(Infeasible):
+            to_standard_form(inst)
+    else:
+        assert to_standard_form(inst).A.rows == kept

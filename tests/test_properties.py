@@ -1,6 +1,7 @@
 """Property tests (hypothesis): the SNF contract, linear congruences,
-compression against the two-SNF reference, and the revised simplex
-against the tableau simplex. Examples are derandomized
+compression against the two-SNF reference, the revised simplex
+against the tableau simplex, and the fraction-free row-rank repair
+against the Fraction one. Examples are derandomized
 and bounded so the suite stays fast and repeatable."""
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from tests.conftest import stub_grd
 from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
 from tests.test_kernel import assert_matches_oracle
-from tests.test_lp import lp_outcome
+from tests.test_lp import assert_eliminations_match_fraction_oracle, lp_outcome
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -104,3 +105,33 @@ def test_revised_matches_tableau_property(inst):
     except Infeasible:
         return
     assert lp_outcome(solve_lp_exact, sf) == lp_outcome(tableau_solve_lp_exact, sf)
+
+
+@st.composite
+def dependent_equality_rows(draw):
+    """Mixed-sense rows, at least one of them nonzero, with equality rows
+    planted among them that are integer combinations of the rows drawn
+    (of every sense) and whose b is consistent or off by one."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    A = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(m)]
+    if not any(map(any, A)):
+        A[0][0] = 1
+    b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    sense = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(1, 3))):
+        lam = draw(st.lists(st.integers(-2, 2), min_size=len(A), max_size=len(A)))
+        row = [sum(l * r[j] for l, r in zip(lam, A)) for j in range(n)]
+        rhs = sum(l * v for l, v in zip(lam, b)) + draw(st.sampled_from([0, 0, 1]))
+        at = draw(st.integers(0, len(A)))
+        A.insert(at, row)
+        b.insert(at, rhs)
+        sense.insert(at, "=")
+    c = [Fraction(draw(st.integers(0, 3))) for _ in range(n)]
+    return ILPInstance(name="dep", A=IntMatrix(A), b=b, c=c, row_sense=sense)
+
+
+@PROPERTY
+@given(dependent_equality_rows())
+def test_rank_repair_matches_fraction_oracle_property(inst):
+    assert_eliminations_match_fraction_oracle(inst)
