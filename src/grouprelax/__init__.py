@@ -15,8 +15,8 @@ from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, ReportRow, emit_report, run_pipeline
 from .relax import (BoundChain, GroupRelaxationData, GroupSolution, bound_chain,
                     build_group_relaxation, lift_to_ilp, relax_ilp)
-from .search import (SearchConfig, SearchResult, brute_force_group,
-                     brute_force_ilp, gomory_shortest_path,
+from .search import (ILPOptimum, SearchConfig, SearchResult, branch_and_bound,
+                     brute_force_group, brute_force_ilp, gomory_shortest_path,
                      markov_chain_search, solve_group)
 from .spdiag import (SPParams, SPReport, build_sp_hamiltonian, ground_overlap,
                      shifted_cost, sp_diagnose, speedup_conditions, theta_eta)

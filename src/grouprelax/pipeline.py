@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CapExceeded, GroupRelaxError
+from .errors import CapExceeded, Infeasible
 from .kernel import compress_coset, feasible_coset
 from .lp import ILPInstance
 from .relax import bound_chain, relax_ilp
-from .search import SearchConfig, brute_force_ilp, solve_group
+from .search import SearchConfig, branch_and_bound, solve_group
 
 CSV_HEADER = ("instance,opt_lp,opt_b,opt_ilp,delta_lp_ilp,delta_b,"
               "r_abs,r_pct,certified,degenerate_lp,k_order,g_order,"
@@ -25,8 +25,7 @@ CSV_HEADER = ("instance,opt_lp,opt_b,opt_ilp,delta_lp_ilp,delta_b,"
 class PipelineConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
     compress: bool = False
-    ilp_box: int = 10
-    ilp_cap: int = 2 * 10**6
+    ilp_cap: int = 1000  # branch-and-bound nodes; past it opt_ilp is NA
     known_optimum: Optional[Fraction] = None  # external OPT (e.g. MIPLIB)
     record_wall: bool = True  # False pins wall_ms to 0 for byte-stable CSV
 
@@ -72,17 +71,17 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
         fc = compress_coset(grd, fc)
     res = solve_group(grd, fc, cfg.search)
 
+    # opt_ilp is certified or NA: the known optimum, else on a certified
+    # group optimum the branch and bound rooted at it (no second LP or
+    # Dijkstra at the root). An MCS lift certifies nothing.
     opt_ilp = cfg.known_optimum
-    if opt_ilp is None:
-        try:
-            opt_ilp, _ = brute_force_ilp(inst, cfg.ilp_box, cfg.ilp_cap)
-        except (CapExceeded, GroupRelaxError):
-            opt_ilp = None
-    # the group solution may itself be ILP-feasible and beat the box scan
-    if res.solution is not None and res.solution.ilp_feasible:
-        if opt_ilp is None or res.objective < opt_ilp:
-            opt_ilp = res.objective
     certified = res.certified_optimal
+    if opt_ilp is None and certified:
+        try:
+            opt_ilp = branch_and_bound(inst, cfg.ilp_cap, root=(grd, res),
+                                       group_cap=cfg.search.cap).value
+        except (CapExceeded, Infeasible):
+            opt_ilp = None
     if not certified and opt_ilp is not None and opt_ilp < res.objective:
         # heuristic search stopped above the true optimum; the chain
         # assertion only applies to certified group optima

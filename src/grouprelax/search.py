@@ -1,23 +1,28 @@
 """Solvers for the group relaxation over the feasible coset: Markov
 chain search (plain, expander, Metropolis), Dijkstra over the range
-group, and brute-force oracles for the coset and for tiny ILPs.
+group, and brute-force oracles for the coset and for tiny ILPs; and the
+certified ILP optimum by branch and bound with group bounds.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
 from .kernel import FeasibleCoset, enumerate_coset
-from .lp import ILPInstance
-from .relax import GroupRelaxationData, GroupSolution, lift_to_ilp
+from .exact import IntMatrix
+from .lp import GE, LE, ILPInstance, solve_lp_exact, to_standard_form
+from .relax import (GroupRelaxationData, GroupSolution, build_group_relaxation,
+                    lift_to_ilp)
 from .walks import CayleyWalkSpec, expander_generation, walk
 
 METHODS = ("mcs", "mcs-expander", "mcs-metropolis", "dijkstra", "brute")
@@ -235,13 +240,7 @@ def brute_force_ilp(inst: ILPInstance, box: int, cap: int = 10**7):
         raise CapExceeded(f"{side**n} box points exceed cap {cap}")
     mask = np.ones(side**n, dtype=bool)
     for row, s, rhs in zip(inst.A.data, inst.row_sense, inst.b):
-        lhs = _box_sums(row, side, _sum_dtype(row, box, rhs))
-        if s == "<=":
-            mask &= lhs <= rhs
-        elif s == ">=":
-            mask &= lhs >= rhs
-        else:
-            mask &= lhs == rhs
+        mask &= _holds(_box_sums(row, side, _sum_dtype(row, box, rhs)), s, rhs)
     feasible = np.flatnonzero(mask)
     if not feasible.size:
         raise Infeasible("no feasible point in the box")
@@ -251,6 +250,147 @@ def brute_force_ilp(inst: ILPInstance, box: int, cap: int = 10**7):
     best = int(np.argmin(obj))
     k = int(feasible[best])
     return Fraction(int(obj[best]), scale), [k // side**j % side for j in range(n)]
+
+
+def _holds(lhs, sense: str, rhs):
+    """lhs (sense) rhs, elementwise on arrays."""
+    if sense == LE:
+        return lhs <= rhs
+    if sense == GE:
+        return lhs >= rhs
+    return lhs == rhs
+
+
+@dataclass
+class ILPOptimum:
+    """A certified optimum of an ILP, from ``branch_and_bound``."""
+    value: Fraction
+    x: list[int]
+    nodes: int          # nodes evaluated, the root included
+    group_pruned: int   # nodes the group bound pruned and the LP bound did not
+
+
+def _node_instance(inst: ILPInstance, lo: list[int], hi: list[Optional[int]]):
+    """The node lo <= x <= hi of inst as an ILP in y = x - lo over the
+    variables whose bounds differ, with the constant c·lo it leaves out.
+    x_j <= hi_j becomes a row y_j <= hi_j - lo_j. A variable whose bounds
+    meet is substituted out, not kept as such a row: the group relaxation
+    drops the sign of that row's slack, and with it the bound. Returns
+    (None, [], c·lo) when every variable is fixed. Raises Infeasible when
+    a row left without variables fails."""
+    free = [j for j in range(inst.n_vars) if hi[j] is None or lo[j] < hi[j]]
+    const = sum((c * v for c, v in zip(inst.c, lo)), Fraction(0))
+    rows, b, sense = [], [], []
+    for row, s, rhs in zip(inst.A.data, inst.row_sense, inst.b):
+        rest = rhs - sum(map(mul, row, lo))
+        coeffs = [row[j] for j in free]
+        if any(coeffs):
+            rows.append(coeffs)
+            b.append(rest)
+            sense.append(s)
+        elif not _holds(0, s, rest):
+            raise Infeasible("a row left without variables fails")
+    if not free:
+        return None, free, const
+    for k, j in enumerate(free):
+        if hi[j] is not None:
+            rows.append([int(i == k) for i in range(len(free))])
+            b.append(hi[j] - lo[j])
+            sense.append(LE)
+    if not rows:  # read as one zero <= row, as to_standard_form does
+        rows, b, sense = [[0] * len(free)], [0], [LE]
+    node = ILPInstance(name=inst.name, A=IntMatrix(rows), b=b,
+                       c=[inst.c[j] for j in free], row_sense=sense,
+                       var_names=[inst.var_names[j] for j in free])
+    return node, free, const
+
+
+def branch_and_bound(inst: ILPInstance, cap: int = 1000,
+                     root: Optional[tuple[GroupRelaxationData, SearchResult]] = None,
+                     group_cap: int = 10**6) -> ILPOptimum:
+    """Certified optimum of inst by branch and bound (Land and Doig, 1960)
+    with group bounds (Gorry, Northup and Shapiro, 1973).
+
+    A node lo <= x <= hi runs the exact LP and, unless the LP optimum is
+    integral, Dijkstra on its group relaxation. It is pruned when its LP
+    or group relaxation is infeasible or either bound is at least the
+    incumbent. It is solved when its LP optimum is integral or its group
+    optimum lifts to x_B >= 0 (Gomory). Otherwise it branches on the first
+    fractional variable x_j = v of the LP optimum into x_j <= floor(v) and
+    x_j >= ceil(v). Nodes run lowest parent bound first, ties in creation
+    order, down branch first: depth first can dive without end along an
+    unbounded ray whose nodes stay fractional, and never find an
+    incumbent. ``root`` = (relax_ilp(inst), a certified group optimum of
+    it) spares the root its LP and Dijkstra.
+
+    Raises CapExceeded past cap nodes or when a Dijkstra reaches more than
+    group_cap residues, Infeasible when no integer point exists, and
+    CertificateError unless the optimum x satisfies A x (sense) b, x >= 0
+    and c·x = value.
+    """
+    n = inst.n_vars
+    best: Optional[tuple[Fraction, list[int]]] = None
+    nodes = group_pruned = 0
+    order = itertools.count()
+    heap = [(Fraction(0), next(order), [0] * n, [None] * n)]
+    while heap:
+        key, _, lo, hi = heapq.heappop(heap)
+        if best is not None and key >= best[0]:
+            break  # every open node is bounded by the incumbent
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"branch and bound passed {cap} nodes")
+        try:
+            if root is not None:
+                (grd, res), root = root, None
+                sf, bs = grd.sf, grd.bs
+                free, const = list(range(n)), Fraction(0)
+            else:
+                node, free, const = _node_instance(inst, lo, hi)
+                if node is None:  # every variable fixed; its rows hold
+                    if best is None or const < best[0]:
+                        best = (const, lo)
+                    continue
+                sf = to_standard_form(node)
+                bs, res = solve_lp_exact(sf), None
+            bound = const + bs.opt_lp
+            if best is not None and bound >= best[0]:
+                continue
+            y = bs.x_lp[:len(free)]
+            frac = next((k for k, v in enumerate(y) if v.denominator != 1), None)
+            if res is None and frac is not None:
+                res = gomory_shortest_path(build_group_relaxation(sf, bs), group_cap)
+        except Infeasible:
+            continue
+        if res is not None:
+            bound = const + res.objective
+            if best is not None and bound >= best[0]:
+                group_pruned += 1
+                continue
+            if res.solution.ilp_feasible:
+                y, frac = res.solution.lifted_x[:len(free)], None
+        if frac is None:
+            x = list(lo)
+            for j, v in zip(free, y):
+                x[j] += int(v)
+            best = (bound, x)
+            continue
+        j = free[frac]
+        v = lo[j] + y[frac]
+        up, down = list(lo), list(hi)
+        up[j], down[j] = math.ceil(v), math.floor(v)
+        heapq.heappush(heap, (bound, next(order), lo, down))
+        heapq.heappush(heap, (bound, next(order), up, hi))
+    if best is None:
+        raise Infeasible("no integer point satisfies the constraints")
+    value, x = best
+    if any(v < 0 for v in x) or not all(
+            _holds(sum(map(mul, row, x)), s, rhs)
+            for row, s, rhs in zip(inst.A.data, inst.row_sense, inst.b)):
+        raise CertificateError("branch and bound returned a point outside the ILP")
+    if sum((c * v for c, v in zip(inst.c, x)), Fraction(0)) != value:
+        raise CertificateError("branch and bound value differs from c·x")
+    return ILPOptimum(value, x, nodes, group_pruned)
 
 
 def solve_group(grd: GroupRelaxationData, fc: FeasibleCoset,

@@ -10,7 +10,7 @@ import pytest
 from grouprelax import (
     ILPInstance,
     IntMatrix,
-    brute_force_ilp,
+    branch_and_bound,
     feasible_coset,
     gomory_shortest_path,
     relax_ilp,
@@ -62,16 +62,16 @@ def random_feasible_instance(seed):
 def random_suite():
     """200 seeded random instances solved end to end: exact LP, group
     relaxation, kernel coset, certified group optimum (Dijkstra), and
-    the brute-force ILP optimum over the box {0..10}^n."""
+    the certified ILP optimum by branch and bound rooted at it."""
     t0 = time.monotonic()
     cases = []
     for seed in range(200):
         inst = random_feasible_instance(seed)
         sf, bs, grd, fc = build(inst)
-        opt_b = gomory_shortest_path(grd).objective
-        opt_ilp, _ = brute_force_ilp(inst, box=10)
+        res = gomory_shortest_path(grd)
+        ilp = branch_and_bound(inst, root=(grd, res))
         cases.append({
             "inst": inst, "sf": sf, "bs": bs, "grd": grd, "fc": fc,
-            "opt_b": opt_b, "opt_ilp": opt_ilp,
+            "opt_b": res.objective, "opt_ilp": ilp.value, "ilp": ilp,
         })
     return {"cases": cases, "elapsed": time.monotonic() - t0}

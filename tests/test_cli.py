@@ -27,7 +27,17 @@ def test_solve_dijkstra(tmp_path):
     res = run(["solve", str(path), "--method", "dijkstra"])
     assert res.exit_code == 0, res.output
     assert "opt_b 2" in res.output
+    assert "opt_ilp 2" in res.output
     assert "certified true" in res.output
+
+
+def test_solve_mcs_prints_no_ilp_optimum(tmp_path):
+    path = write_planted(tmp_path)
+    res = run(["solve", str(path), "--method", "mcs", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    assert "opt_b 2" in res.output
+    assert "opt_ilp" not in res.output
+    assert "certified false" in res.output
 
 
 def test_relax_and_kernel(tmp_path):

@@ -1,10 +1,15 @@
 """End-to-end pipeline rows, rational/percent formatting, CSV and
 histogram emission."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grouprelax
 from grouprelax import PipelineConfig, emit_report, run_pipeline
 from grouprelax.gen import planted
 from grouprelax.pipeline import (CSV_HEADER, fmt_pct, fmt_rational,
@@ -82,7 +87,7 @@ def test_run_pipeline_planted_row():
 def test_run_pipeline_known_optimum():
     inst, _ = planted(2, 2, 1)
     cfg = PipelineConfig(search=SearchConfig(method="dijkstra"),
-                         known_optimum=Fraction(2), ilp_box=0, record_wall=False)
+                         known_optimum=Fraction(2), record_wall=False)
     row = run_pipeline(inst, cfg)
     assert row.opt_ilp == 2 and row.r_pct == 100
 
@@ -105,3 +110,40 @@ def test_run_pipeline_compressed_matches():
     comp = run_pipeline(inst, PipelineConfig(
         search=SearchConfig(method="brute"), compress=True, record_wall=False))
     assert plain.opt_b == comp.opt_b == 3
+
+
+def test_mcs_row_reports_no_ilp_optimum():
+    # an MCS lift certifies nothing: opt_ilp is NA unless it is supplied
+    inst, _ = planted(2, 2, 1)
+    search = SearchConfig(method="mcs", seed=1)
+    row = run_pipeline(inst, PipelineConfig(search=search, record_wall=False))
+    assert row.opt_b == 2 and row.opt_ilp is None and row.r_pct is None
+    row = run_pipeline(inst, PipelineConfig(search=search, known_optimum=Fraction(2),
+                                            record_wall=False))
+    assert row.opt_ilp == 2
+
+
+def test_bad_ilp_certificate_raises_under_python_O():
+    # a lift corrupted after Dijkstra's own checks reaches the branch and
+    # bound's final check; the pipeline must raise, not report NA
+    script = (
+        "assert False\n"  # stripped by -O, so this line shows -O is on
+        "from grouprelax import PipelineConfig, planted, run_pipeline, search\n"
+        "from grouprelax.errors import CertificateError\n"
+        "lift = search.lift_to_ilp\n"
+        "def shifted(grd, x):\n"
+        "    sol = lift(grd, x)\n"
+        "    sol.lifted_x[0] += 1\n"
+        "    return sol\n"
+        "search.lift_to_ilp = shifted\n"
+        "try:\n"
+        "    run_pipeline(planted(2, 3, 1)[0], PipelineConfig())\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "branch and bound returned a point outside the ILP\n"

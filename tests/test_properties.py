@@ -1,18 +1,20 @@
 """Property tests (hypothesis): the SNF contract, linear congruences,
 compression against the two-SNF reference, the revised simplex
-against the tableau simplex, and the fraction-free row-rank repair
-against the Fraction one. Examples are derandomized
+against the tableau simplex, the fraction-free row-rank repair
+against the Fraction one, MPS round trips and malformed input, and
+integral lifts of coset points. Examples are derandomized
 and bounded so the suite stays fast and repeatable."""
 
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from grouprelax import (ILPInstance, IntMatrix, feasible_coset, snf, solve_lp_exact, solve_mod,
-                        to_standard_form)
-from grouprelax.errors import Infeasible
+from grouprelax import (ILPInstance, IntMatrix, compress_coset, emit_mps, enumerate_coset,
+                        feasible_coset, lift_to_ilp, parse_mps, relax_ilp, snf,
+                        solve_lp_exact, solve_mod, to_standard_form)
+from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
 from grouprelax.kernel import span
 from tests.conftest import stub_grd
 from tests.lp_oracle import tableau_solve_lp_exact
@@ -135,3 +137,84 @@ def dependent_equality_rows(draw):
 @given(dependent_equality_rows())
 def test_rank_repair_matches_fraction_oracle_property(inst):
     assert_eliminations_match_fraction_oracle(inst)
+
+
+@st.composite
+def mps_instances(draw):
+    """Signed integer rows of every sense, zero rows and columns included,
+    and rational costs."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    A = [draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(st.integers(-50, 50), min_size=m, max_size=m))
+    sense = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    c = [Fraction(p, q) for p, q in draw(st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(1, 12)), min_size=n, max_size=n))]
+    return ILPInstance(name="prop", A=IntMatrix(A), b=b, c=c, row_sense=sense)
+
+
+@PROPERTY
+@given(mps_instances())
+def test_mps_round_trip_property(inst):
+    again = parse_mps(emit_mps(inst))
+    assert (again.name, again.A, again.b, again.c, again.row_sense, again.var_names) == (
+        inst.name, inst.A, inst.b, inst.c, inst.row_sense, inst.var_names)
+
+
+MPS_TOKENS = ["ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE", "MAX",
+              "N", "L", "G", "E", "UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "XX",
+              "'MARKER'", "'INTORG'", "'INTEND'", "MARKER", "COST", "R1", "R2", "x1", "x2",
+              "RHS", "BND", "0", "-1", "3", "2.5", "-0.5", "1/0", "1/3", "nan", "inf", "1e3",
+              "two", "*", ""]
+
+
+@st.composite
+def malformed_mps(draw):
+    """An emitted model with lines deleted, repeated, replaced by random
+    tokens, or with single tokens swapped for others."""
+    lines = emit_mps(draw(mps_instances())).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["delete", "repeat", "insert", "token"]))
+        if op == "insert" or not lines or i == len(lines):
+            toks = draw(st.lists(st.sampled_from(MPS_TOKENS), max_size=5))
+            indent = draw(st.sampled_from(["", " ", "    "]))
+            lines.insert(i, indent + " ".join(toks))
+        elif op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            toks = lines[i].split() or [""]
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(MPS_TOKENS))
+            lead = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
+            lines[i] = lead + " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(malformed_mps())
+def test_malformed_mps_raises_library_errors_property(text):
+    try:
+        parse_mps(text)
+    except (MalformedMPS, NotPureILP):
+        pass
+
+
+@PROPERTY
+@given(small_lps(), st.booleans())
+def test_lift_accepts_every_coset_point_property(inst, compress):
+    try:
+        grd = relax_ilp(inst)
+        fc = feasible_coset(grd)
+    except GroupRelaxError:
+        assume(False)
+    if compress:
+        fc = compress_coset(grd, fc)
+    assume(fc.basis.kernel_order <= 500)
+    sf = grd.sf
+    for x_n in enumerate_coset(fc, 500):
+        x = lift_to_ilp(grd, x_n).lifted_x
+        assert [x[j] for j in grd.kept_cols] == list(x_n)
+        assert all(x[j] == 0 for j in grd.dropped_cols)
+        assert [sum(a * v for a, v in zip(row, x)) for row in sf.A.data] == sf.b
