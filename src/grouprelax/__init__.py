@@ -13,8 +13,8 @@ from .lp import (BasisSolution, ILPInstance, StandardFormILP,
                  check_asymptotic_sufficiency, solve_lp_exact, to_standard_form)
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, ReportRow, emit_report, run_pipeline
-from .relax import (BoundChain, GroupRelaxationData, GroupSolution, bound_chain,
-                    build_group_relaxation, lift_to_ilp, relax_ilp)
+from .relax import (BoundChain, GroupRelaxationData, GroupSolution, LinearCost,
+                    bound_chain, build_group_relaxation, lift_to_ilp, relax_ilp)
 from .search import (ILPOptimum, SearchConfig, SearchResult, branch_and_bound,
                      brute_force_group, brute_force_ilp, gomory_shortest_path,
                      markov_chain_search, solve_group)

@@ -19,6 +19,36 @@ from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
 
 
+@dataclass(frozen=True)
+class LinearCost:
+    """The linear cost x -> (const + weights·x) / den on integer points,
+    with den > 0; every group cost is one. Walks price a move by the
+    integer change of const + weights·x, and each call builds one
+    Fraction."""
+
+    den: int
+    const: int
+    weights: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.den < 1:
+            raise ValueError("den must be >= 1")
+        object.__setattr__(self, "weights", tuple(self.weights))
+
+    def scaled(self, x: Sequence[int]) -> int:
+        """den times the cost of x: const + weights·x."""
+        if len(x) != len(self.weights):
+            raise ValueError(f"point of length {len(x)} for a cost on "
+                             f"{len(self.weights)} coordinates")
+        return self.const + sum(map(mul, self.weights, x))
+
+    def __call__(self, x: Sequence[int]) -> Fraction:
+        return Fraction(self.scaled(x), self.den)
+
+    def __neg__(self) -> LinearCost:
+        return LinearCost(self.den, -self.const, tuple(-w for w in self.weights))
+
+
 @dataclass
 class GroupRelaxationData:
     sf: StandardFormILP
@@ -45,15 +75,12 @@ class GroupRelaxationData:
         return self.r[-1]
 
     @cached_property
-    def _cost_scale(self) -> tuple[int, int, list[int]]:
-        """(L, L * shift, L * cbold) with L the lcm of their denominators."""
+    def cost(self) -> LinearCost:
+        """Shifted group cost OPT_LP + cbold·x of a kernel-space point,
+        over L, the lcm of the denominators of OPT_LP and cbold."""
         den = math.lcm(self.shift.denominator, *(c.denominator for c in self.cbold))
-        return den, int(self.shift * den), [int(c * den) for c in self.cbold]
-
-    def cost(self, x: Sequence[int]) -> Fraction:
-        """Shifted group cost OPT_LP + sum_j cbold_j x_j of a kernel-space point."""
-        den, shift, cbold = self._cost_scale
-        return Fraction(shift + sum(map(mul, cbold, x)), den)
+        return LinearCost(den, self.shift.numerator * (den // self.shift.denominator),
+                          tuple(c.numerator * (den // c.denominator) for c in self.cbold))
 
 
 @dataclass

@@ -21,8 +21,8 @@ from .errors import CapExceeded, CertificateError, Infeasible
 from .kernel import FeasibleCoset, enumerate_coset
 from .exact import IntMatrix
 from .lp import GE, LE, ILPInstance, solve_lp_exact, to_standard_form
-from .relax import (GroupRelaxationData, GroupSolution, build_group_relaxation,
-                    lift_to_ilp)
+from .relax import (GroupRelaxationData, GroupSolution, LinearCost,
+                    build_group_relaxation, lift_to_ilp)
 from .walks import CayleyWalkSpec, expander_generation, walk
 
 METHODS = ("mcs", "mcs-expander", "mcs-metropolis", "dijkstra", "brute")
@@ -83,16 +83,18 @@ def sample_budget(kernel_order: int, kstar_order: int, epsilon: float) -> int:
     return math.ceil(2 * (kernel_order / kstar_order) * math.log(1 / epsilon))
 
 
-def markov_chain_search(fc: FeasibleCoset, f: Callable[[tuple[int, ...]], Fraction],
-                        cfg: SearchConfig,
+def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
                         grd: Optional[GroupRelaxationData] = None) -> SearchResult:
     """Anytime search: burn in one mixing time, then repeatedly walk a
-    mixing time and keep the sample iff it does not increase f. The
-    best-so-far value is non-increasing by construction; the result is
-    not certified optimal."""
+    mixing time and keep the sample iff it does not increase the cost.
+    The best-so-far value is non-increasing by construction; the result
+    is not certified optimal. Raises TypeError unless cost is a
+    LinearCost."""
+    if not isinstance(cost, LinearCost):
+        raise TypeError("markov_chain_search needs a LinearCost")
     kb = fc.basis
     rng = random.Random(cfg.seed)
-    fbest = Fraction(f(fc.x_hat))
+    fbest = cost(fc.x_hat)
     best = fc.x_hat
     trace = [(0, fbest)]
     if kb.kernel_order <= 1 or not kb.generators:
@@ -108,17 +110,15 @@ def markov_chain_search(fc: FeasibleCoset, f: Callable[[tuple[int, ...]], Fracti
 
     t_mix = cfg.mix_steps if cfg.mix_steps is not None else default_mix_steps(fc, cfg.epsilon)
     # burn-in before the first comparison
-    z, fz, proposals, accepted = walk(spec, fc.x_hat, t_mix, f, beta)
-    fz = Fraction(fz)
+    z, fz, proposals, accepted = walk(spec, fc.x_hat, t_mix, cost, beta)
     if fz < fbest:
         best, fbest = tuple(z), fz
         trace.append((0, fbest))
     samples = 0
     for i in range(1, cfg.max_samples + 1):
-        zt, fzt, p, a = walk(spec, z, t_mix, f, beta)
+        zt, fzt, p, a = walk(spec, z, t_mix, cost, beta)
         proposals += p
         accepted += a
-        fzt = Fraction(fzt)
         if fzt <= fz:  # plateau moves allowed
             z, fz = zt, fzt
         if fz < fbest:
@@ -143,7 +143,8 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
     src = (0,) * m
     cols = [tuple(grd.Abold.column(j)) for j in range(grd.d)]
     # the group cost scaled by L > 0 to integers keeps every comparison and tie
-    den, shift, cbold = grd._cost_scale
+    cost = grd.cost
+    den, shift, cbold = cost.den, cost.const, cost.weights
     dist: dict[tuple[int, ...], int] = {src: 0}
     pred: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     heap: list[tuple[int, tuple[int, ...]]] = [(0, src)]

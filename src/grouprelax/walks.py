@@ -8,9 +8,10 @@ pseudo-Lipschitz norm, cyclic metric).
 
 Every walk, plain or Metropolis, runs in one loop, ``walk``, on a
 float hold threshold and sparse generator supports precomputed by
-``CayleyWalkSpec``, so no step does rational arithmetic; ``step`` and
-``metropolis_step`` are its one-step forms. The dense diagnostics share
-one neighbour table, ``_neighbours``.
+``CayleyWalkSpec``; the Metropolis filter prices each move by the
+integer change of a ``LinearCost``, so no step does rational
+arithmetic. ``step`` and ``metropolis_step`` are its one-step forms.
+The dense diagnostics share one neighbour table, ``_neighbours``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import CertificateError, DenseLimitExceeded
 from .kernel import KernelBasis
+from .relax import LinearCost
 
 DENSE_LIMIT_DEFAULT = 4096
 
@@ -55,34 +57,41 @@ class CayleyWalkSpec:
             for h in self.generators)
 
 
-def _move(state, h, a, moduli):
-    return tuple((x + a * g) % m for x, g, m in zip(state, h, moduli))
-
-
 def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
-         f: Optional[Callable[[tuple[int, ...]], Fraction]] = None,
-         beta: float = 0.0) -> tuple[list[int], object, int, int]:
+         cost: Optional[LinearCost] = None,
+         beta: float = 0.0) -> tuple[list[int], Optional[Fraction], int, int]:
     """Run n steps from state x, reduced mod the moduli on entry; x
-    itself is not modified. With f and beta > 0 each non-null proposal
-    y is accepted with probability min(1, exp(-beta * (f(y) - f(x))));
-    f(x) is carried, so f runs once per non-null proposal, always on a
-    tuple. The RNG draws per step are the hold random(), randrange(k),
-    the sign random() and, only for a Metropolis proposal that raises
-    f, the acceptance random().
+    itself is not modified, and must have one entry per modulus. With a cost and beta > 0 each non-null
+    proposal y is accepted with probability min(1, exp(-beta * delta)),
+    delta = cost(y) - cost(x). The walk carries den * cost(x) as an int
+    and prices a move by its change over the move's support, so delta
+    is that change over den, correctly rounded. The RNG draws per step
+    are the hold random(), randrange(k), the sign random() and, only
+    for a Metropolis proposal that raises the cost, the acceptance
+    random().
 
-    Returns (state as a list, f(state) or None without f, proposals,
-    accepted), the last two counting non-null Metropolis proposals."""
+    Returns (state as a list, cost(state) or None without a cost,
+    proposals, accepted), the last two counting non-null Metropolis
+    proposals. Raises CertificateError when the carried cost differs
+    from the cost of the final state."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    if cost is not None and not isinstance(cost, LinearCost):
+        raise TypeError("the walk cost must be a LinearCost")
     moduli = spec.moduli
+    if len(x) != len(moduli):
+        raise ValueError(f"state of length {len(x)} for a walk on "
+                         f"{len(moduli)} coordinates")
     x = [v % m for v, m in zip(x, moduli)]
     supports = spec._supports
     k = len(supports)
-    filtered = f is not None and beta > 0
-    fx = None
+    filtered = cost is not None and beta > 0
     proposals = accepted = 0
+    if filtered:
+        weights, den = cost.weights, cost.den
+        num = cost.scaled(x)
     if k:
-        rand, randrange = spec.rng.random, spec.rng.randrange
+        rand, randrange, exp = spec.rng.random, spec.rng.randrange, math.exp
         hold = spec._hold
         for _ in range(n):
             if rand() < hold:
@@ -95,20 +104,27 @@ def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
                 for i, h in support:
                     x[i] = (x[i] + a * h) % moduli[i]
                 continue
-            y = x.copy()
-            for i, h in support:
-                y[i] = (y[i] + a * h) % moduli[i]
-            if fx is None:
-                fx = f(tuple(x))
-            fy = f(tuple(y))
             proposals += 1
-            delta = float(fy - fx)
-            if delta <= 0 or rand() < math.exp(-beta * delta):
-                x, fx = y, fy
-                accepted += 1
-    if f is not None and fx is None:
-        fx = f(tuple(x))
-    return x, fx, proposals, accepted
+            change = 0
+            for i, h in support:
+                v = x[i]
+                change += weights[i] * ((v + a * h) % moduli[i] - v)
+            if change > 0:
+                # int / int rounds correctly, as float(Fraction) does; a
+                # quotient that underflows to 0.0 accepts with no draw
+                delta = change / den
+                if delta > 0 and rand() >= exp(-beta * delta):
+                    continue
+            for i, h in support:
+                x[i] = (x[i] + a * h) % moduli[i]
+            num += change
+            accepted += 1
+    if cost is None:
+        return x, None, proposals, accepted
+    final = cost.scaled(x)
+    if filtered and final != num:
+        raise CertificateError(f"carried cost {num} differs from {final}, the final state's")
+    return x, Fraction(final, cost.den), proposals, accepted
 
 
 def step(state: tuple[int, ...], spec: CayleyWalkSpec) -> tuple[int, ...]:
@@ -320,44 +336,8 @@ def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
 
 
 def metropolis_step(state: tuple[int, ...], beta: float, spec: CayleyWalkSpec,
-                    f: Callable[[tuple[int, ...]], Fraction]) -> tuple[int, ...]:
+                    cost: LinearCost) -> tuple[int, ...]:
     """Propose one lazy Cayley move and accept with probability
-    min(1, exp(-beta * (f(y) - f(x)))). Detailed balance holds for
-    pi_beta proportional to exp(-beta f); beta = 0 is the plain walk."""
-    return tuple(walk(spec, state, 1, f, beta)[0])
-
-
-def metropolis_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
-                      f: Callable[[tuple[int, ...]], Fraction], beta: float,
-                      dense_limit: int = DENSE_LIMIT_DEFAULT) -> np.ndarray:
-    """Dense Metropolis transition matrix (float); rejected mass folds
-    into the diagonal."""
-    n = len(states)
-    if n > dense_limit:
-        raise DenseLimitExceeded(f"{n} states > dense limit {dense_limit}")
-    states = list(states)
-    index = {s: i for i, s in enumerate(states)}
-    k = len(spec.generators)
-    P = np.zeros((n, n))
-    if k == 0:
-        return np.eye(n)
-    move_w = float((1 - spec.laziness) / (2 * k))
-    fv = [float(f(s)) for s in states]
-    for i, s in enumerate(states):
-        P[i, i] += float(spec.laziness)
-        for h in spec.generators:
-            for a in (1, -1):
-                j = index[_move(s, h, a, spec.moduli)]
-                acc = min(1.0, math.exp(-beta * (fv[j] - fv[i]))) if j != i else 1.0
-                P[i, j] += move_w * acc
-                P[i, i] += move_w * (1.0 - acc)
-    return P
-
-
-def tv_to_uniform(P: np.ndarray, t: int, start: int = 0) -> float:
-    """Total-variation distance of the t-step distribution (from the
-    given start state) to uniform, via the symmetric eigendecomposition."""
-    n = P.shape[0]
-    lam, Q = np.linalg.eigh(P)
-    dist = Q @ (lam**t * Q[start, :])
-    return float(0.5 * np.abs(dist - 1.0 / n).sum())
+    min(1, exp(-beta * (cost(y) - cost(x)))). Detailed balance holds for
+    pi_beta proportional to exp(-beta cost); beta = 0 is the plain walk."""
+    return tuple(walk(spec, state, 1, cost, beta)[0])

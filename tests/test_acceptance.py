@@ -26,10 +26,9 @@ from grouprelax.kernel import (KernelBasis, _group_residual, enumerate_coset,
 from grouprelax.pipeline import report_row_from_values
 from grouprelax.search import sample_budget
 from grouprelax.spdiag import SPParams, shifted_cost, speedup_conditions
-from grouprelax.walks import (CayleyWalkSpec, cyclic_norm_max,
-                              metropolis_matrix, pseudo_lipschitz, step,
-                              tv_to_uniform)
+from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, pseudo_lipschitz, step
 from tests.conftest import build
+from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 
 
 # 1. planted-family exactness for (t, m) in {2,3} x {1..6}

@@ -3,6 +3,7 @@ group, and the brute-force oracles."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from grouprelax.errors import CapExceeded, Infeasible
 from grouprelax.gen import planted
 from grouprelax.kernel import (FeasibleCoset, KernelBasis, enumerate_coset,
                                feasible_coset)
+from grouprelax.relax import LinearCost
 from grouprelax.search import default_mix_steps, sample_budget
+from grouprelax.walks import CayleyWalkSpec, walk
+from tests import walk_oracle
 from tests.conftest import build, stub_grd
 
 
@@ -58,9 +62,7 @@ def test_mcs_descends_from_suboptimal_start():
     grd = stub_grd([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [4, 4, 4], [2, 2, 2])
     fc = feasible_coset(grd)
     assert fc.x_hat == (1, 1, 1)
-
-    def f(pt):
-        return Fraction(sum(3 - v for v in pt))
+    f = LinearCost(1, 9, (-1, -1, -1))  # sum of 3 - v
 
     cfg = SearchConfig(method="mcs", seed=2, max_samples=300, mix_steps=30,
                        stop_at=Fraction(0))
@@ -302,7 +304,7 @@ def mcs_golden_lines(max_samples=16):
     for case, make in MCS_CASES.items():
         _, _, grd, fc = build(make())
         for sign in "+-":
-            f = grd.cost if sign == "+" else (lambda x: -grd.cost(x))
+            f = grd.cost if sign == "+" else -grd.cost
             for method, beta in MCS_RUNS:
                 for seed in (1, 2):
                     cfg = SearchConfig(method=method, seed=seed, beta=beta,
@@ -396,11 +398,22 @@ def test_mcs_counts_metropolis_proposals():
 
 @pytest.mark.parametrize("method,beta", [("mcs", 0.0), ("mcs-metropolis", 1.0)])
 def test_mcs_cost_lookup_table(method, beta):
-    # a cost read from a table keyed by coset tuples must see tuples only
+    # the oracle walk reads its cost from a table keyed by coset tuples;
+    # the integer walk on the same linear cost must make the same moves
     _, _, grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))
     table = {x: -grd.cost(x) for x in enumerate_coset(fc, cap=10**4)}
-    cfg = SearchConfig(method=method, seed=2, beta=beta, max_samples=16)
-    res = markov_chain_search(fc, table.__getitem__, cfg)
-    ref = markov_chain_search(fc, lambda x: -grd.cost(x), cfg)
-    assert (res.best_point, res.objective, res.trace) == (
-        ref.best_point, ref.objective, ref.trace)
+    kb = fc.basis
+    n = default_mix_steps(fc, 0.01)
+    runs = []
+    for run, f in ((walk_oracle.walk, table.__getitem__), (walk, -grd.cost)):
+        spec = CayleyWalkSpec(kb.generators, kb.moduli, rng=random.Random(2))
+        x, fx, proposals, accepted = run(spec, fc.x_hat, n, f, beta)
+        runs.append((x, fx, proposals, accepted, spec.rng.getstate()))
+    assert runs[0] == runs[1]
+    assert (runs[0][2] > 0) == (beta > 0)
+
+
+def test_mcs_needs_a_linear_cost():
+    _, _, grd, fc = build(planted(2, 2, 1)[0])
+    with pytest.raises(TypeError):
+        markov_chain_search(fc, lambda x: grd.cost(x), SearchConfig(method="mcs"))

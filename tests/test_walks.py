@@ -14,15 +14,17 @@ import numpy as np
 import pytest
 
 import grouprelax
-from grouprelax import (cyclic_metric, expander_generation, log_sobolev_lower,
-                        metropolis_step, pseudo_lipschitz, spectral_gap,
-                        step, transition_matrix)
+from grouprelax import (CutStockSpec, compress_coset, cutgen, cyclic_metric,
+                        expander_generation, log_sobolev_lower, metropolis_step,
+                        pseudo_lipschitz, spectral_gap, step, transition_matrix)
 from grouprelax.errors import DenseLimitExceeded
 from grouprelax.gen import planted
 from grouprelax.kernel import KernelBasis, enumerate_coset, span
-from grouprelax.walks import (CayleyWalkSpec, cyclic_norm_max, metropolis_matrix,
-                              tv_to_uniform)
+from grouprelax.relax import LinearCost
+from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, walk
+from tests import walk_oracle
 from tests.conftest import build
+from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 
 
 def simple_spec(generators, moduli, seed=0):
@@ -53,6 +55,14 @@ def test_step_reduces_unreduced_state():
     spec = simple_spec([(2, 0), (0, 0)], (4, 4), seed=5)
     seen = {step((7, 9), spec) for _ in range(100)}
     assert seen == {(3, 1), (1, 1)}
+
+
+def test_walk_checks_state_length():
+    # zip() would cut a long state to the moduli's length
+    spec = simple_spec([(1, 1, 0)], (3, 3, 3))
+    for state in ((1, 2, 0, 5, 6), (1,)):
+        with pytest.raises(ValueError, match="length"):
+            step(state, spec)
 
 
 def test_step_laziness_frequency():
@@ -169,7 +179,7 @@ def test_metropolis_downhill_always_accepted():
     # two-state chain with a strict downhill move: the walker must reach
     # and eventually hold near the minimum under a huge beta
     spec = simple_spec([(2,)], (4,), seed=4)
-    f = lambda s: Fraction(s[0])
+    f = LinearCost(1, 0, (1,))
     state = (2,)
     visits = {(0,): 0, (2,): 0}
     for _ in range(2000):
@@ -192,6 +202,76 @@ def test_metropolis_stationary_law():
     # detailed balance target is a left fixed point
     assert np.abs(pi @ P - pi).sum() < 1e-12
     assert np.allclose(P.sum(axis=1), 1.0)
+
+
+def oracle_cosets():
+    """The three cosets of the pinned MCS runs and a compressed coset."""
+    for inst in (planted(2, 8, 1)[0], planted(3, 6, 1, style="random-lower-unit")[0],
+                 cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35))):
+        _, _, grd, fc = build(inst)
+        yield grd, fc
+    _, _, grd, fc = build(cutgen(CutStockSpec(m=6, L=40, v2=0.5, dbar=4.0, seed=3)))
+    yield grd, compress_coset(grd, fc)
+
+
+def random_costs(d, rng):
+    """Linear costs with negative, zero and huge weights over small and
+    huge denominators; weights near 2^62 over a den of the same size
+    keep each delta small but not a float exactly."""
+    yield LinearCost(1, 0, [rng.choice((-3, -1, 0, 0, 2, 5)) for _ in range(d)])
+    yield LinearCost(7, rng.randint(-50, 50), [rng.randint(-9, 9) for _ in range(d)])
+    yield LinearCost(2**62 + 3, rng.randint(-2**70, 2**70),
+                     [rng.choice((0, -1, 1)) * rng.randint(2**61, 2**63) for _ in range(d)])
+    yield LinearCost(3, 0, [rng.choice((0, 1)) * rng.randint(2**60, 2**64) for _ in range(d)])
+
+
+def test_walk_matches_oracle():
+    # the integer walk against the Fraction-callable oracle: same final
+    # state, cost and counts, and the same RNG state afterwards
+    rng = random.Random(11)
+    for grd, fc in oracle_cosets():
+        kb = fc.basis
+        costs = [grd.cost, -grd.cost, *random_costs(grd.d, rng)]
+        for beta in (0.0, 0.3, 1.0, 3.0, 50.0):
+            for seed in (1, 2, 3):
+                for cost in costs:
+                    runs = []
+                    for run in (walk_oracle.walk, walk):
+                        spec = simple_spec(kb.generators, kb.moduli, seed=seed)
+                        x, fx, proposals, accepted = run(spec, fc.x_hat, 300, cost, beta)
+                        runs.append((x, fx, proposals, accepted, spec.rng.getstate()))
+                    assert runs[0] == runs[1], (grd.d, beta, seed, cost)
+                    assert type(runs[1][1]) is Fraction
+
+
+def test_walk_needs_a_linear_cost():
+    spec = simple_spec([(1,)], (3,))
+    with pytest.raises(TypeError):
+        walk(spec, (0,), 5, lambda x: Fraction(x[0]), 1.0)
+    with pytest.raises(TypeError):
+        metropolis_step((0,), 1.0, spec, lambda x: Fraction(x[0]))
+
+
+def test_linear_cost_checks_length():
+    # map() would stop at the shorter input and return a truncated sum
+    inst, _ = planted(2, 8, 1)
+    _, _, grd, fc = build(inst)
+    assert grd.d == 8 and grd.cost(fc.x_hat) == 8
+    for x in ((1,), (1,) * 20, ()):
+        with pytest.raises(ValueError, match="length"):
+            grd.cost(x)
+    with pytest.raises(ValueError):
+        walk(simple_spec(fc.basis.generators, fc.basis.moduli), (1,) * 8, 5,
+             LinearCost(1, 0, (1,) * 7), 1.0)
+
+
+def test_linear_cost_values():
+    c = LinearCost(6, -4, [3, -2, 0])
+    assert c.weights == (3, -2, 0)
+    assert c((2, 1, 9)) == Fraction(0) and c((4, 0, 1)) == Fraction(4, 3)
+    assert (-c)((4, 0, 1)) == Fraction(-4, 3) and -(-c) == c
+    with pytest.raises(ValueError):
+        LinearCost(0, 0, (1,))
 
 
 def test_expander_counts():
@@ -365,10 +445,22 @@ def test_certificates_fire_under_python_O():
         "    relax_ilp(planted(2, 2, 1)[0])\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        # the walk: a cost that prices the final state one above the
+        # carried cost
+        "from grouprelax import LinearCost, walks\n"
+        "class Skewed(LinearCost):\n"
+        "    calls = 0\n"
+        "    def scaled(self, x):\n"
+        "        Skewed.calls += 1\n"
+        "        return super().scaled(x) + (Skewed.calls > 1)\n"
+        "try:\n"
+        "    walks.walk(CayleyWalkSpec(((1,),), (3,)), (0,), 50, Skewed(1, 0, (1,)), 1.0)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(grouprelax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\nraised\nraised\nraised\n"
+    assert out.stdout == "raised\nraised\nraised\nraised\nraised\n"
