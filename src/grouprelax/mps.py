@@ -4,7 +4,8 @@ Handles fixed and free layout uniformly (whitespace tokens), INTORG /
 INTEND integer markers, exact decimal coefficients, RANGES expansion,
 and finite bounds turned into rows. Continuous variables or negative
 domains are rejected: the downstream machinery needs x integer >= 0.
-Row data is cleared to integers per row; objective costs stay rational.
+Integer tokens are read as ints and only other tokens as Fractions; row
+data is cleared to integers per row; objective costs stay rational.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from .lp import EQ, GE, ILPInstance, LE
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE"}
 
 
-def _num(tok: str, lineno: int) -> Fraction:
+def _num(tok: str, lineno: int) -> int | Fraction:
+    """The value Fraction(tok) reads from a number token: an int for an
+    integer token, else a Fraction. Raises MalformedMPS on a token that
+    Fraction() rejects."""
+    if "_" not in tok:  # Fraction() reads no underscores before 3.11
+        try:
+            return int(tok)
+        except ValueError:
+            pass
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
@@ -32,21 +41,20 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
     row_sense: dict[str, str] = {}
     row_order: list[str] = []
     obj_row: str | None = None
-    cols: dict[str, dict[str, Fraction]] = {}
+    cols: dict[str, dict[str, int | Fraction]] = {}
     col_order: list[str] = []
     integer_cols: set[str] = set()
-    rhs: dict[str, Fraction] = {}
-    ranges: dict[str, Fraction] = {}
-    lower: dict[str, Fraction] = {}
-    upper: dict[str, Fraction | None] = {}
+    rhs: dict[str, int | Fraction] = {}
+    ranges: dict[str, int | Fraction] = {}
+    lower: dict[str, int | Fraction] = {}
+    upper: dict[str, int | Fraction | None] = {}
     in_int = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        is_header = raw[0] not in " \t"
         toks = raw.split()
-        if is_header and toks[0].upper() in _SECTIONS:
+        if not toks or toks[0][0] == "*":
+            continue
+        if raw[0] not in " \t" and toks[0].upper() in _SECTIONS:
             section = toks[0].upper()
             if section == "NAME" and len(toks) > 1:
                 name = toks[1]
@@ -97,12 +105,9 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
                     integer_cols.add(cname)
             for i in range(1, len(toks), 2):
                 rname, val = toks[i], _num(toks[i + 1], lineno)
-                if rname == obj_row:
-                    cols[cname][rname] = cols[cname].get(rname, Fraction(0)) + val
-                elif rname in row_sense:
-                    cols[cname][rname] = cols[cname].get(rname, Fraction(0)) + val
-                else:
+                if rname != obj_row and rname not in row_sense:
                     raise MalformedMPS(f"unknown row {rname!r}", lineno)
+                cols[cname][rname] = cols[cname].get(rname, 0) + val
             continue
         if section == "RHS":
             if len(toks) not in (3, 5):
@@ -146,8 +151,8 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
                 upper[cname] = val
             elif btyp == "BV":
                 integer_cols.add(cname)
-                lower[cname] = Fraction(0)
-                upper[cname] = Fraction(1)
+                lower[cname] = 0
+                upper[cname] = 1
             elif btyp in ("FR", "MI"):
                 raise NotPureILP(f"column {cname!r} has an unbounded-below domain")
             elif btyp == "PL":
@@ -162,16 +167,15 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
     for cname in col_order:
         if cname not in integer_cols:
             raise NotPureILP(f"column {cname!r} is continuous")
-        lo = lower.get(cname, Fraction(0))
+        lo = lower.get(cname, 0)
         if lo < 0:
             raise NotPureILP(f"column {cname!r} has a negative lower bound")
 
-    # assemble rational rows, then clear denominators per row
+    # assemble rows of ints and Fractions, then clear denominators per row
     sense_list = [row_sense[r] for r in row_order]
-    b_list = [rhs.get(r, Fraction(0)) for r in row_order]
-    A_rows = [
-        [cols[c].get(r, Fraction(0)) for c in col_order] for r in row_order
-    ]
+    b_list = [rhs.get(r, 0) for r in row_order]
+    col_data = [cols[c] for c in col_order]
+    A_rows = [[cd.get(r, 0) for cd in col_data] for r in row_order]
     # RANGES: second inequality per ranged row
     for r, rv in ranges.items():
         i = row_order.index(r)
@@ -196,10 +200,10 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
                 b_list.append(b_list[i] + rv)
     # bound rows
     for j, cname in enumerate(col_order):
-        lo = lower.get(cname, Fraction(0))
+        lo = lower.get(cname, 0)
         up = upper.get(cname)
-        unit = [Fraction(0)] * len(col_order)
-        unit[j] = Fraction(1)
+        unit = [0] * len(col_order)
+        unit[j] = 1
         if lo > 0:
             A_rows.append(list(unit))
             sense_list.append(GE)
@@ -211,13 +215,19 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
             sense_list.append(LE)
             b_list.append(up)
 
+    # IntMatrix and ILPInstance make ints of the cleared rows and b, and
+    # Fractions of c
     int_rows = []
     int_b = []
     for row, bv in zip(A_rows, b_list):
         den = math.lcm(*(x.denominator for x in row), bv.denominator)
-        int_rows.append([int(x * den) for x in row])
-        int_b.append(int(bv * den))
-    c = [cols[cname].get(obj_row, Fraction(0)) for cname in col_order]
+        if den == 1:
+            int_rows.append(row)
+            int_b.append(bv)
+        else:
+            int_rows.append([x * den for x in row])
+            int_b.append(bv * den)
+    c = [cd.get(obj_row, 0) for cd in col_data]
     return ILPInstance(
         name=name,
         A=IntMatrix(int_rows) if int_rows else IntMatrix([[0] * len(col_order)]),

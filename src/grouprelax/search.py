@@ -36,6 +36,7 @@ class SearchConfig:
     mix_steps: Optional[int] = None
     beta: float = 0.0
     epsilon: float = 0.01
+    # Dijkstra residues reached, brute-force coset points, MCS walk steps
     cap: int = 10**6
     expander_c: float = 8.0
     # optional early-exit target (e.g. a known optimum in tests); the
@@ -89,7 +90,10 @@ def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
     mixing time and keep the sample iff it does not increase the cost.
     The best-so-far value is non-increasing by construction; the result
     is not certified optimal. Raises TypeError unless cost is a
-    LinearCost."""
+    LinearCost, and CapExceeded before a walk (the burn-in or a sample)
+    would take the steps walked past cfg.cap. The cap is not checked
+    against the whole plan, (cfg.max_samples + 1) walks, up front: a
+    search with cfg.stop_at may stop long before its plan ends."""
     if not isinstance(cost, LinearCost):
         raise TypeError("markov_chain_search needs a LinearCost")
     kb = fc.basis
@@ -109,23 +113,23 @@ def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
     beta = cfg.beta if cfg.method == "mcs-metropolis" else 0.0
 
     t_mix = cfg.mix_steps if cfg.mix_steps is not None else default_mix_steps(fc, cfg.epsilon)
-    # burn-in before the first comparison
-    z, fz, proposals, accepted = walk(spec, fc.x_hat, t_mix, cost, beta)
-    if fz < fbest:
-        best, fbest = tuple(z), fz
-        trace.append((0, fbest))
-    samples = 0
-    for i in range(1, cfg.max_samples + 1):
+    z, fz = fc.x_hat, fbest
+    proposals = accepted = samples = 0
+    # walk 0 is the burn-in, kept whatever its cost; each later walk is a
+    # sample, kept iff it does not increase the cost (plateau moves allowed)
+    for i in range(cfg.max_samples + 1):
+        if (i + 1) * t_mix > cfg.cap:
+            raise CapExceeded(f"MCS would walk {(i + 1) * t_mix} steps, past the cap of {cfg.cap}")
         zt, fzt, p, a = walk(spec, z, t_mix, cost, beta)
         proposals += p
         accepted += a
-        if fzt <= fz:  # plateau moves allowed
+        if i == 0 or fzt <= fz:
             z, fz = zt, fzt
         if fz < fbest:
             best, fbest = tuple(z), fz
             trace.append((i, fbest))
         samples = i
-        if cfg.stop_at is not None and fbest <= cfg.stop_at:
+        if i and cfg.stop_at is not None and fbest <= cfg.stop_at:
             break
     sol = lift_to_ilp(grd, best) if grd is not None else None
     return SearchResult(best, fbest, samples, False, trace, sol, seed=cfg.seed,

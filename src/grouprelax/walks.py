@@ -6,11 +6,12 @@ walk-level diagnostics (dense transition matrix, spectral gap, the gap
 of K's own generators from its characters, log-Sobolev lower bound,
 pseudo-Lipschitz norm, cyclic metric).
 
-Every walk, plain or Metropolis, runs in one loop, ``walk``, on a
-float hold threshold and sparse generator supports precomputed by
-``CayleyWalkSpec``; the Metropolis filter prices each move by the
-integer change of a ``LinearCost``, so no step does rational
-arithmetic. ``step`` and ``metropolis_step`` are its one-step forms.
+Every walk, plain or Metropolis, runs in ``walk``, on a float hold
+threshold and sparse generator supports precomputed by
+``CayleyWalkSpec``. The plain walk only counts net moves per
+generator; the Metropolis filter prices each move by the integer
+change of a ``LinearCost``, so no step does rational arithmetic.
+``step`` and ``metropolis_step`` are its one-step forms.
 The dense diagnostics share one neighbour table, ``_neighbours``.
 """
 
@@ -20,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,14 +63,20 @@ def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
          cost: Optional[LinearCost] = None,
          beta: float = 0.0) -> tuple[list[int], Optional[Fraction], int, int]:
     """Run n steps from state x, reduced mod the moduli on entry; x
-    itself is not modified, and must have one entry per modulus. With a cost and beta > 0 each non-null
-    proposal y is accepted with probability min(1, exp(-beta * delta)),
-    delta = cost(y) - cost(x). The walk carries den * cost(x) as an int
-    and prices a move by its change over the move's support, so delta
-    is that change over den, correctly rounded. The RNG draws per step
-    are the hold random(), randrange(k), the sign random() and, only
-    for a Metropolis proposal that raises the cost, the acceptance
-    random().
+    itself is not modified, and must have one entry per modulus. With a
+    cost and beta > 0 each non-null proposal y is accepted with
+    probability min(1, exp(-beta * delta)), delta = cost(y) - cost(x).
+    The walk carries den * cost(x) as an int and prices a move by its
+    change over the move's support, so delta is that change over den,
+    correctly rounded.
+
+    The RNG draws per step are the hold random(), the generator index,
+    the sign random() and, only for a Metropolis proposal that raises
+    the cost, the acceptance random(). The index is drawn as
+    random.Random.randrange(k) draws it: getrandbits(k.bit_length()),
+    again while it is >= k. The plain walk (no cost, or beta = 0) only
+    counts each generator's net moves and adds them once at the end; K
+    is abelian, so the state is the one the moves reach one by one.
 
     Returns (state as a list, cost(state) or None without a cost,
     proposals, accepted), the last two counting non-null Metropolis
@@ -88,21 +96,35 @@ def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
     filtered = cost is not None and beta > 0
     proposals = accepted = 0
     if filtered:
-        weights, den = cost.weights, cost.den
+        weights, den, exp = cost.weights, cost.den, math.exp
         num = cost.scaled(x)
-    if k:
-        rand, randrange, exp = spec.rng.random, spec.rng.randrange, math.exp
-        hold = spec._hold
-        for _ in range(n):
-            if rand() < hold:
-                continue
-            support = supports[randrange(k)]
-            a = 1 if rand() < 0.5 else -1
-            if not support:
-                continue
-            if not filtered:
+    rand, getrandbits, hold = spec.rng.random, spec.rng.getrandbits, spec._hold
+    bits = k.bit_length()
+    if k and not filtered:
+        net = [0] * k
+        for _ in repeat(None, n):
+            if rand() >= hold:
+                j = getrandbits(bits)
+                while j >= k:
+                    j = getrandbits(bits)
+                if rand() < 0.5:
+                    net[j] += 1
+                else:
+                    net[j] -= 1
+        for a, support in zip(net, supports):
+            if a:
                 for i, h in support:
                     x[i] = (x[i] + a * h) % moduli[i]
+    elif k:
+        for _ in repeat(None, n):
+            if rand() < hold:
+                continue
+            j = getrandbits(bits)
+            while j >= k:
+                j = getrandbits(bits)
+            a = 1 if rand() < 0.5 else -1
+            support = supports[j]
+            if not support:
                 continue
             proposals += 1
             change = 0

@@ -58,6 +58,26 @@ def random_feasible_instance(seed):
                        row_sense=sense)
 
 
+def dependent_row_instance(seed, off=0):
+    """random_feasible_instance(seed) with its first row made an equality
+    and one more equality row planted among its rows: a combination, with
+    nonzero integer weights, of its equality rows. With off = 0 the new
+    row's b is consistent, so the row-rank repair drops a row; otherwise
+    b is off by off and no point is feasible. Returns (instance, number
+    of rows without the planted one)."""
+    inst = random_feasible_instance(seed)
+    rng = random.Random(f"dependent{seed}")
+    A, b = [row[:] for row in inst.A.data], list(inst.b)
+    sense = ["="] + inst.row_sense[1:]
+    lam = [rng.choice((-2, -1, 1, 2)) if s == "=" else 0 for s in sense]
+    at = rng.randint(0, len(A))
+    A.insert(at, [sum(l * row[j] for l, row in zip(lam, A)) for j in range(inst.n_vars)])
+    b.insert(at, sum(l * v for l, v in zip(lam, b)) + off)
+    sense.insert(at, "=")
+    return ILPInstance(name=f"dep{seed}+{off}", A=IntMatrix(A), b=b, c=inst.c,
+                       row_sense=sense), inst.n_rows
+
+
 @pytest.fixture(scope="session")
 def random_suite():
     """200 seeded random instances solved end to end: exact LP, group

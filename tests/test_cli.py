@@ -83,6 +83,18 @@ def test_dijkstra_cap_exit_code(tmp_path, monkeypatch):
     assert "error: Dijkstra reached more than 100 residues" in res.output
 
 
+def test_mcs_cap_exit_code(tmp_path):
+    # default_mix_steps plans 3267173 steps a walk here, 2.1e8 in all;
+    # the default cap of 10^6 stops the search before its burn-in
+    path = tmp_path / "c.mps"
+    res = run(["gen", "cutgen", "--m", "3", "--l", "30", "--v2", "0.8", "--dbar", "2",
+               "--seed", "2", "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    res = run(["solve", str(path), "--method", "mcs", "--seed", "1"])
+    assert res.exit_code == 5, res.output
+    assert "error: MCS would walk 3267173 steps, past the cap of 1000000" in res.output
+
+
 def test_not_pure_ilp_exit_code(tmp_path):
     path = tmp_path / "cont.mps"
     path.write_text(

@@ -12,7 +12,7 @@ from grouprelax import (ILPInstance, IntMatrix, check_asymptotic_sufficiency, de
 from grouprelax.errors import GroupRelaxError, Infeasible, Unbounded
 from grouprelax.exact import solve_rational
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from tests.conftest import random_feasible_instance
+from tests.conftest import dependent_row_instance, random_feasible_instance
 from tests.lp_oracle import (fraction_solve, fraction_sufficiency, fraction_to_standard_form,
                              tableau_solve_lp_exact)
 
@@ -202,6 +202,17 @@ def test_revised_matches_tableau_oracle():
         assert_revised_matches_tableau(cutgen(spec))
 
 
+def test_revised_matches_tableau_oracle_dependent_rows():
+    # a planted dependent equality row: dropped when its b is consistent,
+    # Infeasible when b is off by one
+    for seed in range(500):
+        inst, rows = dependent_row_instance(seed)
+        assert to_standard_form(inst).A.rows == rows, inst.name
+        assert_revised_matches_tableau(inst)
+        with pytest.raises(Infeasible):
+            to_standard_form(dependent_row_instance(seed, off=1)[0])
+
+
 def test_lp_pinned_basis_1000_columns():
     # cutgen m=10 L=1000 v2=0.4 dbar=10 seed 3 (997 patterns): the tableau
     # simplex takes about 10 s here, so its basis and value are pinned
@@ -249,6 +260,12 @@ def test_eliminations_match_fraction_oracle():
               for m, seed in ((6, 51), (8, 26), (10, 11), (10, 3))]
     for spec in specs:
         assert_eliminations_match_fraction_oracle(cutgen(spec))
+
+
+def test_eliminations_match_fraction_oracle_dependent_rows():
+    for seed in range(500):
+        for off in (0, 1):
+            assert_eliminations_match_fraction_oracle(dependent_row_instance(seed, off)[0])
 
 
 def rows_instance(rows, b, sense):

@@ -60,6 +60,17 @@ def test_round_trip_generated_instances():
         assert again.row_sense == inst.row_sense
 
 
+def test_round_trip_value_types():
+    # A and b hold ints and c Fractions, also after clearing a rational row
+    rational = MINIMAL.replace("    x1 r1 2", "    x1 r1 0.5")
+    for inst in [parse_mps(MINIMAL), parse_mps(rational), planted(2, 3, 1)[0],
+                 cutgen(CutStockSpec(m=3, v2=0.8, dbar=2.0, L=10, seed=1))]:
+        again = parse_mps(emit_mps(inst), name_hint=inst.name)
+        assert all(type(v) is int for row in again.A.data for v in row)
+        assert all(type(v) is int for v in again.b)
+        assert all(type(v) is Fraction for v in again.c)
+
+
 def test_continuous_column_rejected():
     text = MINIMAL.replace("    M1 'MARKER' 'INTORG'\n", "")
     with pytest.raises(NotPureILP):

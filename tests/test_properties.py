@@ -1,13 +1,14 @@
 """Property tests (hypothesis): the SNF contract, linear congruences,
 compression against the two-SNF reference, the revised simplex
 against the tableau simplex, the fraction-free row-rank repair
-against the Fraction one, MPS round trips and malformed input, and
-integral lifts of coset points. Examples are derandomized
+against the Fraction one, MPS round trips, number tokens and malformed
+input, and integral lifts of coset points. Examples are derandomized
 and bounded so the suite stays fast and repeatable."""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from grouprelax import (ILPInstance, IntMatrix, compress_coset, emit_mps, enumer
                         solve_lp_exact, solve_mod, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
 from grouprelax.kernel import span
+from grouprelax.mps import _num
 from tests.conftest import stub_grd
 from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
@@ -190,6 +192,49 @@ def malformed_mps(draw):
             lead = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
             lines[i] = lead + " ".join(toks)
     return "\n".join(lines) + "\n"
+
+
+# digits of several scripts (Arabic-Indic, Devanagari, fullwidth), signs,
+# separators, exponents, hex and whitespace
+NUMBER_CHARS = "0123456789" "\u0663\u0967\uff11" "+-._/eExX" " \t\u2003"
+NUMBER_TOKENS = ["1_000", "+5", "-0", "07", "1e3", ".5", "5.", "0x10", "\u0663\u0661",
+                 "\uff11_\uff12", "1__0", "_1", "3/4", "1/0", "1_000/3", " 12 "]
+
+
+def check_number_token(tok):
+    # the reader's ints are the values Fraction() reads, and it rejects
+    # what Fraction() rejects
+    try:
+        want = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(MalformedMPS):
+            _num(tok, 1)
+        return
+    got = _num(tok, 1)
+    assert got == want
+    assert type(got) in (int, Fraction)
+
+
+@pytest.mark.parametrize("tok", NUMBER_TOKENS)
+def test_mps_number_tokens(tok):
+    check_number_token(tok)
+
+
+@PROPERTY
+@given(st.one_of(st.text(NUMBER_CHARS, max_size=8),
+                 st.fractions().map(str), st.integers().map(str),
+                 st.decimals(allow_nan=False, allow_infinity=False).map(str)))
+def test_mps_number_token_property(tok):
+    check_number_token(tok)
+
+
+@PROPERTY
+@given(mps_instances())
+def test_mps_round_trip_value_types_property(inst):
+    again = parse_mps(emit_mps(inst))
+    assert all(type(v) is int for row in again.A.data for v in row)
+    assert all(type(v) is int for v in again.b)
+    assert all(type(v) is Fraction for v in again.c)
 
 
 @settings(PROPERTY, max_examples=1000)

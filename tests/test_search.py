@@ -413,6 +413,25 @@ def test_mcs_cost_lookup_table(method, beta):
     assert (runs[0][2] > 0) == (beta > 0)
 
 
+@pytest.mark.parametrize("method", ["mcs", "mcs-expander", "mcs-metropolis"])
+def test_mcs_step_cap(method):
+    # the burn-in and 64 samples walk 65 x 100 steps: a cap one below
+    # that stops the search before its last sample, one that small
+    # before its burn-in
+    _, _, grd, fc = build(planted(2, 8, 1)[0])
+
+    def search(cap, mix_steps=100):
+        return markov_chain_search(fc, grd.cost, SearchConfig(
+            method=method, seed=5, beta=1.0, max_samples=64, mix_steps=mix_steps,
+            cap=cap), grd)
+
+    assert search(6500).samples_used == 64
+    with pytest.raises(CapExceeded, match="walk 6500 steps, past the cap of 6499"):
+        search(6499)
+    with pytest.raises(CapExceeded, match="walk 100 steps, past the cap of 99"):
+        search(99)
+
+
 def test_mcs_needs_a_linear_cost():
     _, _, grd, fc = build(planted(2, 2, 1)[0])
     with pytest.raises(TypeError):

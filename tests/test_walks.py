@@ -244,6 +244,30 @@ def test_walk_matches_oracle():
                     assert type(runs[1][1]) is Fraction
 
 
+def test_walk_matches_oracle_on_other_generator_sets():
+    # expander sets (k not a power of two, so some generator draws are
+    # redrawn), one generator, a generator with empty support, no cost,
+    # walks long enough to redraw many times, and a den so large that
+    # every delta underflows to 0.0
+    rng = random.Random(12)
+    for grd, fc in oracle_cosets():
+        kb = fc.basis
+        expander = tuple(expander_generation(kb, 8.0, random.Random(grd.d)))
+        assert len(expander) & (len(expander) - 1)
+        null = tuple(0 if rng.random() < 0.5 else m for m in kb.moduli)
+        gen_sets = (expander, kb.generators[:1], kb.generators[:2] + (null,) + kb.generators[2:])
+        tiny = LinearCost(2**1100, 0, grd.cost.weights)
+        for gens in gen_sets:
+            for cost, beta in ((None, 0.0), (grd.cost, 0.0), (grd.cost, 1.0), (-grd.cost, 0.5),
+                               (tiny, 1.0)):
+                runs = []
+                for run in (walk_oracle.walk, walk):
+                    spec = simple_spec(gens, kb.moduli, seed=len(gens))
+                    x, fx, proposals, accepted = run(spec, fc.x_hat, 6000, cost, beta)
+                    runs.append((x, fx, proposals, accepted, spec.rng.getstate()))
+                assert runs[0] == runs[1], (grd.d, len(gens), cost, beta)
+
+
 def test_walk_needs_a_linear_cost():
     spec = simple_spec([(1,)], (3,))
     with pytest.raises(TypeError):
@@ -299,7 +323,8 @@ def test_tv_bound_small_walks():
 
 
 class ScriptedRng:
-    """random() replays the given values; randrange always picks 0."""
+    """random() replays the given values; the generator draw always
+    picks 0."""
 
     def __init__(self, values):
         self.values = iter(values)
@@ -308,6 +333,9 @@ class ScriptedRng:
         return next(self.values)
 
     def randrange(self, k):
+        return 0
+
+    def getrandbits(self, k):
         return 0
 
 
