@@ -2,6 +2,8 @@
 
     PYTHONPATH=src python3 scripts/stage_times.py --m 10 --L 1000 --v2 0.5 --dbar 10 --seed 3
 
+Past 5000 patterns, raise the cap: --pattern-cap 20000.
+
 Runs cutgen's instance through standard form, the exact LP, the
 relaxation (its basis SNF), the feasible coset, compression and the
 Dijkstra solve, and prints one JSON object with each stage's
@@ -63,9 +65,12 @@ def main() -> None:
     ap.add_argument("--v2", type=float, default=0.5)
     ap.add_argument("--dbar", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--pattern-cap", type=int, default=gen.PATTERN_CAP_DEFAULT,
+                    help="cap on enumerated patterns (default %(default)s)")
     ap.add_argument("--repeat", type=int, default=1, help="runs of the chain; best time per stage")
     args = ap.parse_args()
-    spec = gen.CutStockSpec(m=args.m, L=args.L, v2=args.v2, dbar=args.dbar, seed=args.seed)
+    spec = gen.CutStockSpec(m=args.m, L=args.L, v2=args.v2, dbar=args.dbar, seed=args.seed,
+                            pattern_cap=args.pattern_cap)
     inst = gen.cutgen(spec)
     best: dict[str, float] = {}
     for _ in range(max(1, args.repeat)):
@@ -73,7 +78,8 @@ def main() -> None:
         for k, v in times.items():
             best[k] = min(best.get(k, v), v)
     print(json.dumps({
-        "spec": {"m": args.m, "L": args.L, "v2": args.v2, "dbar": args.dbar, "seed": args.seed},
+        "spec": {"m": args.m, "L": args.L, "v2": args.v2, "dbar": args.dbar, "seed": args.seed,
+                 "pattern_cap": args.pattern_cap},
         "repeat": max(1, args.repeat),
         "stages_s": {k: round(best[k], 4) for k in STAGES},
         "total_s": round(sum(best.values()), 4),

@@ -14,7 +14,7 @@ import click
 
 from .errors import (CapExceeded, DenseLimitExceeded, GroupRelaxError,
                      Infeasible, NotPureILP, PatternLimitExceeded, Unbounded)
-from .gen import CutStockSpec, cutgen, planted
+from .gen import PATTERN_CAP_DEFAULT, CutStockSpec, cutgen, planted
 from .kernel import compress_coset, feasible_coset
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, emit_report, fmt_rational, run_pipeline
@@ -174,12 +174,14 @@ def gen():
 @click.option("--l", "--L", "length", type=int, default=1000)
 @click.option("--dbar", type=float, required=True)
 @seed_option
+@click.option("--pattern-cap", type=int, default=PATTERN_CAP_DEFAULT, show_default=True,
+              help="Most maximal patterns to enumerate (exit 5 past it).")
 @click.option("--out", type=click.Path(), required=True)
 @_handle_errors
-def gen_cutgen(m_, v1, v2, length, dbar, seed, out):
+def gen_cutgen(m_, v1, v2, length, dbar, seed, pattern_cap, out):
     """Cutting-stock instance over all maximal patterns."""
     spec = CutStockSpec(m=m_, v1=v1, v2=v2, L=length, dbar=dbar,
-                        seed=seed if seed is not None else 0)
+                        seed=seed if seed is not None else 0, pattern_cap=pattern_cap)
     inst = cutgen(spec)
     Path(out).write_text(emit_mps(inst))
     click.echo(f"wrote {out} ({inst.n_vars} patterns)")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -33,15 +34,23 @@ class IntMatrix:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _of(cls, data: list[list[int]]) -> "IntMatrix":
+        """Wrap rows of ints as they are: no copy and no checks."""
+        M = cls.__new__(cls)
+        M.data, M.rows = data, len(data)
+        M.cols = len(data[0]) if data else 0
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(_identity_rows(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)])
 
     def copy(self) -> "IntMatrix":
-        return IntMatrix(self.data)
+        return IntMatrix._of([list(row) for row in self.data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -83,15 +92,36 @@ class SNFResult:
     """Factorization M = U @ diag(D) @ V with U, V unimodular.
 
     Uinv and Vinv are exact inverses, accumulated from the elementary
-    operations during the reduction. D entries are nonnegative, each
-    nonzero entry divides the next, and zeros only trail.
+    operations during the reduction; Vinv is kept transposed, as Vinv_t,
+    whose rows are the columns of Vinv. D entries are nonnegative, each
+    nonzero entry divides the next, and zeros only trail. The row and
+    column operations are recorded in order. Vinv, U and V are built the
+    first time they are read (U and V by replaying the record), and are
+    cached.
     """
 
-    U: IntMatrix
     D: list[int]
-    V: IntMatrix
     Uinv: IntMatrix
-    Vinv: IntMatrix
+    Vinv_t: IntMatrix
+    row_ops: list[tuple]  # (i1, i2, a, b, c, d); i1 == i2 negates row i1
+    col_ops: list[tuple]  # (j1, j2, a, b, c, d)
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return IntMatrix._of([list(col) for col in zip(*self.Vinv_t.data)])
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        # a row op E is undone on the columns of U, that is on the rows of
+        # U^T by E^-T
+        Ut = _replay(self.Uinv.rows, self.row_ops)
+        return IntMatrix._of([list(col) for col in zip(*Ut)])
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        # a column op, columns <- columns @ E^T, is undone on the rows of
+        # V by E^-T
+        return IntMatrix._of(_replay(self.Vinv_t.rows, self.col_ops))
 
     def diag_matrix(self, rows: int, cols: int) -> IntMatrix:
         S = IntMatrix.zeros(rows, cols)
@@ -133,47 +163,84 @@ def solve_mod(t: int, b: int, r: int) -> tuple[int, int]:
     return particular, g
 
 
-def _snf_rowop(S, Uinv, U, i1, i2, a, b, c, d):
-    # rows (i1, i2) of S and Uinv <- [[a, b], [c, d]] @ rows; the inverse
-    # op is applied to the columns of U so U @ S stays fixed.
-    for M in (S, Uinv):
-        r1, r2 = M.data[i1], M.data[i2]
-        M.data[i1] = [a * x + b * y for x, y in zip(r1, r2)]
-        M.data[i2] = [c * x + d * y for x, y in zip(r1, r2)]
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _inverse_transpose(a, b, c, d):
+    """Entries of the transposed inverse of [[a, b], [c, d]], unimodular."""
     det = a * d - b * c  # +-1
-    for row in U.data:
-        x, y = row[i1], row[i2]
-        row[i1] = det * (d * x - c * y)
-        row[i2] = det * (-b * x + a * y)
+    return det * d, -det * c, -det * b, det * a
 
 
-def _snf_colop(S, Vinv, V, j1, j2, a, b, c, d):
-    # columns (j1, j2) of S and Vinv <- cols @ [[a, c], [b, d]].
-    for M in (S, Vinv):
-        for row in M.data:
-            x, y = row[j1], row[j2]
-            row[j1] = a * x + b * y
-            row[j2] = c * x + d * y
-    det = a * d - b * c
-    r1, r2 = V.data[j1], V.data[j2]
-    V.data[j1] = [det * (d * x - c * y) for x, y in zip(r1, r2)]
-    V.data[j2] = [det * (-b * x + a * y) for x, y in zip(r1, r2)]
+def _replay(n: int, ops: list[tuple]) -> list[list[int]]:
+    """Rows of the n×n identity after E^-T of each recorded op E, in order."""
+    rows = _identity_rows(n)
+    for i1, i2, a, b, c, d in ops:
+        if i1 == i2:
+            rows[i1] = [-x for x in rows[i1]]
+        else:
+            _combine(rows, i1, i2, *_inverse_transpose(a, b, c, d))
+    return rows
+
+
+def _combine(rows, i1, i2, a, b, c, d):
+    # rows (i1, i2) <- [[a, b], [c, d]] @ rows; rows are replaced, never mutated
+    r1, r2 = rows[i1], rows[i2]
+    if a == 1 and b == 0 and d == 1:
+        rows[i2] = [c * x + y for x, y in zip(r1, r2)]
+    else:
+        rows[i1] = [a * x + b * y for x, y in zip(r1, r2)]
+        rows[i2] = [c * x + d * y for x, y in zip(r1, r2)]
 
 
 def snf(M: IntMatrix) -> SNFResult:
     """Smith normal form M = U @ diag(D) @ V.
 
-    Elementary row/column reduction with smallest-pivot selection; the
-    transforms and their inverses are accumulated on the fly. Works for
-    any rectangular integer matrix; zero invariant factors trail.
+    Elementary row/column reduction with smallest-pivot selection. Uinv
+    and Vinv are accumulated on the fly, Vinv transposed so that a
+    column operation updates two rows; the operations are recorded for
+    U and V. Works for any rectangular integer matrix; zero invariant
+    factors trail.
     """
     if M.rows == 0 or M.cols == 0:
         raise ValueError("empty matrix")
     m, n = M.rows, M.cols
     S = M.copy()
-    U, Uinv = IntMatrix.identity(m), IntMatrix.identity(m)
-    V, Vinv = IntMatrix.identity(n), IntMatrix.identity(n)
+    Uinv, Vinv_t = IntMatrix.identity(m), IntMatrix.identity(n)
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
     k = min(m, n)
+
+    def rowop(i1, i2, a, b, c, d):
+        _combine(S.data, i1, i2, a, b, c, d)
+        _combine(Uinv.data, i1, i2, a, b, c, d)
+        row_ops.append((i1, i2, a, b, c, d))
+
+    support = [None, []]  # a row of Vinv_t and the indices of its nonzeros
+
+    def colop(j1, j2, a, b, c, d):
+        # columns (j1, j2) <- columns @ [[a, c], [b, d]]
+        for row in S.data:
+            x, y = row[j1], row[j2]
+            row[j1] = a * x + b * y
+            row[j2] = c * x + d * y
+        if a == 1 and b == 0 and d == 1:
+            # the pivot sweep's shear: row j2 += c * row j1, over the
+            # nonzeros of row j1, which stays the same row across a sweep
+            r1 = Vinv_t.data[j1]
+            if support[0] is not r1:
+                support[:] = r1, [i for i, x in enumerate(r1) if x]
+            r2 = Vinv_t.data[j2].copy()
+            for i in support[1]:
+                r2[i] += c * r1[i]
+            Vinv_t.data[j2] = r2
+        else:
+            _combine(Vinv_t.data, j1, j2, a, b, c, d)
+        col_ops.append((j1, j2, a, b, c, d))
 
     def pivot_search(t):
         best = None
@@ -191,26 +258,26 @@ def snf(M: IntMatrix) -> SNFResult:
             break
         _, pi, pj = found
         if pi != t:
-            _snf_rowop(S, Uinv, U, t, pi, 0, 1, 1, 0)
+            rowop(t, pi, 0, 1, 1, 0)
         if pj != t:
-            _snf_colop(S, Vinv, V, t, pj, 0, 1, 1, 0)
+            colop(t, pj, 0, 1, 1, 0)
         while True:
             for i in range(t + 1, m):
                 if S.data[i][t]:
                     p, v = S.data[t][t], S.data[i][t]
                     if v % p == 0:
-                        _snf_rowop(S, Uinv, U, t, i, 1, 0, -(v // p), 1)
+                        rowop(t, i, 1, 0, -(v // p), 1)
                     else:
                         g, x, y = ext_gcd(p, v)
-                        _snf_rowop(S, Uinv, U, t, i, x, y, -(v // g), p // g)
+                        rowop(t, i, x, y, -(v // g), p // g)
             for j in range(t + 1, n):
                 if S.data[t][j]:
                     p, v = S.data[t][t], S.data[t][j]
                     if v % p == 0:
-                        _snf_colop(S, Vinv, V, t, j, 1, 0, -(v // p), 1)
+                        colop(t, j, 1, 0, -(v // p), 1)
                     else:
                         g, x, y = ext_gcd(p, v)
-                        _snf_colop(S, Vinv, V, t, j, x, y, -(v // g), p // g)
+                        colop(t, j, x, y, -(v // g), p // g)
             # column ops may refill column t; repeat until both are clear
             if all(S.data[i][t] == 0 for i in range(t + 1, m)) and all(
                 S.data[t][j] == 0 for j in range(t + 1, n)
@@ -228,18 +295,17 @@ def snf(M: IntMatrix) -> SNFResult:
             if offender is not None:
                 break
         if offender is not None:
-            _snf_rowop(S, Uinv, U, t, offender, 1, 1, 0, 1)
+            rowop(t, offender, 1, 1, 0, 1)
             continue
         if p < 0:
-            # negate row t of S and Uinv, column t of U: U absorbs the sign
+            # negate row t of S and Uinv; U absorbs the sign in column t
             S.data[t] = [-x for x in S.data[t]]
             Uinv.data[t] = [-x for x in Uinv.data[t]]
-            for row in U.data:
-                row[t] = -row[t]
+            row_ops.append((t, t, -1, 0, 0, -1))
         t += 1
 
     D = [S.data[i][i] for i in range(k)]
-    return SNFResult(U=U, D=D, V=V, Uinv=Uinv, Vinv=Vinv)
+    return SNFResult(D, Uinv, Vinv_t, row_ops, col_ops)
 
 
 def bareiss_pivot(rows: list[list[int]], xb: list[int], a: list[int], r: int, det: int) -> int:

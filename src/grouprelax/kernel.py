@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,13 +54,15 @@ def element_order(v: Sequence[int], moduli: Sequence[int]) -> int:
 
 
 def _group_residual(Abold: IntMatrix, r: Sequence[int], x: Sequence[int]) -> list[int]:
-    return [v % r[i] for i, v in enumerate(Abold.matvec(list(x)))]
+    """Abold x mod r, row by row; a row with r_i = 1 is 0 without a product."""
+    return [sum(map(mul, row, x)) % r_i if r_i > 1 else 0 for row, r_i in zip(Abold.data, r)]
 
 
 def _kernel_generators(fact: SNFResult, r_max: int, A: IntMatrix, r: Sequence[int]):
     """Core of the generator-finding algorithm: cyclic generators of
     {x in Z_{r_max}^d : A x = 0 (mod R Z^m)}, read off fact, the SNF of
-    the preconditioned matrix diag(r_max / r_i) A.
+    the preconditioned matrix diag(r_max / r_i) A: column i of Vinv
+    times r_max / g_i, of order g_i = gcd(r_max, t_i).
 
     Returns (generators, orders, kernel_order) with trivial generators
     dropped; each generator is checked against the congruence. Handles
@@ -75,8 +78,7 @@ def _kernel_generators(fact: SNFResult, r_max: int, A: IntMatrix, r: Sequence[in
         kernel_order *= g
         if g > 1:
             z = r_max // g
-            h = tuple((z * fact.Vinv.data[row][i]) % r_max for row in range(d))
-            gens.append(h)
+            gens.append(tuple(z * v % r_max for v in fact.Vinv_t.data[i]))
             orders.append(g)
     for h in gens:
         if any(_group_residual(A, r, h)):
@@ -92,7 +94,8 @@ def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
     congruence mod r_max; one SNF of that matrix gives both the
     particular solution (a per-row modular solve in SNF coordinates) and
     the cyclic generators of K with orders gcd(r_max, t_i). Both are
-    verified by substitution before returning.
+    verified by substitution, over the rows with r_i > 1, before
+    returning.
     """
     m, d, r_max = grd.m, grd.d, grd.r_max
     if d == 0 and any(grd.bbold[i] % grd.r[i] for i in range(m)):
@@ -100,16 +103,19 @@ def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
     x_hat, gens, orders, korder = (0,) * d, [], [], 1
     if d and r_max > 1:
         scale = [r_max // r_i for r_i in grd.r]
-        fact = snf(IntMatrix([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)]))
+        fact = snf(IntMatrix._of([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)]))
         Bb = [s * v for s, v in zip(scale, grd.bbold)]
         bprime = [v % r_max for v in fact.Uinv.matvec(Bb)]
         ts = list(fact.D) + [0] * (m - len(fact.D))
-        y = [0] * d
+        y = []  # (i, y_i) for the nonzero y_i, i < min(m, d)
         for i in range(m):
             yi, _ = solve_mod(ts[i], bprime[i], r_max)  # raises Infeasible
-            if i < d:
-                y[i] = yi
-        x_hat = tuple(v % r_max for v in fact.Vinv.matvec(y))
+            if i < d and yi:
+                y.append((i, yi))
+        x_hat = [0] * d
+        for i, yi in y:
+            x_hat = [x + yi * v for x, v in zip(x_hat, fact.Vinv_t.data[i])]
+        x_hat = tuple(x % r_max for x in x_hat)
         residual = _group_residual(grd.Abold, grd.r, x_hat)
         if residual != [grd.bbold[i] % grd.r[i] for i in range(m)]:
             raise CertificateError("feasible-point substitution check failed")

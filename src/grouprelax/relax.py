@@ -14,7 +14,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import CertificateError
-from .exact import IntMatrix, SNFResult, snf, solve_rational
+from .exact import IntMatrix, SNFResult, det_exact, snf, solve_rational
 from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
 
@@ -53,7 +53,6 @@ class LinearCost:
 class GroupRelaxationData:
     sf: StandardFormILP
     bs: BasisSolution
-    snf_basis: SNFResult
     r: list[int]                 # invariant factors of A_B, r_1 | ... | r_m
     Abold: IntMatrix             # m x d, entries reduced into [0, r_row)
     bbold: list[int]             # reduced likewise
@@ -91,33 +90,55 @@ class GroupSolution:
     ilp_feasible: bool
 
 
+def _check_basis_snf(AB: IntMatrix, fact: SNFResult, r: list[int]) -> None:
+    """Uinv·A_B·Vinv = diag(r), r_i | r_{i+1} and |det Uinv| = |det Vinv| = 1.
+
+    The last follows from |det A_B| = prod(r): with the first,
+    det Uinv · det A_B · det Vinv = prod(r), so the two integer
+    determinants multiply to +-1."""
+    UA = [[sum(map(mul, u, col)) for col in zip(*AB.data)] for u in fact.Uinv.data]
+    # the columns of Vinv are the rows of Vinv_t
+    if [[sum(map(mul, row, v)) for v in fact.Vinv_t.data] for row in UA] != \
+            [[r_i if i == j else 0 for j in range(len(r))] for i, r_i in enumerate(r)]:
+        raise CertificateError("basis SNF: Uinv·A_B·Vinv is not diag(r)")
+    if any(b % a for a, b in zip(r, r[1:])):
+        raise CertificateError(f"basis SNF: invariant factors {r} do not divide in turn")
+    if abs(det_exact(AB)) != math.prod(r):
+        raise CertificateError("basis SNF: a transform is not unimodular")
+
+
 def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelaxationData:
     """Form (Abold, bbold, cbold, {r_j}); columns of U^{-1}A_N that are
-    0 mod R Z^m are dropped (fixing those variables to 0 is free)."""
+    0 mod R Z^m are dropped (fixing those variables to 0 is free).
+
+    The basis SNF is certified first. Only rows with r_i > 1 are
+    computed: a row mod 1 is 0."""
     AB = sf.A.select_columns(bs.basis)
     fact = snf(AB)
     r = [int(x) for x in fact.D]
     if not all(x >= 1 for x in r):
         raise CertificateError("basis matrix must be nonsingular")
+    _check_basis_snf(AB, fact, r)
     m = len(r)
 
-    bbold = [v % r[i] for i, v in enumerate(fact.Uinv.matvec(sf.b))]
-    kept, dropped = [], []
-    cols: list[list[int]] = []
-    for j in bs.nonbasic:
-        col = fact.Uinv.matvec(sf.A.column(j))
-        red = [v % r[i] for i, v in enumerate(col)]
-        if any(red):
-            kept.append(j)
-            cols.append(red)
-        else:
-            dropped.append(j)
-    Abold = IntMatrix([[cols[k][i] for k in range(len(cols))] for i in range(m)])
+    cols = list(zip(*sf.A.data))
+    nonbasic = [cols[j] for j in bs.nonbasic]
+    red = [[0] * len(nonbasic) for _ in range(m)]
+    bbold = [0] * m
+    for i, r_i in enumerate(r):
+        if r_i > 1:
+            u = fact.Uinv.data[i]
+            red[i] = [sum(map(mul, u, col)) % r_i for col in nonbasic]
+            bbold[i] = sum(map(mul, u, sf.b)) % r_i
+    keep = [any(v) for v in zip(*red)]
+    kept = [j for j, k in zip(bs.nonbasic, keep) if k]
+    dropped = [j for j, k in zip(bs.nonbasic, keep) if not k]
+    Abold = IntMatrix._of([[v for v, k in zip(row, keep) if k] for row in red])
     cbold = [bs.reduced_costs[j] for j in kept]
     if any(c < 0 for c in cbold):
         raise CertificateError("optimal basis has a negative reduced cost")
     return GroupRelaxationData(
-        sf=sf, bs=bs, snf_basis=fact, r=r, Abold=Abold, bbold=bbold,
+        sf=sf, bs=bs, r=r, Abold=Abold, bbold=bbold,
         cbold=cbold, kept_cols=kept, dropped_cols=dropped, shift=bs.opt_lp,
     )
 

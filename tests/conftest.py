@@ -29,7 +29,7 @@ def stub_grd(Abold_rows, r, bbold, cbold=None):
     are not consulted by the kernel and walk operations."""
     A = IntMatrix(Abold_rows)
     return GroupRelaxationData(
-        sf=None, bs=None, snf_basis=None,
+        sf=None, bs=None,
         r=list(r),
         Abold=A,
         bbold=list(bbold),

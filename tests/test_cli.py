@@ -169,6 +169,23 @@ def test_gen_cutgen(tmp_path):
     assert "certified true" in res.output
 
 
+def test_gen_cutgen_pattern_cap(tmp_path):
+    # cutgen m=12 L=1000 v2=0.4 seed 3 has 5641 maximal patterns, past
+    # the default cap of 5000
+    args = ["gen", "cutgen", "--m", "12", "--v2", "0.4", "--dbar", "10",
+            "--seed", "3", "--out", str(tmp_path / "c.mps")]
+    res = run(args)
+    assert res.exit_code == 5, res.output
+    assert "cap is 5000" in res.output
+    assert not (tmp_path / "c.mps").exists()
+    res = run(args + ["--pattern-cap", "20000"])
+    assert res.exit_code == 0, res.output
+    assert "(5641 patterns)" in res.output
+    res = run(["gen", "cutgen", "--m", "3", "--v2", "0.8", "--dbar", "2", "--l", "10",
+               "--pattern-cap", "1", "--out", str(tmp_path / "small.mps")])
+    assert res.exit_code == 5, res.output
+
+
 # Byte-exact stdout of the commands that print exact values. Any change
 # to these bytes is a change of the reported relaxation.
 GOLDEN = {

@@ -1,17 +1,30 @@
-"""Exact integer linear algebra: SNF factorization contract, extended
-gcd, linear congruences, determinants."""
+"""Exact integer linear algebra: SNF factorization contract and the
+eager SNF oracle, extended gcd, linear congruences, determinants."""
 
 import random
 from math import gcd
 
 import pytest
 
-from grouprelax import IntMatrix, det_exact, ext_gcd, is_unimodular, snf, solve_mod
+from grouprelax import IntMatrix, det_exact, ext_gcd, is_unimodular, relax_ilp, snf, solve_mod
 from grouprelax.errors import Infeasible
+from grouprelax.gen import CutStockSpec, cutgen
+from tests.snf_oracle import eager_snf
+
+
+def assert_matches_eager_oracle(M):
+    """D, Uinv, Vinv and the on-demand U and V equal the eager SNF's."""
+    fact, ref = snf(M), eager_snf(M)
+    assert fact.D == ref.D
+    assert fact.Uinv == ref.Uinv
+    assert fact.Vinv == ref.Vinv
+    assert fact.U == ref.U
+    assert fact.V == ref.V
+    return fact
 
 
 def check_snf_contract(M):
-    fact = snf(M)
+    fact = assert_matches_eager_oracle(M)
     m, n = M.rows, M.cols
     assert fact.U @ fact.diag_matrix(m, n) @ fact.V == M
     assert fact.U @ fact.Uinv == IntMatrix.identity(m)
@@ -121,3 +134,25 @@ def test_snf_random_fuzz():
                 for d in fact.D:
                     prod *= d
                 assert prod == det
+
+
+def test_snf_matches_eager_oracle_on_ladder_coset_matrices():
+    # the scaled matrices diag(r_max / r_i) Abold that feasible_coset
+    # factors on the benchmark's L=1000 cutgen ladder (d = 110, 127, 53)
+    for m, seed in ((6, 51), (8, 26), (10, 11)):
+        grd = relax_ilp(cutgen(CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed)))
+        scale = [grd.r_max // r_i for r_i in grd.r]
+        M = IntMatrix([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)])
+        fact = assert_matches_eager_oracle(M)
+        assert fact.U @ fact.diag_matrix(M.rows, M.cols) @ fact.V == M
+
+
+def test_snf_matches_eager_oracle_past_int64():
+    rng = random.Random(63)
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        M = IntMatrix([[rng.randint(-9, 9) * 2**rng.choice((0, 64, 90)) + rng.randint(-3, 3)
+                        for _ in range(n)] for _ in range(m)])
+        check_snf_contract(M)
+    fact = check_snf_contract(IntMatrix([[1, 2**64 + 1], [3, 2**70]]))
+    assert max(abs(v) for row in fact.Vinv.data for v in row) > 2**63

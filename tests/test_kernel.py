@@ -2,6 +2,7 @@
 orders, ambient compression, enumeration. Everything is cross-checked
 against exhaustive enumeration oracles."""
 
+import hashlib
 import itertools
 import random
 from math import prod
@@ -10,7 +11,7 @@ import pytest
 
 import grouprelax.kernel
 from grouprelax import (column_orders, compress_coset, compress_kernel,
-                        enumerate_coset, feasible_coset)
+                        enumerate_coset, feasible_coset, relax_ilp)
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from grouprelax.kernel import _group_residual, element_order, span
@@ -288,3 +289,25 @@ def test_compress_certificates_fire(monkeypatch, how, message):
     corrupt_elimination(monkeypatch, how)
     with pytest.raises(CertificateError, match=message):
         compress_kernel(grd, fc.basis)
+
+
+# sha256 of (r, Abold, bbold, kept, dropped, x_hat, generators, orders,
+# compressed basis) on the benchmark's L=1000 cutgen ladder and on the
+# 997-pattern cutgen m=10 v2=0.4 (d = 991)
+PINNED_COSETS = [
+    ((6, 51, 0.5), "209375b7650e0ea0fd47a4034dab2ecea317143da107529c1d44a1d4c0111054"),
+    ((8, 26, 0.5), "e71c43b9ee26fad756a09599fc7dff98405cfb53d62786e056f06ce25318aa44"),
+    ((10, 11, 0.5), "6b1f4ab7b5a486c368c50634dae57674bd9ef939ba4317f8bf5f1854c99ff99b"),
+    ((10, 3, 0.4), "e0bf645fa2836dedeca1e7e6aef1e3d4b47e33428134caba6e791ba542968bcc"),
+]
+
+
+@pytest.mark.parametrize("m, seed, v2, digest", [(*k, d) for k, d in PINNED_COSETS],
+                         ids=[f"m{m}_s{s}_v{v}" for (m, s, v), _ in PINNED_COSETS])
+def test_relaxation_and_coset_pinned(m, seed, v2, digest):
+    grd = relax_ilp(cutgen(CutStockSpec(m=m, L=1000, v2=v2, dbar=10.0, seed=seed)))
+    fc = feasible_coset(grd)
+    key = (grd.r, grd.Abold.data, grd.bbold, grd.kept_cols, grd.dropped_cols, fc.x_hat,
+           fc.basis.generators, fc.basis.orders, compress_coset(grd, fc).basis)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+

@@ -18,7 +18,7 @@ from grouprelax import (ILPInstance, IntMatrix, compress_coset, emit_mps, enumer
 from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
 from grouprelax.kernel import span
 from grouprelax.mps import _num
-from tests.conftest import stub_grd
+from tests.conftest import random_feasible_instance, stub_grd
 from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
 from tests.test_kernel import assert_matches_oracle
@@ -263,3 +263,26 @@ def test_lift_accepts_every_coset_point_property(inst, compress):
         assert [x[j] for j in grd.kept_cols] == list(x_n)
         assert all(x[j] == 0 for j in grd.dropped_cols)
         assert [sum(a * v for a, v in zip(row, x)) for row in sf.A.data] == sf.b
+
+
+@PROPERTY
+@given(st.integers(0, 2**32))
+def test_coset_satisfies_every_row_property(seed):
+    # the coset checks skip the rows with r_i = 1; on relaxations with
+    # such rows, x_hat and every generator still satisfy all m rows of
+    # Abold by a full matvec, and x_hat + h lifts through the original rows
+    try:
+        grd = relax_ilp(random_feasible_instance(seed))
+        fc = feasible_coset(grd)
+    except GroupRelaxError:
+        assume(False)
+    assume(1 in grd.r and grd.r_max > 1 and grd.d)
+    r = grd.r
+
+    def residual(x):
+        return [v % r_i for v, r_i in zip(grd.Abold.matvec(list(x)), r)]
+
+    assert residual(fc.x_hat) == [v % r_i for v, r_i in zip(grd.bbold, r)]
+    for h in fc.basis.generators:
+        assert not any(residual(h))
+        lift_to_ilp(grd, [(a + b) % grd.r_max for a, b in zip(fc.x_hat, h)])

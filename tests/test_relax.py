@@ -6,9 +6,11 @@ import pytest
 
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, bound_chain,
                         build_group_relaxation, cutgen, enumerate_coset,
-                        lift_to_ilp)
+                        lift_to_ilp, snf)
 from grouprelax.errors import CertificateError
+from grouprelax.exact import SNFResult
 from grouprelax.gen import planted
+from grouprelax.relax import _check_basis_snf
 from tests.conftest import build
 
 
@@ -146,3 +148,21 @@ def test_cost_matches_lift_objective():
         assert len(points) == fc.basis.kernel_order
         for x in points:
             assert grd.cost(x) == lift_to_ilp(grd, x).objective
+
+
+def test_basis_snf_certificate():
+    # each check on its own: the product, the divisibility of the
+    # invariant factors and the unimodularity of the transforms
+    def fact(D, Uinv, Vinv):
+        return SNFResult(D, IntMatrix(Uinv), IntMatrix(list(map(list, zip(*Vinv)))), [], [])
+
+    AB = IntMatrix([[2, 0], [0, 3]])
+    good = snf(AB)
+    _check_basis_snf(AB, good, good.D)
+    good.Uinv.data[1][1] += 1
+    with pytest.raises(CertificateError, match="is not diag"):
+        _check_basis_snf(AB, good, good.D)
+    with pytest.raises(CertificateError, match="do not divide"):
+        _check_basis_snf(AB, fact([2, 3], [[1, 0], [0, 1]], [[1, 0], [0, 1]]), [2, 3])
+    with pytest.raises(CertificateError, match="not unimodular"):
+        _check_basis_snf(IntMatrix([[2]]), fact([4], [[2]], [[1]]), [4])

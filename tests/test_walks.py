@@ -485,10 +485,23 @@ def test_certificates_fire_under_python_O():
         "    walks.walk(CayleyWalkSpec(((1,),), (3,)), (0,), 50, Skewed(1, 0, (1,)), 1.0)\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        # the basis SNF: a corrupted Uinv breaks Uinv·A_B·Vinv = diag(r)
+        "lp._pivot = pivot\n"
+        "from grouprelax import relax\n"
+        "basis_snf = relax.snf\n"
+        "def corrupted_uinv(M):\n"
+        "    fact = basis_snf(M)\n"
+        "    fact.Uinv.data[0][0] += 1\n"
+        "    return fact\n"
+        "relax.snf = corrupted_uinv\n"
+        "try:\n"
+        "    relax_ilp(planted(2, 2, 1)[0])\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(grouprelax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\nraised\nraised\nraised\nraised\n"
+    assert out.stdout == "raised\nraised\nraised\nraised\nraised\nraised\n"
