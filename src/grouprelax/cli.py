@@ -124,12 +124,13 @@ def kernel(file, compress):
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--eta", type=float, default=0.5)
-@click.option("--dense-limit", type=int, default=DENSE_LIMIT_DEFAULT)
+@click.option("--dense-limit", type=int, default=DENSE_LIMIT_DEFAULT,
+              help="cap on |K|, the coset states diagnosed; memory is O(|K| k)")
 @click.option("--mu-sweep", type=int, default=8)
 @_handle_errors
 def diagnose(file, eta, dense_limit, mu_sweep):
-    """Short-path spectral diagnostics up to the dense limit (sparse
-    Lanczos ground states, gap from characters)."""
+    """Short-path spectral diagnostics on at most --dense-limit coset
+    states (sparse Lanczos ground states, gap from characters)."""
     grd = relax_ilp(_load(file))
     fc = feasible_coset(grd)
     rep = sp_diagnose(grd, fc, SPParams(eta=eta, dense_limit=dense_limit,

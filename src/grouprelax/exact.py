@@ -47,7 +47,7 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of([[0] * cols for _ in range(rows)])
 
     def copy(self) -> "IntMatrix":
         return IntMatrix._of([list(row) for row in self.data])
@@ -71,13 +71,13 @@ class IntMatrix:
 
     def select_columns(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
-        return IntMatrix([[row[j] for j in idx] for row in self.data])
+        return IntMatrix._of([[row[j] for j in idx] for row in self.data])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         ot = list(zip(*other.data))
-        return IntMatrix(
+        return IntMatrix._of(
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
         )
 

@@ -298,6 +298,27 @@ def enumerate_coset(fc: FeasibleCoset, cap: int) -> Iterator[tuple[int, ...]]:
         yield tuple(x)
 
 
+def coset_array(fc: FeasibleCoset, cap: int) -> np.ndarray:
+    """Every coset point, reduced, as a (|K|, d) array in
+    enumerate_coset's order: point i has the mixed-radix digits of i
+    over kb.orders as coefficients, the last generator's digit running
+    fastest. The dtype is the narrowest signed int that holds a sum of
+    two residues, Python ints past int64."""
+    kb = fc.basis
+    if kb.kernel_order > cap:
+        raise CapExceeded(f"|K| = {kb.kernel_order} exceeds cap {cap}")
+    mods = kb.moduli
+    top = 2 * max(mods, default=0)
+    dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                  if top <= np.iinfo(t).max), object)
+    m = np.array(mods, dtype=dtype)
+    X = np.array([[x % mc for x, mc in zip(fc.x_hat, mods)]], dtype=dtype)
+    for h, u in zip(reversed(kb.generators), reversed(kb.orders)):
+        M = np.array([[a * g % mc for g, mc in zip(h, mods)] for a in range(u)], dtype=dtype)
+        X = ((M[:, None, :] + X[None, :, :]) % m).reshape(u * len(X), len(mods))
+    return X
+
+
 def span(kb: KernelBasis) -> set[tuple[int, ...]]:
     """Subgroup generated by the basis, by breadth-first closure."""
     zero = (0,) * len(kb.moduli)

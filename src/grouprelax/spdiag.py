@@ -7,8 +7,10 @@ walk matrix, its ground state by Lanczos with residual and Perron
 certificates, the ground-state overlap with the optimal set, the walk
 gap from the characters of K, gamma / mu* / alpha estimates, and the
 two dimensionless super-quadratic condition ratios with a Theta(1)
-proxy band. No full spectrum is computed. scipy is imported inside the
-functions that use it, so ``import grouprelax`` does not load it.
+proxy band. No full spectrum and no n x n array is computed:
+``SPParams.dense_limit`` caps the number of coset states, and memory is
+O(|K| k). scipy is imported inside the functions that use it, so
+``import grouprelax`` does not load it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificateError, DenseLimitExceeded, DiagnosticUnavailable
-from .kernel import FeasibleCoset, KernelBasis, enumerate_coset
+from .kernel import FeasibleCoset, KernelBasis, coset_array
 from .relax import GroupRelaxationData
 from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, character_gap,
-                    cyclic_norm_max, log_sobolev_lower, pseudo_lipschitz,
-                    transition_matrix)
+                    check_coset_table, coset_table, cyclic_norm_max,
+                    log_sobolev_lower, max_move_variation, transition_counts)
 
 BAND_DEFAULT = (0.25, 4.0)  # closed Theta(1) proxy band, both ends inclusive
 
@@ -34,7 +36,7 @@ BAND_DEFAULT = (0.25, 4.0)  # closed Theta(1) proxy band, both ends inclusive
 class SPParams:
     eta: float = 0.5
     mu: Optional[float] = None       # default chosen from mu* and the gap
-    dense_limit: int = DENSE_LIMIT_DEFAULT
+    dense_limit: int = DENSE_LIMIT_DEFAULT   # cap on |K|, the states diagnosed
     mu_sweep: int = 8
     band: tuple[float, float] = BAND_DEFAULT
     expander_c: float = 8.0
@@ -59,21 +61,26 @@ def theta_eta(x, eta):
     return min(0, (x + 1 - eta) / eta)
 
 
-def _theta_vector(ftilde: Sequence[Fraction], eta: float,
-                  e_star: Fraction) -> np.ndarray:
-    """theta_eta(ftilde / |E*|) per state; the arguments must land in
-    [-1, 0] exactly and the values in [-1, 0]."""
-    abs_e = abs(Fraction(e_star))
-    theta = np.empty(len(ftilde))
-    for i, v in enumerate(ftilde):
-        x = Fraction(v) / abs_e
-        if not -1 <= x <= 0:
-            raise CertificateError("shifted cost left the normalized range")
-        th = theta_eta(float(x), eta)
-        if not -1 - 1e-12 <= th <= 0:
-            raise CertificateError(f"theta_eta value {th} outside [-1, 0]")
-        theta[i] = th
+def _theta_vector(a: np.ndarray, E: int, eta: float) -> np.ndarray:
+    """theta_eta(a_i / E) per state, for integers a_i (den * ftilde)
+    and E = den * |E*| > 0. Each quotient must land in [-1, 0] exactly,
+    checked on the integers, and is rounded once, as float(Fraction)
+    rounds it: numpy divides while E <= 2^53 (every a_i is then exact
+    in a float), Python ints divide beyond. The values must lie in
+    [-1, 0]."""
+    if np.any(a < -E) or np.any(a > 0):
+        raise CertificateError("shifted cost left the normalized range")
+    x = a.astype(np.float64) / float(E) if E <= 2**53 else np.array([v / E for v in a.tolist()])
+    theta = _theta_eta_array(x, float(eta))
+    if not np.all((-1 - 1e-12 <= theta) & (theta <= 0)):
+        raise CertificateError("a theta_eta value lies outside [-1, 0]")
     return theta
+
+
+def _theta_eta_array(x: np.ndarray, eta: float) -> np.ndarray:
+    """theta_eta elementwise, with theta_eta's float operations."""
+    v = (x + 1 - eta) / eta
+    return np.where(v < 0, v, 0.0)
 
 
 def _hamiltonian(P, mu: float, theta: np.ndarray):
@@ -88,7 +95,12 @@ def build_sp_hamiltonian(P, ftilde: Sequence[Fraction], mu: float,
                          eta: float, e_star: Fraction):
     """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
     P is, sparse when P is. The theta arguments all land in [-1, 0]."""
-    return _hamiltonian(P, mu, _theta_vector(ftilde, eta, e_star))
+    values = [Fraction(v) for v in ftilde]
+    abs_e = abs(Fraction(e_star))
+    den = math.lcm(abs_e.denominator, *(v.denominator for v in values))
+    a = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+    theta = _theta_vector(a, abs_e.numerator * (den // abs_e.denominator), eta)
+    return _hamiltonian(P, mu, theta)
 
 
 def ground_overlap(H, kstar_idx: Sequence[int]) -> tuple[float, float]:
@@ -106,8 +118,15 @@ def ground_overlap(H, kstar_idx: Sequence[int]) -> tuple[float, float]:
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
     n = H.shape[0]
-    C = sp.coo_array(H)
-    if np.any(C.data[C.row != C.col] > 0):
+    if sp.issparse(H):
+        # the stored entries of a CSR H in place: only positive ones are
+        # looked up, by row
+        C = H if H.format == "csr" else sp.csr_array(H)
+        pos = np.flatnonzero(C.data > 0)
+        positive_off = np.any(C.indices[pos] != np.searchsorted(C.indptr, pos, "right") - 1)
+    else:
+        positive_off = np.any((H > 0) & ~np.eye(n, dtype=bool))
+    if positive_off:
         raise ValueError("H has a positive off-diagonal entry: not stoquastic")
     if n == 1:
         lam0, psi = float(H.diagonal()[0]), np.ones(1)
@@ -185,57 +204,95 @@ def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
     return ConditionCheck(r1, lo <= r1 <= hi), ConditionCheck(r2, lo <= r2 <= hi)
 
 
+def _ints(a: np.ndarray, bound: int) -> np.ndarray:
+    """a as int64 when every value it will hold is below bound <= 2^63
+    in magnitude, as Python ints otherwise."""
+    return a.astype(np.int64 if bound < 2**63 else object, copy=False)
+
+
 def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
                 params: SPParams,
                 kstar_order: Optional[int] = None) -> SPReport:
-    """Full diagnostic up to the dense limit: enumerates the coset,
-    builds the exact walk matrix (checked symmetric and doubly
-    stochastic) and keeps it as a sparse P, takes the gap delta from
-    the characters of K, sweeps mu in [0, mu_chosen) with a Lanczos
-    ground state of each sparse H_mu, and evaluates every estimate.
-    kstar_order defaults to the brute-force count."""
+    """Full diagnostic on at most dense_limit states, in memory
+    O(|K| k): enumerates the coset in mixed radix, prices each point by
+    the integer numerator const + w·x of grd.cost, reads the walk's
+    (|K|, 2k) neighbour table off the generator orders and certifies it
+    (moved states, distinct points, symmetry, double stochasticity),
+    keeps the walk matrix as canonical sparse counts, takes the gap
+    delta from the characters of K, and sweeps mu in [0, mu_chosen)
+    with a Lanczos ground state of each sparse H_mu, rewriting only its
+    diagonal. Every figure is rounded as the Fraction-per-state
+    reference in the tests rounds it. kstar_order defaults to the
+    brute-force count."""
     kb = fc.basis
-    if kb.kernel_order > params.dense_limit:
-        raise DenseLimitExceeded(
-            f"|K| = {kb.kernel_order} exceeds dense limit {params.dense_limit}")
-    states = list(enumerate_coset(fc, params.dense_limit))
-    n = len(states)
-    values = [grd.cost(s) for s in states]
-    C, e_star = shifted_cost(values)
+    n = kb.kernel_order
+    if n > params.dense_limit:
+        raise DenseLimitExceeded(f"|K| = {n} exceeds dense limit {params.dense_limit}")
+    cost, moduli = grd.cost, kb.moduli
+    if len(cost.weights) != len(moduli):
+        raise ValueError(f"cost on {len(cost.weights)} coordinates for a coset "
+                         f"on {len(moduli)}")
+    den = cost.den
+    X = coset_array(fc, params.dense_limit)
+    # |const + w·x| < bound at every point and after every partial sum
+    bound = abs(cost.const) + sum(abs(w) * m for w, m in zip(cost.weights, moduli))
+    if X.dtype == object:
+        bound = max(bound, 2**63)
+    iv = np.full(n, cost.const, dtype=np.int64 if bound < 2**63 else object)
+    for c, w in enumerate(cost.weights):
+        iv += w * _ints(X[:, c], bound)
+    lo, hi = int(iv.min()), int(iv.max())
+    C, e_star = Fraction(hi + den, den), Fraction(lo - hi - den, den)
     f_max = C - 1
-    ftilde = [v - C for v in values]
-    fmin = min(values)
-    kstar_idx = [i for i, v in enumerate(values) if v == fmin]
+    E = hi + den - lo                        # den * |E*|
+    a = _ints(iv, 2 * bound + den) - (hi + den)   # den * ftilde, in [-E, -den]
+    kstar_idx = np.flatnonzero(iv == lo)
     if kstar_order is None:
         kstar_order = len(kstar_idx)
-    degenerate = kstar_order == kb.kernel_order
+    degenerate = kstar_order == n
 
-    spec = CayleyWalkSpec(generators=kb.generators, moduli=kb.moduli)
+    spec = CayleyWalkSpec(generators=kb.generators, moduli=moduli)
     weights = grd.cbold
-    norms_max = cyclic_norm_max(kb.generators, weights, kb.moduli)
+    norms_max = cyclic_norm_max(kb.generators, weights, moduli)
     omega = log_sobolev_lower(kb)
     c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order, params.band)
 
-    if n == 1 or not kb.generators:
+    sparse = n > 1 and bool(kb.generators)
+    if not sparse:
         P = np.eye(n)
         delta = 1.0
         plip = Fraction(0)
     else:
         import scipy.sparse as sp
-        dt = transition_matrix(spec, states, params.dense_limit)
-        P = sp.csr_array(dt.counts) / dt.den
+        nb = coset_table(kb.orders)
+        check_coset_table(spec, X, nb)
+        del X
         delta = character_gap(kb, spec.laziness)
-        plip, _ = pseudo_lipschitz(grd.cost, spec, states, weights)
+        move_w = (1 - spec.laziness) / (2 * len(kb.generators))
+        plip = move_w * Fraction(max_move_variation(iv, nb), den * den)
+        counts, cden = transition_counts(spec, nb)
+        del nb
+        # -P with P = counts / cden as scipy divides it, counts.astype(float)
+        # * (1 / cden), with no copy of the index arrays
+        data = counts.data.astype(np.float64)
+        data *= 1 / cden
+        H = sp.csr_array((np.negative(data, out=data), counts.indices, counts.indptr),
+                         shape=counts.shape)
+        del counts, data
 
     abs_e = float(abs(e_star))
     eta = params.eta
     pi_ratio = kb.kernel_order / kstar_order
     gamma_plain = gamma_trunc = mu_star_ls = mu = alpha_hat = None
     mu_star_gap = delta / 4
-    mean_ft = sum(ftilde, Fraction(0)) / n
-    trunc_vals = [abs_e * theta_eta(float(ft) / abs_e, eta) for ft in ftilde]
-    mean_trunc = sum(trunc_vals) / n
-    sublevel = sum(1 for ft in ftilde if float(ft) <= (1 - eta) * float(e_star)) / n
+    mean_ft = Fraction(int(_ints(a, n * E).sum()), den * n)
+    # float(ftilde) per state; a float holds every a_i and den exactly
+    # while both are at most 2^53
+    ft = (a.astype(np.float64) / float(den) if max(E, den) <= 2**53
+          else np.array([v / den for v in a.tolist()]))
+    trunc_vals = abs_e * _theta_eta_array(ft / abs_e, float(eta))
+    mean_trunc = sum(trunc_vals.tolist()) / n   # left to right, as Python sums
+    sublevel = int(np.count_nonzero(ft <= (1 - eta) * float(e_star))) / n
     if not degenerate:
         logpi = math.log(pi_ratio)
         denom = float(plip) * logpi if plip > 0 else None
@@ -259,10 +316,22 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     overlap_curve = []
     lambda_curve = []
     steps = max(params.mu_sweep, 1)
-    theta = _theta_vector(ftilde, eta, e_star)
+    theta = _theta_vector(a, E, eta)
+    if sparse:
+        # H_mu differs from -P only on the diagonal, where it adds mu *
+        # theta as -P + diags(mu * theta) does: the sum rounds the same
+        # either way round, and a zero term leaves -P_ii as it is
+        rows = np.repeat(np.arange(n, dtype=H.indices.dtype), np.diff(H.indptr))
+        diag_pos = np.flatnonzero(H.indices == rows)
+        minus_p_diag = H.data[diag_pos]
+        del rows
     for i in range(steps):
         mu_i = sweep_top * i / steps
-        lam1, ov = ground_overlap(_hamiltonian(P, mu_i, theta), kstar_idx)
+        if sparse:
+            H.data[diag_pos] = minus_p_diag + mu_i * theta
+        else:
+            H = _hamiltonian(P, mu_i, theta)
+        lam1, ov = ground_overlap(H, kstar_idx)
         overlap_curve.append((mu_i, ov))
         lambda_curve.append((mu_i, lam1))
     # mu = 0 ground state is uniform, overlap must equal |K*|/|K|

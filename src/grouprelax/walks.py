@@ -12,7 +12,14 @@ threshold and sparse generator supports precomputed by
 generator; the Metropolis filter prices each move by the integer
 change of a ``LinearCost``, so no step does rational arithmetic.
 ``step`` and ``metropolis_step`` are its one-step forms.
-The dense diagnostics share one neighbour table, ``_neighbours``.
+
+The walk matrix comes from an (n, 2k) neighbour table: ``coset_table``
+reads it off the generator orders for a whole coset, and
+``check_coset_table`` certifies it against the points; ``_neighbours``
+builds it by lookup for any state list closed under the generators.
+``transition_counts`` turns a table into exact sparse counts in memory
+O(n k). ``transition_matrix`` (those counts, densified) and
+``spectral_gap`` are the dense oracles.
 """
 
 from __future__ import annotations
@@ -202,9 +209,9 @@ class DenseTransition:
 
 
 def _neighbours(spec: CayleyWalkSpec, states: list[tuple[int, ...]]) -> np.ndarray:
-    """(n, 2k) index table: column 2j holds the index of state + h_j and
-    column 2j + 1 that of state - h_j. Raises ValueError when a move
-    leaves the state set."""
+    """(n, 2k) index table over an explicit state list: column 2j holds
+    the index of state + h_j and column 2j + 1 that of state - h_j.
+    Raises ValueError when a move leaves the state set."""
     index = {s: i for i, s in enumerate(states)}
     n, d = len(states), len(spec.moduli)
     # states and generators are residues, so x + h < 2 * modulus: int64
@@ -223,31 +230,102 @@ def _neighbours(spec: CayleyWalkSpec, states: list[tuple[int, ...]]) -> np.ndarr
     return table
 
 
+def coset_table(orders: Sequence[int]) -> np.ndarray:
+    """The (n, 2k) table of ``_neighbours`` for the coset in
+    ``kernel.coset_array``'s order, n = prod(orders), read off the
+    mixed-radix digits: +-h_j moves digit j by +-1 mod u_j, so the index
+    by +-stride_j, with wrap. ``check_coset_table`` certifies it."""
+    n = math.prod(orders)
+    idx = np.arange(n)
+    table = np.empty((n, 2 * len(orders)), dtype=np.int32 if n < 2**31 else np.intp)
+    stride = n
+    for j, u in enumerate(orders):
+        stride //= u
+        digit = idx // stride % u
+        table[:, 2 * j] = np.where(digit == u - 1, idx - (u - 1) * stride, idx + stride)
+        table[:, 2 * j + 1] = np.where(digit == 0, idx + (u - 1) * stride, idx - stride)
+    return table
+
+
+def check_coset_table(spec: CayleyWalkSpec, X: np.ndarray, nb: np.ndarray) -> None:
+    """CertificateError unless row i of nb holds the indices of X[i] +- h_j
+    and the rows of X, the points of ``kernel.coset_array`` (in a dtype
+    that holds a sum of two residues), are distinct. O(n k d)."""
+    n = len(X)
+    if nb.shape != (n, 2 * len(spec.generators)) or (n and not 0 <= nb.min() <= nb.max() < n):
+        raise CertificateError("neighbour table does not index the state set")
+    m = np.array(spec.moduli, dtype=X.dtype)
+    for j, h in enumerate(spec.generators):
+        H = np.array([g % mc for g, mc in zip(h, spec.moduli)], dtype=X.dtype)
+        # X and H hold residues: one conditional subtraction or addition
+        # of m reduces their sum or difference
+        up, down = X + H, X - H
+        np.subtract(up, m, out=up, where=up >= m)
+        np.add(down, m, out=down, where=down < 0)
+        for c, moved in enumerate((up, down)):
+            if not np.array_equal(X[nb[:, 2 * j + c]], moved):
+                raise CertificateError(
+                    f"neighbour table column {2 * j + c} does not hold the moved states")
+        del up, down
+    if X.dtype == object:
+        distinct = len(set(map(tuple, X.tolist()))) == n
+    else:
+        # sorted, equal points are adjacent
+        Xs = X[np.lexsort(X.T)]
+        distinct = not np.all(Xs[1:] == Xs[:-1], axis=1).any()
+    if not distinct:
+        raise CertificateError("the enumerated coset repeats a point")
+
+
+def transition_counts(spec: CayleyWalkSpec, nb: np.ndarray):
+    """den * P for the lazy Cayley walk with neighbour table nb, as a
+    canonical int64 CSR array (duplicates summed, indices sorted), and
+    den. The table is certified first: every state is hit exactly 2k
+    times, so the counts are doubly stochastic, and each move pairs
+    with its inverse, nb[nb[:, 2j], 2j + 1] = i, so they are symmetric.
+    Memory O(n k). Needs k >= 1."""
+    import scipy.sparse as sp
+    n, width = nb.shape
+    k = width // 2
+    if n and not 0 <= nb.min() <= nb.max() < n:
+        raise CertificateError("neighbour table does not index the state set")
+    move_w = (1 - spec.laziness) / (2 * k)
+    den = math.lcm(spec.laziness.denominator, move_w.denominator)
+    if not np.all(np.bincount(nb.ravel(), minlength=n) == 2 * k):
+        raise CertificateError("a state is not hit 2k times: the walk is not doubly stochastic")
+    idx = np.arange(n)
+    for j in range(k):
+        if not np.array_equal(nb[nb[:, 2 * j], 2 * j + 1], idx):
+            raise CertificateError(
+                f"moves +-h_{j} are not an involution pairing: the walk is not symmetric")
+    itype = np.int32 if n * (width + 1) < 2**31 else np.int64
+    cols = np.empty((n, width + 1), dtype=itype)
+    cols[:, 0] = idx
+    cols[:, 1:] = nb
+    data = np.full((n, width + 1), int(move_w * den), dtype=np.int64)
+    data[:, 0] = int(spec.laziness * den)
+    counts = sp.csr_array((data.ravel(), cols.ravel(),
+                           np.arange(0, n * (width + 1) + 1, width + 1, dtype=itype)),
+                          shape=(n, n))
+    counts.sum_duplicates()
+    return counts, den
+
+
 def transition_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
                       dense_limit: int = DENSE_LIMIT_DEFAULT) -> DenseTransition:
     """Dense P for the lazy Cayley walk on a state set closed under the
-    generators (a coset). Entries are exact rationals with common
-    denominator; symmetry and double stochasticity hold by construction
-    and are re-checked here."""
+    generators (a coset): ``transition_counts`` densified, the dense
+    oracle of the walk matrix. Entries are exact rationals with common
+    denominator; symmetry and double stochasticity are certified on the
+    table and re-checked here on the dense counts."""
     n = len(states)
     if n > dense_limit:
         raise DenseLimitExceeded(f"{n} states > dense limit {dense_limit}")
     states = list(states)
-    k = len(spec.generators)
-    if k == 0:
-        dt = DenseTransition(states, np.eye(n, dtype=np.int64), 1)
-        return dt
-    move_w = (1 - spec.laziness) / (2 * k)
-    den = (spec.laziness.denominator * move_w.denominator) // math.gcd(
-        spec.laziness.denominator, move_w.denominator
-    )
-    hold = int(spec.laziness * den)
-    per_move = int(move_w * den)
-    nb = _neighbours(spec, states)
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.fill_diagonal(counts, hold)
-    np.add.at(counts, (np.arange(n).repeat(2 * k), nb.ravel()), per_move)
-    dt = DenseTransition(states, counts, den)
+    if not spec.generators:
+        return DenseTransition(states, np.eye(n, dtype=np.int64), 1)
+    counts, den = transition_counts(spec, _neighbours(spec, states))
+    dt = DenseTransition(states, counts.toarray(), den)
     if not dt.is_symmetric():
         raise CertificateError("Cayley walk matrix must be symmetric")
     if not dt.is_doubly_stochastic():
@@ -328,6 +406,20 @@ def cyclic_norm_max(generators: Sequence[Sequence[int]], w: Sequence,
     return max((cyclic_metric(h, w, moduli) for h in generators), default=Fraction(0))
 
 
+def max_move_variation(iv: np.ndarray, nb: np.ndarray) -> int:
+    """max_x sum_c (iv[x] - iv[nb[x, c]])^2 over the states of an
+    (n, 2k) neighbour table, for an integer array iv: int64 while
+    2k (max - min)^2 < 2^63, Python ints beyond."""
+    lo, hi = int(iv.min()), int(iv.max())
+    small = -2**63 <= lo and hi < 2**63 and nb.shape[1] * (hi - lo) ** 2 < 2**63
+    iv = iv.astype(np.int64 if small else object)
+    total = np.zeros(len(iv), dtype=iv.dtype)
+    for c in range(nb.shape[1]):
+        diff = iv - iv[nb[:, c]]
+        total += diff * diff
+    return int(total.max())
+
+
 def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
                      spec: CayleyWalkSpec,
                      states: Sequence[tuple[int, ...]],
@@ -345,9 +437,8 @@ def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
         values = [Fraction(f(s)) for s in states]
         den = math.lcm(*(v.denominator for v in values))
         iv = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
-        diff = iv[:, None] - iv[nb]
         move_w = (1 - spec.laziness) / (2 * k)
-        best = move_w * Fraction(int((diff * diff).sum(axis=1).max()), den * den)
+        best = move_w * Fraction(max_move_variation(iv, nb), den * den)
     bound = None
     if weights is not None:
         b = cyclic_norm_max(spec.generators, weights, spec.moduli)

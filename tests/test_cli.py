@@ -4,9 +4,8 @@ import pytest
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from grouprelax import search
+from grouprelax import search, spdiag
 from grouprelax.cli import main
-from grouprelax.walks import DenseTransition
 from tests.test_spdiag import second_eigenpair
 
 
@@ -259,11 +258,18 @@ def test_diagnose_cutgen_optimal_set_not_dividing_k(tmp_path):
 
 
 def test_certificate_failure_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setattr(DenseTransition, "is_doubly_stochastic", lambda self: False)
+    table = spdiag.coset_table
+
+    def corrupted(orders):
+        nb = table(orders)
+        nb[0, 0] = 0  # a move that stays put
+        return nb
+
+    monkeypatch.setattr(spdiag, "coset_table", corrupted)
     path = write_golden_instances(tmp_path)["planted"]
     res = run(["diagnose", str(path)])
     assert res.exit_code == 1
-    assert "error: Cayley walk matrix must be doubly stochastic" in res.output
+    assert "error: neighbour table column 0 does not hold the moved states" in res.output
 
 
 def test_perron_certificate_failure_exits_1(tmp_path, monkeypatch):

@@ -12,6 +12,25 @@ from grouprelax.gen import CutStockSpec, cutgen
 from tests.snf_oracle import eager_snf
 
 
+def test_int_matrix_builders_make_fresh_int_rows():
+    A = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    B = IntMatrix([[1, 0], [0, 1], [1, 1]])
+    for M, rows in [(IntMatrix.zeros(2, 3), [[0] * 3] * 2),
+                    (A.select_columns([2, 0]), [[3, 1], [6, 4]]),
+                    (A @ B, [[4, 5], [10, 11]])]:
+        assert M.data == rows and (M.rows, M.cols) == (len(rows), len(rows[0]))
+        assert all(type(v) is int for row in M.data for v in row)
+        M.data[0][0] = 99  # no row is shared with an input
+    assert A == IntMatrix([[1, 2, 3], [4, 5, 6]]) and B.data[0] == [1, 0]
+    # outside input is still copied and checked
+    rows = [[1.0, True]]
+    C = IntMatrix(rows)
+    assert C.data == [[1, 1]] and all(type(v) is int for v in C.data[0])
+    assert C.data[0] is not rows[0]
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+
+
 def assert_matches_eager_oracle(M):
     """D, Uinv, Vinv and the on-demand U and V equal the eager SNF's."""
     fact, ref = snf(M), eager_snf(M)

@@ -14,7 +14,7 @@ from grouprelax import (column_orders, compress_coset, compress_kernel,
                         enumerate_coset, feasible_coset, relax_ilp)
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import _group_residual, element_order, span
+from grouprelax.kernel import _group_residual, coset_array, element_order, span
 from tests.compress_oracle import two_snf_compress_kernel
 from tests.conftest import build, stub_grd
 
@@ -115,6 +115,23 @@ def test_enumerate_coset_trivial():
     grd = stub_grd([[1]], [4], [3])
     fc = feasible_coset(grd)
     assert list(enumerate_coset(fc, 10)) == [(3,)]
+
+
+def test_coset_array_matches_enumerate_coset():
+    # numpy mixed radix against the itertools order: planted, cutgen, a
+    # compressed coset (per-column moduli), a trivial kernel, and a
+    # modulus past 2^62 (Python ints)
+    fcs = [build(planted(3, 3, 1, style="random-lower-unit")[0])[3],
+           build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[3],
+           feasible_coset(stub_grd([[1]], [4], [3]))]
+    grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[2:]
+    fcs.append(compress_coset(grd, fc))
+    fcs.append(feasible_coset(stub_grd([[2]], [2**64], [2])))
+    for fc in fcs:
+        assert coset_array(fc, 1000).tolist() == [list(p) for p in enumerate_coset(fc, 1000)]
+    assert coset_array(fcs[-1], 1000).dtype == object
+    with pytest.raises(CapExceeded):
+        coset_array(fcs[0], 26)
 
 
 def test_compress_planted_t2_m2():

@@ -5,6 +5,7 @@ ratios."""
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,10 +23,12 @@ from grouprelax import (SPParams, build_sp_hamiltonian, ground_overlap,
 from grouprelax.errors import (CertificateError, DenseLimitExceeded,
                                DiagnosticUnavailable)
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import KernelBasis, enumerate_coset, feasible_coset
+from grouprelax.kernel import (KernelBasis, compress_coset, enumerate_coset,
+                               feasible_coset)
 from grouprelax.walks import (CayleyWalkSpec, character_gap, spectral_gap,
                               transition_matrix)
-from tests.conftest import build
+from tests import spdiag_oracle
+from tests.conftest import build, stub_grd
 
 
 def test_shifted_cost_planted_values():
@@ -254,6 +257,19 @@ def test_ground_overlap_needs_stoquastic():
             ground_overlap(H, [0])
 
 
+def test_ground_overlap_one_positive_off_diagonal_entry():
+    # one positive entry above the diagonal, and a positive diagonal
+    # entry that the check must let through
+    H = np.array([[-1.0, -0.5, 0.0], [-0.5, 0.5, 0.25], [0.0, -0.5, -1.0]])
+    for form in (H, scipy.sparse.csr_array(H), scipy.sparse.coo_array(H)):
+        with pytest.raises(ValueError, match="stoquastic"):
+            ground_overlap(form, [0])
+    H[1, 2] = -0.5
+    for form in (H, scipy.sparse.csr_array(H)):
+        lam, ov = ground_overlap(form, [0])
+        assert abs(lam - np.linalg.eigvalsh(H)[0]) < 1e-12
+
+
 def second_eigenpair(H, k, **kwargs):
     """Stand-in solver that returns the second eigenpair: a true
     eigenpair, so only the Perron certificate can reject it."""
@@ -290,3 +306,68 @@ def test_import_does_not_load_scipy():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+# sp_diagnose against the Fraction-per-state dense reference in
+# tests/spdiag_oracle.py: every SPReport field, compared by repr, so the
+# overlap and lambda curves must agree to the last bit.
+
+def ladder_planted_draws(seed=1):
+    """The benchmark ladder's two planted instances: (t, m, style) (2, 8,
+    identity) and (3, 6, random-lower-unit), ell and the instance seed
+    drawn from random.Random(seed) in that order."""
+    rng = random.Random(seed)
+    out = []
+    for t, m, style in ((2, 8, "identity"), (3, 6, "random-lower-unit")):
+        ell = rng.randint(1, t - 1)
+        out.append(planted(t, m, ell, seed=rng.randrange(1 << 30), style=style)[0])
+    return out
+
+
+def oracle_report_cases():
+    """(grd, fc, params, kstar_order) for the report comparison."""
+    insts = ladder_planted_draws()
+    insts += [planted(t, m, 1, seed=4, style=style)[0]
+              for t, m in ((2, 12), (4, 6), (3, 7), (5, 4))
+              for style in ("identity", "random-lower-unit")]
+    # cutgen cosets with |K| = 1, 27, 64 and 100
+    insts += [cutgen(CutStockSpec(m=m, L=L, v2=0.8, dbar=2.0, seed=s))
+              for m, L, s in ((3, 10, 9), (4, 20, 24), (4, 20, 35), (3, 10, 2))]
+    cases = [(*build(inst)[2:], SPParams(), None) for inst in insts]
+    assert sorted(fc.basis.kernel_order for _, fc, _, _ in cases[-4:]) == [1, 27, 64, 100]
+    # the |K| = 64 coset compressed (moduli differ by column), another eta
+    grd, fc = cases[-2][:2]
+    cases.append((grd, compress_coset(grd, fc), SPParams(eta=0.3, mu_sweep=5), None))
+    # a degenerate coset: a cost that is the same at every point
+    grd = stub_grd([[1, 3]], [6], [1], cbold=[0, 0])
+    cases.append((grd, feasible_coset(grd), SPParams(), None))
+    # an explicit kstar_order
+    grd, fc = build(planted(3, 3, 1)[0])[2:]
+    cases.append((grd, fc, SPParams(mu_sweep=3), 5))
+    return cases
+
+
+def test_sp_diagnose_matches_oracle():
+    degenerate = 0
+    for grd, fc, params, kstar in oracle_report_cases():
+        rep = sp_diagnose(grd, fc, params, kstar)
+        assert repr(rep) == repr(spdiag_oracle.sp_diagnose(grd, fc, params, kstar))
+        degenerate += rep.degenerate
+    assert degenerate >= 2
+
+
+def test_sp_diagnose_fits_two_gib():
+    # |K| = 32768: the n x n counts alone would take 8 GiB
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from grouprelax import SPParams, feasible_coset, planted, relax_ilp, sp_diagnose\n"
+              "grd = relax_ilp(planted(2, 15, 1)[0])\n"
+              "rep = sp_diagnose(grd, feasible_coset(grd), SPParams(dense_limit=32768))\n"
+              "print(rep.k_order, rep.kstar_order, rep.overlap_curve[0][1] * 32768)\n")
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    k, kstar, ov = out.stdout.split()
+    assert (k, kstar) == ("32768", "1") and abs(float(ov) - 1) < 1e-8

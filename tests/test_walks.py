@@ -12,16 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import grouprelax
 from grouprelax import (CutStockSpec, compress_coset, cutgen, cyclic_metric,
                         expander_generation, log_sobolev_lower, metropolis_step,
                         pseudo_lipschitz, spectral_gap, step, transition_matrix)
-from grouprelax.errors import DenseLimitExceeded
+from grouprelax.errors import CertificateError, DenseLimitExceeded
 from grouprelax.gen import planted
-from grouprelax.kernel import KernelBasis, enumerate_coset, span
+from grouprelax.kernel import (FeasibleCoset, KernelBasis, coset_array, enumerate_coset,
+                               span)
 from grouprelax.relax import LinearCost
-from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, walk
+from grouprelax.walks import (CayleyWalkSpec, _neighbours, check_coset_table, coset_table,
+                              cyclic_norm_max, transition_counts, walk)
 from tests import walk_oracle
 from tests.conftest import build
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
@@ -412,6 +415,66 @@ def test_pseudo_lipschitz_matches_reference():
         assert bound is None
 
 
+def test_transition_counts_match_dense_reference():
+    # canonical CSR: scipy's own conversion of the dense n x n counts
+    for spec, states, _ in neighbour_table_cases():
+        counts, den = transition_counts(spec, _neighbours(spec, states))
+        ref_counts, ref_den = reference_counts(spec, states)
+        ref = scipy.sparse.csr_array(np.array(ref_counts, dtype=np.int64))
+        assert den == ref_den
+        assert counts.dtype == np.int64 and counts.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(counts, attr), getattr(ref, attr))
+
+
+def test_transition_counts_certificates():
+    spec = simple_spec([(1,)], (3,))
+    nb = np.array([[1, 2], [2, 0], [0, 1]])
+    counts, den = transition_counts(spec, nb)
+    assert den == 3 and counts.toarray().tolist() == [[1, 1, 1]] * 3
+    for bad, match in [([[1, 2], [2, 0], [0, 2]], "doubly stochastic"),
+                       ([[1, 1], [2, 2], [0, 0]], "involution"),
+                       ([[1, 2], [2, 0], [0, 3]], "does not index")]:
+        with pytest.raises(CertificateError, match=match):
+            transition_counts(spec, np.array(bad))
+
+
+def coset_cases():
+    for t, m, style in [(2, 3, "identity"), (3, 3, "random-lower-unit"), (5, 2, "identity")]:
+        yield build(planted(t, m, 1, seed=2, style=style)[0])[3]
+    grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[2:]
+    yield fc
+    yield compress_coset(grd, fc)
+
+
+def test_coset_table_matches_neighbours():
+    for fc in coset_cases():
+        kb = fc.basis
+        spec = simple_spec(kb.generators, kb.moduli)
+        nb = coset_table(kb.orders)
+        assert np.array_equal(nb, _neighbours(spec, list(enumerate_coset(fc, 1000))))
+        check_coset_table(spec, coset_array(fc, 1000), nb)
+
+
+def test_check_coset_table_certificates():
+    fc = build(planted(3, 3, 1, seed=2, style="random-lower-unit")[0])[3]
+    kb = fc.basis
+    spec = simple_spec(kb.generators, kb.moduli)
+    X, nb = coset_array(fc, 100), coset_table(kb.orders)
+    bad = nb.copy()
+    bad[3, 1] = bad[3, 0]  # order 3: the -h_0 neighbour is not the +h_0 one
+    with pytest.raises(CertificateError, match="column 1 does not hold the moved states"):
+        check_coset_table(spec, X, bad)
+    with pytest.raises(CertificateError, match="does not index"):
+        check_coset_table(spec, X, nb[:, :2])
+    # order 2 claimed as 4: every move lands right, but the points repeat
+    kb4 = KernelBasis(((2,),), (4,), (4,), 4, 1)
+    fc4 = FeasibleCoset((1,), kb4)
+    with pytest.raises(CertificateError, match="repeats a point"):
+        check_coset_table(simple_spec(kb4.generators, kb4.moduli),
+                          coset_array(fc4, 10), coset_table(kb4.orders))
+
+
 def test_neighbour_table_needs_closed_state_set():
     # (1, 0) + (1, 0) = (2, 0) is missing; the second set takes the
     # Python-int path of a modulus >= 2^62
@@ -498,10 +561,36 @@ def test_certificates_fire_under_python_O():
         "    relax_ilp(planted(2, 2, 1)[0])\n"
         "except CertificateError:\n"
         "    print('raised')\n"
+        # the diagnose neighbour table: an entry that does not hold the
+        # moved state
+        "relax.snf = basis_snf\n"
+        "from grouprelax import SPParams, feasible_coset, sp_diagnose, spdiag\n"
+        "table = spdiag.coset_table\n"
+        "def corrupted_table(orders):\n"
+        "    nb = table(orders)\n"
+        "    nb[0, 0] = 0\n"
+        "    return nb\n"
+        "spdiag.coset_table = corrupted_table\n"
+        "grd = relax_ilp(planted(2, 3, 1)[0])\n"
+        "try:\n"
+        "    sp_diagnose(grd, feasible_coset(grd), SPParams())\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+        # a pairing that is not an involution: the -h column repeats the +h one
+        "neighbours = walks._neighbours\n"
+        "def unpaired(spec, states):\n"
+        "    nb = neighbours(spec, states)\n"
+        "    nb[:, 1] = nb[:, 0]\n"
+        "    return nb\n"
+        "walks._neighbours = unpaired\n"
+        "try:\n"
+        "    transition_matrix(CayleyWalkSpec(((1,),), (3,)), [(0,), (1,), (2,)])\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
     src = str(Path(grouprelax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\nraised\nraised\nraised\nraised\nraised\n"
+    assert out.stdout == "raised\n" * 8
