@@ -61,17 +61,24 @@ def theta_eta(x, eta):
     return min(0, (x + 1 - eta) / eta)
 
 
+def _exact_quotients(a: np.ndarray, d: int, bound: int) -> np.ndarray:
+    """float(a_i / d) per integer a_i, rounded once, as float(Fraction)
+    rounds it, for d > 0 and bound >= max(d, max |a_i|): numpy divides
+    while bound <= 2^53 (a float then holds every a_i and d exactly),
+    Python ints divide beyond."""
+    if bound <= 2**53:
+        return a.astype(np.float64) / float(d)
+    return np.array([v / d for v in a.tolist()], dtype=np.float64)
+
+
 def _theta_vector(a: np.ndarray, E: int, eta: float) -> np.ndarray:
     """theta_eta(a_i / E) per state, for integers a_i (den * ftilde)
     and E = den * |E*| > 0. Each quotient must land in [-1, 0] exactly,
-    checked on the integers, and is rounded once, as float(Fraction)
-    rounds it: numpy divides while E <= 2^53 (every a_i is then exact
-    in a float), Python ints divide beyond. The values must lie in
-    [-1, 0]."""
+    checked on the integers, and is rounded once (``_exact_quotients``).
+    The values must lie in [-1, 0]."""
     if np.any(a < -E) or np.any(a > 0):
         raise CertificateError("shifted cost left the normalized range")
-    x = a.astype(np.float64) / float(E) if E <= 2**53 else np.array([v / E for v in a.tolist()])
-    theta = _theta_eta_array(x, float(eta))
+    theta = _theta_eta_array(_exact_quotients(a, E, E), float(eta))
     if not np.all((-1 - 1e-12 <= theta) & (theta <= 0)):
         raise CertificateError("a theta_eta value lies outside [-1, 0]")
     return theta
@@ -83,14 +90,6 @@ def _theta_eta_array(x: np.ndarray, eta: float) -> np.ndarray:
     return np.where(v < 0, v, 0.0)
 
 
-def _hamiltonian(P, mu: float, theta: np.ndarray):
-    """-P + diag(mu * theta): dense for a numpy P, CSR for a sparse P."""
-    if isinstance(P, np.ndarray):
-        return -P + np.diag(mu * theta)
-    import scipy.sparse as sp
-    return (-P + sp.diags_array(mu * theta)).tocsr()
-
-
 def build_sp_hamiltonian(P, ftilde: Sequence[Fraction], mu: float,
                          eta: float, e_star: Fraction):
     """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
@@ -100,7 +99,10 @@ def build_sp_hamiltonian(P, ftilde: Sequence[Fraction], mu: float,
     den = math.lcm(abs_e.denominator, *(v.denominator for v in values))
     a = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
     theta = _theta_vector(a, abs_e.numerator * (den // abs_e.denominator), eta)
-    return _hamiltonian(P, mu, theta)
+    if isinstance(P, np.ndarray):
+        return -P + np.diag(mu * theta)
+    import scipy.sparse as sp
+    return (-P + sp.diags_array(mu * theta)).tocsr()
 
 
 def ground_overlap(H, kstar_idx: Sequence[int]) -> tuple[float, float]:
@@ -257,13 +259,13 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     omega = log_sobolev_lower(kb)
     c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order, params.band)
 
-    sparse = n > 1 and bool(kb.generators)
-    if not sparse:
-        P = np.eye(n)
+    import scipy.sparse as sp
+    if n == 1:
+        # P = [[1]]: one state, held by every move
         delta = 1.0
         plip = Fraction(0)
+        H = sp.csr_array(np.array([[-1.0]]))
     else:
-        import scipy.sparse as sp
         nb = coset_table(kb.orders)
         check_coset_table(spec, X, nb)
         del X
@@ -286,10 +288,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     gamma_plain = gamma_trunc = mu_star_ls = mu = alpha_hat = None
     mu_star_gap = delta / 4
     mean_ft = Fraction(int(_ints(a, n * E).sum()), den * n)
-    # float(ftilde) per state; a float holds every a_i and den exactly
-    # while both are at most 2^53
-    ft = (a.astype(np.float64) / float(den) if max(E, den) <= 2**53
-          else np.array([v / den for v in a.tolist()]))
+    ft = _exact_quotients(a, den, E)          # float(ftilde); |a_i| <= E, den <= E
     trunc_vals = abs_e * _theta_eta_array(ft / abs_e, float(eta))
     mean_trunc = sum(trunc_vals.tolist()) / n   # left to right, as Python sums
     sublevel = int(np.count_nonzero(ft <= (1 - eta) * float(e_star))) / n
@@ -317,20 +316,16 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     lambda_curve = []
     steps = max(params.mu_sweep, 1)
     theta = _theta_vector(a, E, eta)
-    if sparse:
-        # H_mu differs from -P only on the diagonal, where it adds mu *
-        # theta as -P + diags(mu * theta) does: the sum rounds the same
-        # either way round, and a zero term leaves -P_ii as it is
-        rows = np.repeat(np.arange(n, dtype=H.indices.dtype), np.diff(H.indptr))
-        diag_pos = np.flatnonzero(H.indices == rows)
-        minus_p_diag = H.data[diag_pos]
-        del rows
+    # H_mu differs from -P only on the diagonal, where it adds mu * theta
+    # as -P + diags(mu * theta) does: the sum rounds the same either way
+    # round, and a zero term leaves -P_ii as it is
+    rows = np.repeat(np.arange(n, dtype=H.indices.dtype), np.diff(H.indptr))
+    diag_pos = np.flatnonzero(H.indices == rows)
+    minus_p_diag = H.data[diag_pos]
+    del rows
     for i in range(steps):
         mu_i = sweep_top * i / steps
-        if sparse:
-            H.data[diag_pos] = minus_p_diag + mu_i * theta
-        else:
-            H = _hamiltonian(P, mu_i, theta)
+        H.data[diag_pos] = minus_p_diag + mu_i * theta
         lam1, ov = ground_overlap(H, kstar_idx)
         overlap_curve.append((mu_i, ov))
         lambda_curve.append((mu_i, lam1))

@@ -344,6 +344,14 @@ def oracle_report_cases():
     # an explicit kstar_order
     grd, fc = build(planted(3, 3, 1)[0])[2:]
     cases.append((grd, fc, SPParams(mu_sweep=3), 5))
+    # past int64 and float: points mod 2^64 (Python ints); den and
+    # weights past 2^53 and 2^63; den * |E*| past 2^53 with int64 costs
+    grds = [stub_grd([[2]], [2**64], [2])]
+    grds += [stub_grd([[1, 3]], [6], [1], cbold=cbold)
+             for cbold in ([Fraction(2**70 + 1, 3**35), Fraction(-5, 7)],
+                           [Fraction(1, 3**40), 2], [Fraction(1, 2**55), 0], [2**60, 1])]
+    cases += [(grd, feasible_coset(grd), params, None) for grd in grds
+              for params in (SPParams(), SPParams(eta=0.3, mu_sweep=3))]
     return cases
 
 
