@@ -1,8 +1,13 @@
 """Exact integer linear algebra: Smith normal form, extended gcd,
-linear congruences, unimodularity checks, and the fraction-free pivot.
+linear congruences, unimodularity checks, and the fraction-free pivot;
+and the package's two rules for exact integer arithmetic elsewhere.
 
-All scalars are Python ints (arbitrary precision), so nothing here can
-overflow. Rationals elsewhere in the package are fractions.Fraction.
+All scalars here are Python ints (arbitrary precision), so nothing here
+can overflow. Rationals elsewhere in the package are fractions.Fraction.
+``clear_denominators`` is the one place they are put over a common
+denominator, and ``int_dtype`` the one rule by which integer numpy
+arithmetic stays exact: int64 where it provably fits, Python ints
+(object dtype) elsewhere.
 
 ``bareiss_pivot`` is the package's only elimination step over Z
 (Bareiss, 1968): each entry it makes is a minor of the input (Sylvester's
@@ -17,7 +22,23 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import Infeasible
+
+
+def int_dtype(bound: int):
+    """np.int64 when every value an integer array will hold, the
+    intermediates of its arithmetic included, is below bound in
+    magnitude and bound <= 2^63; object (Python ints) otherwise."""
+    return np.int64 if bound <= 2**63 else object
+
+
+def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
+    """(den, ints): den, the lcm of the denominators of the ints and
+    Fractions in values, and each value times den, as an int."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class IntMatrix:
@@ -355,13 +376,12 @@ def is_unimodular(M: IntMatrix) -> bool:
 
 def solve_rational(A: IntMatrix, cols: Sequence[int] | None, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve A[:, cols] x = rhs exactly (square nonsingular system); the
-    rhs is scaled to integers by the lcm of its denominators."""
+    rhs, ints and Fractions, is cleared to integers first."""
     rows = [[row[j] for j in cols] for row in A.data] if cols is not None else list(A.data)
     n = len(rows)
     if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError("square system expected")
-    scale = lcm(*(Fraction(v).denominator for v in rhs))
-    xb = [int(Fraction(v) * scale) for v in rhs]
+    scale, xb = clear_denominators(rhs)
     det = gauss_jordan(rows, xb)
     if det == 0:
         raise ValueError("singular system")

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
-from .exact import IntMatrix, SNFResult, snf, solve_mod
+from .exact import IntMatrix, SNFResult, int_dtype, snf, solve_mod
 from .relax import GroupRelaxationData
 
 
@@ -148,9 +148,7 @@ def column_orders(grd: GroupRelaxationData) -> list[int]:
     out = []
     for j in range(grd.d):
         col = grd.Abold.column(j)
-        s = 1
-        for i, r_i in enumerate(grd.r):
-            s = lcm(s, r_i // gcd(r_i, col[i] % r_i))
+        s = element_order(col, grd.r)
         if any((s * v) % grd.r[i] for i, v in enumerate(col)):
             raise CertificateError(f"column {j} is not annihilated by its order {s}")
         for p, _ in _prime_powers(s):  # every prime quotient of s must fail
@@ -232,9 +230,9 @@ def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
     is divided back by r_max / s_j. The generators are listed with
     their orders ascending, each dividing the next (invariant factors).
 
-    The arithmetic is int64 numpy while r_max < 2^31, so that a product
-    of two residues stays below 2^62, and the same code runs on Python
-    ints in object dtype above that. Certificates, each raising
+    The arithmetic runs in ``int_dtype``: no value it forms exceeds a
+    product of two residues, r_max^2, nor the congruence check's row sum
+    of d residues. Certificates, each raising
     ``CertificateError``: the column orders are minimal; every generator
     satisfies Abold g = 0 (mod R Z^m), checked for all generators at
     once; ``element_order`` of each generator equals its stated order;
@@ -248,7 +246,7 @@ def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
         return KernelBasis((), (), tuple(s), 1, range_order)
 
     r_max = grd.r_max
-    dtype = np.int64 if r_max < 2**31 else object
+    dtype = int_dtype(r_max * max(r_max, len(s)))
     scale = np.array([r_max // sj for sj in s], dtype=dtype)
     H = np.array(kb.generators, dtype=dtype) % r_max * scale % r_max
     parts = []

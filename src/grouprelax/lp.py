@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
 from .errors import CertificateError, Infeasible, Unbounded
-from .exact import IntMatrix, bareiss_pivot as _pivot, gauss_jordan
+from .exact import IntMatrix, bareiss_pivot as _pivot, clear_denominators, gauss_jordan
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -82,7 +82,6 @@ class StandardFormILP:
     b: list[int]
     c: list[Fraction]
     slack_map: dict[int, int]  # column index -> originating row index
-    n_original: int
     var_names: list[str]
 
 
@@ -146,10 +145,8 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     # remap slack rows to surviving row positions
     pos = {orig: new for new, orig in enumerate(keep)}
     slack_map = {j: pos[i] for j, i in slack_map.items() if i in pos}
-    return StandardFormILP(
-        name=inst.name, A=A2, b=b2, c=c, slack_map=slack_map,
-        n_original=n, var_names=names,
-    )
+    return StandardFormILP(name=inst.name, A=A2, b=b2, c=c, slack_map=slack_map,
+                           var_names=names)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -216,7 +213,7 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
     artificials re-enter. Zero-valued artificials left in the basis are
     then driven out, row by row, by the first structural column j with
     adj_i·A_j != 0. Phase 2 prices the structural columns with costs
-    scaled by the lcm of their denominators. Both phases enter the first
+    cleared of their denominators. Both phases enter the first
     column with a negative reduced cost and leave by the minimum ratio
     xb_i / a_i, ties to the smallest basis index: the pivots of the
     tableau simplex, so the basis and its order are the ones it picks.
@@ -247,8 +244,7 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
         raise Infeasible("could not form a basis from structural columns")
 
     # phase 2 on the original columns, costs scaled to integers
-    scale = lcm(*(c.denominator for c in sf.c))
-    cost = [c.numerator * (scale // c.denominator) for c in sf.c]
+    scale, cost = clear_denominators(sf.c)
     det = _simplex(cols, cost, n, basis, adj, xb, det)
 
     x = [Fraction(0)] * n

@@ -11,6 +11,7 @@ data is cleared to integers per row; objective costs stay rational.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import MalformedMPS, NotPureILP
@@ -23,13 +24,19 @@ _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OB
 def _num(tok: str, lineno: int) -> int | Fraction:
     """The value Fraction(tok) reads from a number token: an int for an
     integer token, else a Fraction. Raises MalformedMPS on a token that
-    Fraction() rejects."""
+    Fraction() rejects, and on a decimal exponent past
+    sys.get_int_max_str_digits() in magnitude, the bound Python puts on
+    a string of digits: Fraction() would spend minutes on 10**exponent."""
     if "_" not in tok:  # Fraction() reads no underscores before 3.11
         try:
             return int(tok)
         except ValueError:
             pass
+    _, e, exponent = tok.upper().partition("E")
+    limit = sys.get_int_max_str_digits()
     try:
+        if e and limit and abs(int(exponent)) > limit:
+            raise MalformedMPS(f"exponent of {tok!r} is past {limit} in magnitude", lineno)
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise MalformedMPS(f"bad number {tok!r}", lineno)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, Infeasible
 from .kernel import compress_coset, feasible_coset
 from .lp import ILPInstance
-from .relax import bound_chain, relax_ilp
+from .relax import BoundChain, bound_chain, relax_ilp
 from .search import SearchConfig, branch_and_bound, solve_group
 
 CSV_HEADER = ("instance,opt_lp,opt_b,opt_ilp,delta_lp_ilp,delta_b,"
@@ -49,17 +49,17 @@ class ReportRow:
     wall_ms: int
 
 
+def _row(name: str, chain: BoundChain, **rest) -> ReportRow:
+    """The row of a bound chain; rest names the fields past r_pct."""
+    return ReportRow(name, chain.opt_lp, chain.opt_group, chain.opt_ilp, chain.delta_lp_ilp,
+                     chain.delta_b, chain.r_abs, chain.r_pct, **rest)
+
+
 def report_row_from_values(name: str, opt_lp, opt_b, opt_ilp,
                            method: str = "supplied") -> ReportRow:
     """Row from externally supplied optima (report arithmetic only)."""
-    chain = bound_chain(opt_lp, opt_b, opt_ilp)
-    return ReportRow(
-        instance=name, opt_lp=chain.opt_lp, opt_b=chain.opt_group,
-        opt_ilp=chain.opt_ilp, delta_lp_ilp=chain.delta_lp_ilp,
-        delta_b=chain.delta_b, r_abs=chain.r_abs, r_pct=chain.r_pct,
-        certified=False, degenerate_lp=False, k_order=0, g_order=0,
-        method=method, seed=None, wall_ms=0,
-    )
+    return _row(name, bound_chain(opt_lp, opt_b, opt_ilp), certified=False,
+                degenerate_lp=False, k_order=0, g_order=0, method=method, seed=None, wall_ms=0)
 
 
 def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> ReportRow:
@@ -88,31 +88,20 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
         opt_ilp = None
     chain = bound_chain(grd.bs.opt_lp, res.objective, opt_ilp)
     wall = int((time.monotonic() - t0) * 1000) if cfg.record_wall else 0
-    return ReportRow(
-        instance=inst.name,
-        opt_lp=chain.opt_lp,
-        opt_b=chain.opt_group,
-        opt_ilp=chain.opt_ilp,
-        delta_lp_ilp=chain.delta_lp_ilp,
-        delta_b=chain.delta_b,
-        r_abs=chain.r_abs,
-        r_pct=chain.r_pct,
-        certified=certified,
-        degenerate_lp=grd.bs.degenerate_primal,
-        k_order=fc.basis.kernel_order,
-        g_order=fc.basis.range_order,
-        method=cfg.search.method,
-        seed=cfg.search.seed,
-        wall_ms=wall,
-    )
+    return _row(inst.name, chain, certified=certified, degenerate_lp=grd.bs.degenerate_primal,
+                k_order=fc.basis.kernel_order, g_order=fc.basis.range_order,
+                method=cfg.search.method, seed=cfg.search.seed, wall_ms=wall)
 
 
-def _is_terminating(f: Fraction) -> bool:
-    d = f.denominator
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    return d == 1
+def _decimal_digits(d: int) -> Optional[int]:
+    """Digits after the point of n / d in lowest terms, d >= 1: the larger
+    multiplicity of 2 and 5 in d; None when d has another prime factor."""
+    twos = fives = 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    while d % 5 == 0:
+        d, fives = d // 5, fives + 1
+    return max(twos, fives) if d == 1 else None
 
 
 def fmt_rational(v: Optional[Fraction]) -> str:
@@ -122,16 +111,8 @@ def fmt_rational(v: Optional[Fraction]) -> str:
     v = Fraction(v)
     if v.denominator == 1:
         return str(v.numerator)
-    if _is_terminating(v):
-        d = v.denominator
-        twos = fives = 0
-        while d % 2 == 0:
-            d //= 2
-            twos += 1
-        while d % 5 == 0:
-            d //= 5
-            fives += 1
-        digits = max(twos, fives)
+    digits = _decimal_digits(v.denominator)
+    if digits is not None:
         scaled = v.numerator * 10**digits // v.denominator  # exact by construction
         sign = "-" if scaled < 0 else ""
         whole, frac = divmod(abs(scaled), 10**digits)

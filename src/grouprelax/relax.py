@@ -14,7 +14,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import CertificateError
-from .exact import IntMatrix, SNFResult, det_exact, snf, solve_rational
+from .exact import IntMatrix, SNFResult, clear_denominators, det_exact, snf, solve_rational
 from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
 
@@ -77,14 +77,12 @@ class GroupRelaxationData:
     def cost(self) -> LinearCost:
         """Shifted group cost OPT_LP + cbold·x of a kernel-space point,
         over L, the lcm of the denominators of OPT_LP and cbold."""
-        den = math.lcm(self.shift.denominator, *(c.denominator for c in self.cbold))
-        return LinearCost(den, self.shift.numerator * (den // self.shift.denominator),
-                          tuple(c.numerator * (den // c.denominator) for c in self.cbold))
+        den, (const, *weights) = clear_denominators([self.shift, *self.cbold])
+        return LinearCost(den, const, weights)
 
 
 @dataclass
 class GroupSolution:
-    x_n_kernelspace: list[int]   # over kept columns
     objective: Fraction          # includes the OPT_LP shift
     lifted_x: list[int]          # full standard-form vector
     ilp_feasible: bool
@@ -172,10 +170,8 @@ def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
             raise CertificateError("non-integral basic lift: inconsistent coset input")
     for i, j in enumerate(bs.basis):
         full[j] = int(xb[i])
-    x_n = [int(v) for v in x_n]
     return GroupSolution(
-        x_n_kernelspace=x_n,
-        objective=grd.cost(x_n),
+        objective=grd.cost([int(v) for v in x_n]),
         lifted_x=full,
         ilp_feasible=all(v >= 0 for v in xb),
     )

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
-from .kernel import FeasibleCoset, enumerate_coset
-from .exact import IntMatrix
+from .kernel import FeasibleCoset, _group_residual, enumerate_coset
+from .exact import IntMatrix, clear_denominators, int_dtype
 from .lp import GE, LE, ILPInstance, solve_lp_exact, to_standard_form
 from .relax import (GroupRelaxationData, GroupSolution, LinearCost,
                     build_group_relaxation, lift_to_ilp)
@@ -38,7 +38,6 @@ class SearchConfig:
     epsilon: float = 0.01
     # Dijkstra residues reached, brute-force coset points, MCS walk steps
     cap: int = 10**6
-    expander_c: float = 8.0
     # optional early-exit target (e.g. a known optimum in tests); the
     # search is anytime, so stopping at the target only shortens the run
     stop_at: Optional[Fraction] = None
@@ -61,7 +60,6 @@ class SearchResult:
     trace: list[tuple[int, Fraction]] = field(default_factory=list)
     solution: Optional[GroupSolution] = None
     argmin_points: Optional[list[tuple[int, ...]]] = None  # K*, brute only
-    seed: Optional[int] = None
     proposals: int = 0   # non-null Metropolis proposals, MCS only
     accepted: int = 0
 
@@ -103,10 +101,10 @@ def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
     trace = [(0, fbest)]
     if kb.kernel_order <= 1 or not kb.generators:
         sol = lift_to_ilp(grd, best) if grd is not None else None
-        return SearchResult(best, fbest, 0, False, trace, sol, seed=cfg.seed)
+        return SearchResult(best, fbest, 0, False, trace, sol)
 
     if cfg.method == "mcs-expander":
-        gens = tuple(expander_generation(kb, cfg.expander_c, rng))
+        gens = tuple(expander_generation(kb, rng=rng))
     else:
         gens = kb.generators
     spec = CayleyWalkSpec(generators=gens, moduli=kb.moduli, rng=rng)
@@ -132,20 +130,22 @@ def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
         if i and cfg.stop_at is not None and fbest <= cfg.stop_at:
             break
     sol = lift_to_ilp(grd, best) if grd is not None else None
-    return SearchResult(best, fbest, samples, False, trace, sol, seed=cfg.seed,
+    return SearchResult(best, fbest, samples, False, trace, sol,
                         proposals=proposals, accepted=accepted)
 
 
 def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchResult:
     """Dijkstra from 0 to the target residue over the range group: nodes
-    are residue tuples mod (r_1..r_m), one outgoing edge per kept column
-    with weight equal to its reduced cost. The reconstructed edge
-    multiplicities are an optimal x_N; the result is certified. Raises
-    CapExceeded once more than cap distinct residues have a distance."""
-    m, r = grd.m, grd.r
-    target = tuple(grd.bbold[i] % r[i] for i in range(m))
+    are residue tuples mod the r_i > 1 (a row mod 1 is always 0), one
+    outgoing edge per kept column with weight equal to its reduced cost.
+    The reconstructed edge multiplicities are an optimal x_N; the result
+    is certified. Raises CapExceeded once more than cap distinct residues
+    have a distance."""
+    rows = [i for i, r_i in enumerate(grd.r) if r_i > 1]
+    m, r = len(rows), [grd.r[i] for i in rows]
+    target = tuple(grd.bbold[i] % grd.r[i] for i in rows)
     src = (0,) * m
-    cols = [tuple(grd.Abold.column(j)) for j in range(grd.d)]
+    cols = [tuple(grd.Abold.data[i][j] for i in rows) for j in range(grd.d)]
     # the group cost scaled by L > 0 to integers keeps every comparison and tie
     cost = grd.cost
     den, shift, cbold = cost.den, cost.const, cost.weights
@@ -179,11 +179,7 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
         node, j = pred[node]
         x_n[j] += 1
     # path feasibility: the steps must sum to the target residue
-    acc = [0] * m
-    for j, mult in enumerate(x_n):
-        for i in range(m):
-            acc[i] = (acc[i] + mult * cols[j][i]) % r[i]
-    if tuple(acc) != target:
+    if _group_residual(grd.Abold, grd.r, x_n) != [b % r_i for b, r_i in zip(grd.bbold, grd.r)]:
         raise CertificateError("shortest path does not sum to the target residue")
     sol = lift_to_ilp(grd, x_n)
     obj = Fraction(shift + dist[target], den)
@@ -228,10 +224,10 @@ def _box_sums(coeffs: list[int], side: int, dtype) -> np.ndarray:
 
 
 def _sum_dtype(coeffs: list[int], box: int, rhs: int = 0):
-    """int64 while no sum over the box (nor the rhs) can reach 2^62,
-    Python ints (object dtype) above that."""
+    """The dtype of the sums over the box: every partial sum, like the
+    rhs it is compared with, is at most max|coeff|·box·n in magnitude."""
     big = max((abs(v) for v in coeffs), default=0) * box * max(len(coeffs), 1)
-    return np.int64 if max(big, abs(rhs)) < 2**62 else object
+    return int_dtype(max(big, abs(rhs)) + 1)
 
 
 def brute_force_ilp(inst: ILPInstance, box: int, cap: int = 10**7):
@@ -249,8 +245,7 @@ def brute_force_ilp(inst: ILPInstance, box: int, cap: int = 10**7):
     feasible = np.flatnonzero(mask)
     if not feasible.size:
         raise Infeasible("no feasible point in the box")
-    scale = math.lcm(*(c.denominator for c in inst.c))
-    cs = [c.numerator * (scale // c.denominator) for c in inst.c]
+    scale, cs = clear_denominators(inst.c)
     obj = _box_sums(cs, side, _sum_dtype(cs, box))[feasible]
     best = int(np.argmin(obj))
     k = int(feasible[best])

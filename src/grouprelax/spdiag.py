@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificateError, DenseLimitExceeded, DiagnosticUnavailable
+from .exact import clear_denominators, int_dtype
 from .kernel import FeasibleCoset, KernelBasis, coset_array
 from .relax import GroupRelaxationData
 from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, character_gap,
@@ -35,11 +36,9 @@ BAND_DEFAULT = (0.25, 4.0)  # closed Theta(1) proxy band, both ends inclusive
 @dataclass
 class SPParams:
     eta: float = 0.5
-    mu: Optional[float] = None       # default chosen from mu* and the gap
     dense_limit: int = DENSE_LIMIT_DEFAULT   # cap on |K|, the states diagnosed
     mu_sweep: int = 8
-    band: tuple[float, float] = BAND_DEFAULT
-    expander_c: float = 8.0
+    expander_c: float = 8.0   # not read; benchmark workloads still pass it
 
     def __post_init__(self):
         if not (0 < self.eta < 1):
@@ -94,11 +93,8 @@ def build_sp_hamiltonian(P, ftilde: Sequence[Fraction], mu: float,
                          eta: float, e_star: Fraction):
     """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
     P is, sparse when P is. The theta arguments all land in [-1, 0]."""
-    values = [Fraction(v) for v in ftilde]
-    abs_e = abs(Fraction(e_star))
-    den = math.lcm(abs_e.denominator, *(v.denominator for v in values))
-    a = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
-    theta = _theta_vector(a, abs_e.numerator * (den // abs_e.denominator), eta)
+    _, (E, *a) = clear_denominators([abs(Fraction(e_star)), *map(Fraction, ftilde)])
+    theta = _theta_vector(np.array(a, dtype=object), E, eta)
     if isinstance(P, np.ndarray):
         return -P + np.diag(mu * theta)
     import scipy.sparse as sp
@@ -206,12 +202,6 @@ def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
     return ConditionCheck(r1, lo <= r1 <= hi), ConditionCheck(r2, lo <= r2 <= hi)
 
 
-def _ints(a: np.ndarray, bound: int) -> np.ndarray:
-    """a as int64 when every value it will hold is below bound <= 2^63
-    in magnitude, as Python ints otherwise."""
-    return a.astype(np.int64 if bound < 2**63 else object, copy=False)
-
-
 def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
                 params: SPParams,
                 kstar_order: Optional[int] = None) -> SPReport:
@@ -236,18 +226,18 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
                          f"on {len(moduli)}")
     den = cost.den
     X = coset_array(fc, params.dense_limit)
-    # |const + w·x| < bound at every point and after every partial sum
-    bound = abs(cost.const) + sum(abs(w) * m for w, m in zip(cost.weights, moduli))
-    if X.dtype == object:
-        bound = max(bound, 2**63)
-    iv = np.full(n, cost.const, dtype=np.int64 if bound < 2**63 else object)
+    # each coordinate of X, and const + w·x at every point and after every
+    # partial sum, is below bound in magnitude
+    bound = max(abs(cost.const) + sum(abs(w) * m for w, m in zip(cost.weights, moduli)) + 1,
+                max(moduli, default=0))
+    iv = np.full(n, cost.const, dtype=int_dtype(bound))
     for c, w in enumerate(cost.weights):
-        iv += w * _ints(X[:, c], bound)
+        iv += w * X[:, c].astype(iv.dtype, copy=False)
     lo, hi = int(iv.min()), int(iv.max())
     C, e_star = Fraction(hi + den, den), Fraction(lo - hi - den, den)
     f_max = C - 1
     E = hi + den - lo                        # den * |E*|
-    a = _ints(iv, 2 * bound + den) - (hi + den)   # den * ftilde, in [-E, -den]
+    a = iv.astype(int_dtype(2 * bound + den), copy=False) - (hi + den)  # den * ftilde in [-E, -den]
     kstar_idx = np.flatnonzero(iv == lo)
     if kstar_order is None:
         kstar_order = len(kstar_idx)
@@ -257,7 +247,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     weights = grd.cbold
     norms_max = cyclic_norm_max(kb.generators, weights, moduli)
     omega = log_sobolev_lower(kb)
-    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order, params.band)
+    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order)
 
     import scipy.sparse as sp
     if n == 1:
@@ -287,7 +277,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     pi_ratio = kb.kernel_order / kstar_order
     gamma_plain = gamma_trunc = mu_star_ls = mu = alpha_hat = None
     mu_star_gap = delta / 4
-    mean_ft = Fraction(int(_ints(a, n * E).sum()), den * n)
+    mean_ft = Fraction(int(a.astype(int_dtype(n * E + 1), copy=False).sum()), den * n)
     ft = _exact_quotients(a, den, E)          # float(ftilde); |a_i| <= E, den <= E
     trunc_vals = abs_e * _theta_eta_array(ft / abs_e, float(eta))
     mean_trunc = sum(trunc_vals.tolist()) / n   # left to right, as Python sums

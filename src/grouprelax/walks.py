@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CertificateError, DenseLimitExceeded
+from .exact import clear_denominators, int_dtype
 from .kernel import KernelBasis
 from .relax import LinearCost
 
@@ -214,9 +215,8 @@ def _neighbours(spec: CayleyWalkSpec, states: list[tuple[int, ...]]) -> np.ndarr
     Raises ValueError when a move leaves the state set."""
     index = {s: i for i, s in enumerate(states)}
     n, d = len(states), len(spec.moduli)
-    # states and generators are residues, so x + h < 2 * modulus: int64
-    # is exact below 2^62, Python ints beyond
-    dtype = object if max(spec.moduli, default=0) >= 2**62 else np.int64
+    # states and generators are residues, so |x +- h| < 2 * modulus
+    dtype = int_dtype(2 * max(spec.moduli, default=0))
     moduli = np.array(spec.moduli, dtype=dtype)
     S = np.array(states, dtype=dtype).reshape(n, d)
     table = np.empty((n, 2 * len(spec.generators)), dtype=np.intp)
@@ -289,8 +289,7 @@ def transition_counts(spec: CayleyWalkSpec, nb: np.ndarray):
     k = width // 2
     if n and not 0 <= nb.min() <= nb.max() < n:
         raise CertificateError("neighbour table does not index the state set")
-    move_w = (1 - spec.laziness) / (2 * k)
-    den = math.lcm(spec.laziness.denominator, move_w.denominator)
+    den, (hold_w, move_w) = clear_denominators([spec.laziness, (1 - spec.laziness) / (2 * k)])
     if not np.all(np.bincount(nb.ravel(), minlength=n) == 2 * k):
         raise CertificateError("a state is not hit 2k times: the walk is not doubly stochastic")
     idx = np.arange(n)
@@ -302,8 +301,8 @@ def transition_counts(spec: CayleyWalkSpec, nb: np.ndarray):
     cols = np.empty((n, width + 1), dtype=itype)
     cols[:, 0] = idx
     cols[:, 1:] = nb
-    data = np.full((n, width + 1), int(move_w * den), dtype=np.int64)
-    data[:, 0] = int(spec.laziness * den)
+    data = np.full((n, width + 1), move_w, dtype=np.int64)
+    data[:, 0] = hold_w
     counts = sp.csr_array((data.ravel(), cols.ravel(),
                            np.arange(0, n * (width + 1) + 1, width + 1, dtype=itype)),
                           shape=(n, n))
@@ -408,11 +407,10 @@ def cyclic_norm_max(generators: Sequence[Sequence[int]], w: Sequence,
 
 def max_move_variation(iv: np.ndarray, nb: np.ndarray) -> int:
     """max_x sum_c (iv[x] - iv[nb[x, c]])^2 over the states of an
-    (n, 2k) neighbour table, for an integer array iv: int64 while
-    2k (max - min)^2 < 2^63, Python ints beyond."""
+    (n, 2k) neighbour table, for an integer array iv, in ``int_dtype``:
+    no value formed exceeds max |iv| nor 2k (max - min)^2."""
     lo, hi = int(iv.min()), int(iv.max())
-    small = -2**63 <= lo and hi < 2**63 and nb.shape[1] * (hi - lo) ** 2 < 2**63
-    iv = iv.astype(np.int64 if small else object)
+    iv = iv.astype(int_dtype(max(-lo, hi, nb.shape[1] * (hi - lo) ** 2) + 1))
     total = np.zeros(len(iv), dtype=iv.dtype)
     for c in range(nb.shape[1]):
         diff = iv - iv[nb[:, c]]
@@ -434,9 +432,8 @@ def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
     best = Fraction(0)
     if k and states:
         nb = _neighbours(spec, states)
-        values = [Fraction(f(s)) for s in states]
-        den = math.lcm(*(v.denominator for v in values))
-        iv = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+        den, values = clear_denominators([Fraction(f(s)) for s in states])
+        iv = np.array(values, dtype=object)
         move_w = (1 - spec.laziness) / (2 * k)
         best = move_w * Fraction(max_move_variation(iv, nb), den * den)
     bound = None

@@ -64,7 +64,7 @@ def fraction_to_standard_form(inst: ILPInstance) -> StandardFormILP:
     return StandardFormILP(
         name=inst.name, A=IntMatrix([data[i] for i in keep]), b=[b[i] for i in keep],
         c=c, slack_map={j: pos[i] for j, i in slack_map.items() if i in pos},
-        n_original=n, var_names=names,
+        var_names=names,
     )
 
 

@@ -101,7 +101,7 @@ def sp_diagnose(grd, fc, params: SPParams, kstar_order: Optional[int] = None) ->
     weights = grd.cbold
     norms_max = cyclic_norm_max(kb.generators, weights, kb.moduli)
     omega = log_sobolev_lower(kb)
-    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order, params.band)
+    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order)
 
     if n == 1 or not kb.generators:
         P = np.eye(n)

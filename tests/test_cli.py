@@ -94,6 +94,15 @@ def test_mcs_cap_exit_code(tmp_path):
     assert "error: MCS would walk 3267173 steps, past the cap of 1000000" in res.output
 
 
+def test_huge_exponent_exits_1(tmp_path):
+    path = tmp_path / "big.mps"
+    path.write_text("NAME big\nROWS\n N COST\n L R1\nCOLUMNS\n    M1 'MARKER' 'INTORG'\n"
+                    "    x1 COST 1\n    x1 R1 1\n    M1 'MARKER' 'INTEND'\n"
+                    "RHS\n    RHS R1 1e100000000\nENDATA\n")
+    res = run(["relax", str(path)])
+    assert res.exit_code == 1 and "exponent" in res.output, res.output
+
+
 def test_not_pure_ilp_exit_code(tmp_path):
     path = tmp_path / "cont.mps"
     path.write_text(

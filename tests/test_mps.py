@@ -1,6 +1,8 @@
 """MPS reader/writer: exact decimals, integer markers, bounds, ranges,
 round trips."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,20 @@ def test_malformed_reports_line():
 
     with pytest.raises(MalformedMPS):
         parse_mps(" x r 1\nROWS\n")  # data before any header
+
+
+@pytest.mark.parametrize("exponent", ["100000000", "-100000000"])
+def test_huge_exponent_rejected_fast(exponent):
+    # Fraction('1e100000000') would compute 10**100000000
+    text = MINIMAL.replace("RHS r1 10", f"RHS r1 1e{exponent}")
+    t0 = time.monotonic()
+    with pytest.raises(MalformedMPS, match="exponent") as exc:
+        parse_mps(text)
+    assert time.monotonic() - t0 < 0.5 and exc.value.line == 15
+    # at the limit the value is read exactly; x2's coefficient in r1 is 1
+    e = sys.get_int_max_str_digits() * (-1 if exponent[0] == "-" else 1)
+    inst = parse_mps(MINIMAL.replace("RHS r1 10", f"RHS r1 2e{e}"))
+    assert Fraction(inst.b[0], inst.A.data[0][1]) == 2 * Fraction(10) ** e
 
 
 def test_upper_bound_becomes_row():

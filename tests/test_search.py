@@ -1,6 +1,7 @@
 """Group-relaxation solvers: MCS variants, Dijkstra over the range
 group, and the brute-force oracles."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ import pytest
 
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, SearchConfig,
                         brute_force_group, brute_force_ilp, cutgen,
-                        gomory_shortest_path, markov_chain_search, solve_group)
+                        gomory_shortest_path, markov_chain_search, relax_ilp,
+                        solve_group)
 from grouprelax.errors import CapExceeded, Infeasible
 from grouprelax.gen import planted
 from grouprelax.kernel import (FeasibleCoset, KernelBasis, enumerate_coset,
@@ -19,7 +21,7 @@ from grouprelax.relax import LinearCost
 from grouprelax.search import default_mix_steps, sample_budget
 from grouprelax.walks import CayleyWalkSpec, walk
 from tests import walk_oracle
-from tests.conftest import build, stub_grd
+from tests.conftest import build, random_feasible_instance, stub_grd
 
 
 def test_mcs_planted_finds_optimum():
@@ -104,6 +106,27 @@ def test_dijkstra_node_cap():
         solve_group(grd, None, SearchConfig(method="dijkstra", cap=100))
     res = solve_group(grd, None, SearchConfig(method="dijkstra"))
     assert res.objective == 12 and res.certified_optimal
+
+
+def x_n_digest(x_n):
+    return hashlib.sha256(",".join(map(str, x_n)).encode()).hexdigest()[:16]
+
+
+def test_dijkstra_pinned():
+    # x_N and the settled count on the benchmark's cutgen ladder and on the
+    # first 50 instances of the random suite's law: the nodes are residues
+    # over the rows with r_i > 1, the trivial rows' zeros left out
+    for (m, seed), pin in zip(((6, 51), (8, 26), (10, 11)),
+                              (("287d2493f98ed73e", 11, 14), ("22d7ab0edc92f9bb", 8, 25),
+                               ("a4d5804c91a89a7b", 2, 39))):
+        grd = relax_ilp(cutgen(CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed)))
+        res = gomory_shortest_path(grd)
+        assert (x_n_digest(res.best_point), res.samples_used, res.objective) == pin
+    law = hashlib.sha256()
+    for seed in range(50):
+        res = gomory_shortest_path(relax_ilp(random_feasible_instance(seed)))
+        law.update(f"{seed}:{x_n_digest(res.best_point)}:{res.samples_used};".encode())
+    assert law.hexdigest()[:16] == "1c6192fcda224c73"
 
 
 def single_constraint_inst(b):
