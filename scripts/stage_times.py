@@ -8,7 +8,8 @@ Runs cutgen's instance through standard form, the exact LP, the
 relaxation (its basis SNF), the feasible coset, compression and the
 Dijkstra solve, and prints one JSON object with each stage's
 ``perf_counter`` seconds, the best over ``--repeat`` runs of the whole
-chain. It calls the library through its module functions only, so it
+chain, and the process's peak RSS (``ru_maxrss``, MB) after each stage of
+the first run. It calls the library through its module functions only, so it
 also times older trees of the package (point PYTHONPATH at their src).
 """
 
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import json
 import platform
+import resource
 import time
 
 import numpy as np
@@ -27,13 +29,18 @@ from grouprelax import gen, kernel, lp, relax, search
 STAGES = ("standard_form", "lp", "relaxation_snf", "coset", "compression", "dijkstra")
 
 
-def run_chain(inst) -> tuple[dict, dict]:
-    times = {}
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+
+
+def run_chain(inst) -> tuple[dict, dict, dict]:
+    times, rss = {}, {}
 
     def timed(name, fn, *args):
         t0 = time.perf_counter()
         out = fn(*args)
         times[name] = time.perf_counter() - t0
+        rss[name] = peak_rss_mb()
         return out
 
     sf = timed("standard_form", lp.to_standard_form, inst)
@@ -55,7 +62,7 @@ def run_chain(inst) -> tuple[dict, dict]:
         "opt_lp": str(bs.opt_lp), "opt_b": str(res.objective),
         "nodes_settled": res.samples_used,
     }
-    return times, facts
+    return times, rss, facts
 
 
 def main() -> None:
@@ -73,8 +80,10 @@ def main() -> None:
                             pattern_cap=args.pattern_cap)
     inst = gen.cutgen(spec)
     best: dict[str, float] = {}
+    peak_rss = None
     for _ in range(max(1, args.repeat)):
-        times, facts = run_chain(inst)
+        times, rss, facts = run_chain(inst)
+        peak_rss = peak_rss or rss
         for k, v in times.items():
             best[k] = min(best.get(k, v), v)
     print(json.dumps({
@@ -83,6 +92,7 @@ def main() -> None:
         "repeat": max(1, args.repeat),
         "stages_s": {k: round(best[k], 4) for k in STAGES},
         "total_s": round(sum(best.values()), 4),
+        "peak_rss_mb_after": {k: round(peak_rss[k], 1) for k in STAGES},
         **facts,
         "python": platform.python_version(), "numpy": np.__version__,
     }))

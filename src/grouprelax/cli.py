@@ -17,7 +17,7 @@ from .errors import (CapExceeded, DenseLimitExceeded, GroupRelaxError,
 from .gen import PATTERN_CAP_DEFAULT, CutStockSpec, cutgen, planted
 from .kernel import compress_coset, feasible_coset
 from .mps import emit_mps, parse_mps
-from .pipeline import PipelineConfig, emit_report, fmt_rational, run_pipeline
+from .pipeline import PipelineConfig, emit_report, fmt_int, fmt_rational, run_pipeline
 from .relax import relax_ilp
 from .search import METHODS, SearchConfig, gomory_shortest_path
 from .spdiag import SPParams, sp_diagnose
@@ -83,8 +83,8 @@ def solve(file, method, seed, max_samples, beta, compress):
     click.echo(f"opt_b {fmt_rational(row.opt_b)}")
     if row.opt_ilp is not None:
         click.echo(f"opt_ilp {fmt_rational(row.opt_ilp)}")
-    click.echo(f"k_order {row.k_order}")
-    click.echo(f"g_order {row.g_order}")
+    click.echo(f"k_order {fmt_int(row.k_order)}")
+    click.echo(f"g_order {fmt_int(row.g_order)}")
     click.echo(f"certified {'true' if row.certified else 'false'}")
 
 
@@ -117,8 +117,8 @@ def kernel(file, compress):
     click.echo(f"x_hat {' '.join(map(str, fc.x_hat))}")
     for h, u in zip(kb.generators, kb.orders):
         click.echo(f"gen {' '.join(map(str, h))} order {u}")
-    click.echo(f"k_order {kb.kernel_order}")
-    click.echo(f"g_order {kb.range_order}")
+    click.echo(f"k_order {fmt_int(kb.kernel_order)}")
+    click.echo(f"g_order {fmt_int(kb.range_order)}")
 
 
 @main.command()

@@ -5,17 +5,19 @@ orders, ambient-space compression, and coset enumeration (the brute
 force oracle used throughout the tests).
 
 ``feasible_coset`` reads x_hat and the generators of K off one Smith
-normal form over Python ints. ``compress_kernel`` runs no SNF: it
-row-reduces the generators of K, reduced mod the column orders, over
+normal form over Python ints. ``compress_kernel`` runs no SNF and reads
+no generator of K: it row-reduces the m' nontrivial congruence rows over
 Z/p^e for each prime power of r_max in numpy, and certifies the result
-by substitution, element orders and the order count prod(s) = |K'| |G|.
+by substitution, element orders, independence and the order count
+prod(s) = |K'| |G|.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -125,34 +127,115 @@ def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
     return FeasibleCoset(x_hat=x_hat, basis=basis)
 
 
+# Trial division runs to _TRIAL_BOUND; a cofactor below its square is
+# prime. Miller–Rabin with the first 13 prime bases decides primality
+# below _MR_LIMIT (Sorenson and Webster, 2015), and Pollard's rho splits
+# composites within _RHO_STEPS squarings.
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = [n for n in range(2, _TRIAL_BOUND) if all(n % f for f in range(2, isqrt(n) + 1))]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 18
+
+
+def _miller_rabin(n: int) -> bool:
+    """n passes the strong-pseudoprime test to every base in _MR_BASES;
+    for odd n < _MR_LIMIT that proves n prime."""
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A nontrivial factor of the composite n: Pollard's rho with Brent's
+    cycle search and batched gcds. CapExceeded past _RHO_STEPS squarings."""
+    steps = 0
+    for c in range(1, 64):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = gcd(acc, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+            if steps > _RHO_STEPS and g == 1:
+                raise CapExceeded(f"could not factor {n} within {_RHO_STEPS} rho steps")
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise CapExceeded(f"could not factor {n}")
+
+
 def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing n >= 1, by trial division."""
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p
+    ascending. Trial division, then Miller–Rabin and Pollard's rho on the
+    cofactor; CapExceeded for a factor whose primality they cannot prove
+    or that rho cannot split."""
     out = []
-    p = 2
-    while p * p <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
-                n //= p
-                e += 1
+                n, e = n // p, e + 1
             out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
+    big: list[int] = []
+    stack = [n] if n > 1 else []
+    while stack:
+        f = stack.pop()
+        if f < _TRIAL_BOUND**2 or (f < _MR_LIMIT and _miller_rabin(f)):
+            big.append(f)
+        elif f >= _MR_LIMIT and _miller_rabin(f):
+            raise CapExceeded(f"cannot prove {f} prime: past {_MR_LIMIT}")
+        else:
+            g = _rho(f)
+            stack += [g, f // g]
+    out += [(p, big.count(p)) for p in sorted(set(big))]
     return out
+
+
+def _nontrivial_rows(grd: GroupRelaxationData) -> list[tuple[list[int], int]]:
+    return [(row, r_i) for row, r_i in zip(grd.Abold.data, grd.r) if r_i > 1]
 
 
 def column_orders(grd: GroupRelaxationData) -> list[int]:
     """Order s_j of each column of Abold in Z^m / R Z^m:
-    s_j = lcm_i(r_i / gcd(r_i, A_ij)). Minimality is verified."""
+    s_j = lcm_i(r_i / gcd(r_i, A_ij)), a divisor of r_max. Minimality is
+    verified against each prime of r_max, factored once."""
+    rows = _nontrivial_rows(grd)
+    mods = [r_i for _, r_i in rows]
+    primes = [p for p, _ in _prime_powers(grd.r_max)]
     out = []
-    for j in range(grd.d):
-        col = grd.Abold.column(j)
-        s = element_order(col, grd.r)
-        if any((s * v) % grd.r[i] for i, v in enumerate(col)):
+    for j, col in enumerate(zip(*(row for row, _ in rows)) if rows else [()] * grd.d):
+        s = element_order(col, mods)
+        if any((s * v) % r_i for v, r_i in zip(col, mods)):
             raise CertificateError(f"column {j} is not annihilated by its order {s}")
-        for p, _ in _prime_powers(s):  # every prime quotient of s must fail
-            if not any(((s // p) * v) % grd.r[i] for i, v in enumerate(col)):
+        for p in primes:  # every prime quotient of s must fail
+            if s % p == 0 and not any(((s // p) * v) % r_i for v, r_i in zip(col, mods)):
                 raise CertificateError(
                     f"column {j} order {s} is not minimal: {s // p} suffices")
         out.append(s)
@@ -166,111 +249,288 @@ def _check_order_bookkeeping(s: Sequence[int], korder: int, range_order: int) ->
             f"|K'| * |G| = {korder} * {range_order}")
 
 
-def _check_congruence(grd: GroupRelaxationData, G: np.ndarray) -> None:
-    """Abold g = 0 (mod R Z^m) for every row g of G, all rows at once."""
-    for i, r_i in enumerate(grd.r):
-        if r_i > 1:
-            a = np.array([v % r_i for v in grd.Abold.data[i]], dtype=G.dtype)
-            bad = np.flatnonzero((G * a % r_i).sum(axis=1) % r_i)
-            if len(bad):
-                raise CertificateError(
-                    f"compressed generator {tuple(G[bad[0]].tolist())} fails the congruence")
+Sparse = dict[int, int]  # column -> nonzero value
 
 
-def _eliminate(H: np.ndarray, p: int, e: int) -> tuple[np.ndarray, list[int]]:
-    """Independent cyclic generators of the row span of H over Z/p^e.
+def _axpy(x: Sparse, a: int, y: Sparse, q: int) -> Sparse:
+    """x + a y, entries mod q."""
+    out = dict(x)
+    for c, v in y.items():
+        out[c] = (out.get(c, 0) + a * v) % q
+    return out
 
-    Row elimination with a pivot of minimal p-valuation a, in the
-    rightmost column that holds one: it divides every remaining entry,
-    so each other row clears the pivot column by subtracting an exact
-    multiple of the pivot row, which is scaled to make the pivot p^a.
-    Earlier pivot rows are reduced in that column modulo p^a. Pivot
-    columns are distinct and each pivot row is zero in the earlier
-    pivot columns, so the span is the direct sum of the cyclic groups of
-    the pivot rows, of orders p^(e-a). A column without entries of
-    valuation a never gains one at that level, so the search sweeps the
-    columns once per level; cleared rows stay in place as zeros.
-    Returns (rows, orders) with the orders descending.
+
+def _dense(g: Sparse, d: int) -> tuple[int, ...]:
+    x = [0] * d
+    for c, v in g.items():
+        x[c] = v
+    return tuple(x)
+
+
+def _eliminate(B: np.ndarray, p: int, e: int, sp: Sequence[int]) -> list[tuple[int, Sparse, int]]:
+    """Independent generators of {x in ⊕_j Z_{sp_j} : B x = 0 (mod p^e)},
+    where B, m_p x d, holds the rows with p | r_i, each scaled to modulus
+    p^e, and sp_j is the p-part of the column order s_j.
+
+    The rows are reduced with a pivot of minimal p-valuation a, in the
+    leftmost column c that holds one; the pivot row is scaled to make the
+    pivot p^a, and every other row clears that column (earlier pivot rows
+    modulo p^a). Pivot row k then reads x_{c_k} + w_k·x = 0 (mod
+    p^(e-a_k)), with w_k zero on the earlier pivot columns. Each other
+    column j with sp_j > 1 gives g_j = e_j plus the pivot coordinates
+    solved back from the last row. A pivot whose column order exceeds
+    p^(e-a_k) leaves x_{c_k} free modulo p^(e-a_k): it gives a torsion
+    generator, and then ``_split_torsion`` makes the set independent.
+    Returns (own column, generator, order) triples, entries reduced mod sp.
     """
     q = p**e
-    R = H % q
-    P = np.zeros((min(H.shape), H.shape[1]), dtype=H.dtype)
-    orders: list[int] = []
+    R = B % q
+    found = []  # (row, column, a) of each pivot, in the order found
+    rest = list(range(R.shape[0]))
     pa = 1
-    for _ in range(e):  # pivots of valuation a = 0, 1, ..., e-1
-        c = H.shape[1] - 1
-        while c >= 0:
-            hits = np.flatnonzero(R[:, c] % (pa * p))
-            if not len(hits):
-                c -= 1
-                continue
-            t = int(hits[0])
+    for a in range(e):
+        while rest:
+            hit = R[rest] % (pa * p) != 0
+            cols = np.flatnonzero(hit.any(axis=0))
+            if not len(cols):
+                break
+            c = int(cols[0])
+            t = rest.pop(int(np.flatnonzero(hit[:, c])[0]))
             row = R[t] * pow(int(R[t, c]) // pa, -1, q) % q  # row[c] == pa
             idx = np.flatnonzero(R[:, c])  # includes t, which becomes zero
             R[idx] = (R[idx] - (R[idx, c] // pa)[:, None] * row) % q
-            n = len(orders)
-            idx = np.flatnonzero(P[:n, c] >= pa)
-            P[idx] = (P[idx] - (P[idx, c] // pa)[:, None] * row) % q
-            P[n] = row
-            orders.append(q // pa)
+            R[t] = row
+            found.append((t, c, a))
         pa *= p
-    return P[:len(orders)], orders
+    piv = [c for _, c, _ in found]
+    mods = [q // p**a for _, _, a in found]  # x_{c_k} is fixed modulo p^(e-a_k)
+    W = [R[t] // p**a for t, _, a in found]
+    is_piv = np.zeros(R.shape[1], dtype=bool)
+    is_piv[piv] = True
+    J = np.flatnonzero(~is_piv & (np.array(sp) > 1))
+    X: list = [None] * len(piv)  # pivot coordinates of every g_j
+    for k in reversed(range(len(piv))):
+        acc = W[k][J] % mods[k]
+        for l in range(k + 1, len(piv)):
+            acc = (acc + int(W[k][piv[l]]) * X[l] % mods[k]) % mods[k]
+        X[k] = -acc % mods[k]
+    J = J.tolist()
+    Xl = [x.tolist() for x in X]
+    free = []
+    for i, j in enumerate(J):
+        g = {j: 1}
+        for k, c in enumerate(piv):
+            if Xl[k][i]:
+                g[c] = Xl[k][i]
+        free.append((j, g, sp[j]))
+    torsion = [k for k, c in enumerate(piv) if sp[c] > mods[k]]
+    if not torsion:
+        return free
+    return _split_torsion(p, e, sp, free, Xl, piv, mods, [w.tolist() for w in W], torsion)
+
+
+def _split_torsion(p, e, sp, free, Xl, piv, mods, W, torsion) -> list[tuple[int, Sparse, int]]:
+    """Independent generators of the p-part of K' when some pivots leave
+    torsion, by a Smith reduction of the presentation of K' on the
+    generators b_j = g_j and t_k (the torsion generators), in the local
+    ring Z/p^e.
+
+    K' / <t_k> is ⊕_j Z_{sp_j}, so sp_j g_j is a combination of the t_k,
+    and p^(ex_k) t_k one of the earlier t's: these are the relations. A
+    relation column holds sp_j at b_j and its t-coefficients in the few
+    dense rows of the t's. Reducing a dense entry mod sp_j moves a
+    multiple of t into b_j; a b_j whose column is then clear is final,
+    of order sp_j. Otherwise the entry of least valuation p^v is the
+    pivot: its row and column are cleared, its generator is final of
+    order p^v, and if the column was b_j's relation, b_j turns into a
+    dense row.
+    """
+    q = p**e
+    nJ, K = len(free), len(piv)
+
+    def tau(k: int) -> dict[int, int]:
+        """t_k by pivot index: x_{c_k} = p^(e-a_k), back-solved below."""
+        t = {k: mods[k]}
+        for l in reversed(range(k)):
+            v = -sum(W[l][piv[i]] * x for i, x in t.items()) % mods[l]
+            if v:
+                t[l] = v
+        return t
+
+    taus = {k: tau(k) for k in torsion}
+
+    def express(z: list[np.ndarray]) -> dict[int, np.ndarray]:
+        """Coefficients on the t_k of the kernel elements with pivot
+        coordinates z (zero on the free columns), one per entry."""
+        coef = {}
+        for k in reversed(range(K)):
+            zk = z[k] % sp[piv[k]]
+            if k not in taus:
+                if zk.any():
+                    raise CertificateError("a torsion-free pivot coordinate is not determined")
+                continue
+            if (zk % mods[k]).any():
+                raise CertificateError("a pivot coordinate breaks its congruence")
+            coef[k] = zk // mods[k]
+            for l, v in taus[k].items():
+                z[l] = (z[l] - coef[k] * v) % sp[piv[l]]
+        return coef
+
+    spJ = np.array([o for _, _, o in free], dtype=object)
+    rho = express([spJ * np.array(x, dtype=object) for x in Xl])
+    sigma = express([np.array([sp[piv[l]] // mods[l] * taus[l].get(k, 0) for l in torsion],
+                              dtype=object) for k in range(K)])
+    dense = []  # [generator, relation row over the nJ + len(torsion) columns]
+    for i, k in enumerate(torsion):
+        row = np.concatenate([-rho[k], -sigma[k]]) % q
+        row[nJ + i] = (row[nJ + i] + sp[piv[k]] // mods[k]) % q
+        dense.append([{piv[l]: v for l, v in taus[k].items()}, row])
+    b = [g for _, g, _ in free]
+    active = np.ones(nJ + len(torsion), dtype=bool)
+    out = []
+    while True:
+        for vec, row in dense:
+            qj = np.zeros(nJ, dtype=object)
+            qj[active[:nJ]] = row[:nJ][active[:nJ]] // spJ[active[:nJ]]
+            row[:nJ] -= qj * spJ
+            for i in np.flatnonzero(qj):
+                b[i] = _axpy(b[i], qj[i], vec, q)
+        busy = np.zeros(len(active), dtype=bool)
+        for _, row in dense:
+            busy |= row != 0
+        for i in np.flatnonzero(active[:nJ] & ~busy[:nJ]):
+            out.append((free[i][0], b[i], free[i][2]))
+            active[i] = False
+        out += [(-1, vec, q) for vec, row in dense if not row.any()]
+        dense = [d for d in dense if d[1].any()]
+        if not dense:
+            return [(own if own >= 0 else max(vec), {c: v % sp[c] for c, v in vec.items()
+                                                     if v % sp[c]}, o)
+                    for own, vec, o in out if o > 1]
+        best = None  # (v, dense index, column) of an entry of least valuation
+        for n_, (_, row) in enumerate(dense):
+            pv = 1
+            for v in range(e):
+                hits = np.flatnonzero(active & (row % (pv * p) != 0))
+                if len(hits):
+                    if best is None or v < best[0]:
+                        best = (v, n_, int(hits[0]))
+                    break
+                pv *= p
+        v, n_, col = best
+        pv = p**v
+        vec, row = dense.pop(n_)
+        inv = pow(int(row[col]) // pv, -1, q)
+        f = row // pv * inv % q  # f[col] == 1
+        for other in dense:
+            a = other[1][col]
+            if a:
+                vec = _axpy(vec, a // pv * inv % q, other[0], q)
+                other[1] = (other[1] - a * f) % q
+        if col < nJ:  # b_col's relation: b_col turns dense
+            vec = _axpy(vec, spJ[col] // pv * inv % q, b[col], q)
+            new = (-spJ[col] * f) % q
+            new[col] = 0
+            dense.append([b[col], new])
+        active[col] = False
+        if v:
+            out.append((-1, vec, pv))
+
+
+def _check_independent(gens: Sequence[tuple[Sparse, int]], s: Sequence[int],
+                       primes: Sequence[int]) -> None:
+    """Generators g_i of orders o_i are independent iff, for each prime
+    p, the elements (o_i / p) g_i of order p (over the o_i that p
+    divides) are linearly independent over F_p. An element with a column
+    that no other one touches takes no part in a relation, so those are
+    set aside (every g_j of a non-pivot column j); the rest are
+    row-reduced mod p. Raises CertificateError on a dependence."""
+    for p in primes:
+        socle = []
+        for g, o in gens:
+            if o % p == 0:
+                h = {c: w for c, v in g.items() if (w := (o // p) * v % s[c])}
+                socle.append({c: w // (s[c] // p) for c, w in h.items()})
+        users = Counter(c for h in socle for c in h)
+        basis: list[tuple[int, Sparse]] = []  # (pivot column, row with pivot 1)
+        for h in socle:
+            if any(users[c] == 1 for c in h):
+                continue
+            for c, row in basis:
+                if h.get(c):
+                    h = {k: v for k, v in _axpy(h, -h[c], row, p).items() if v}
+            if not h:
+                raise CertificateError(f"compressed generators are not independent mod {p}")
+            c = min(h)
+            inv = pow(h[c], -1, p)
+            basis.append((c, {k: v * inv % p for k, v in h.items()}))
 
 
 def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
     """Cyclic generators of K' = image of K in the compressed ambient
-    group  ⊕_j Z_{s_j}  (coordinatewise reduction mod the column orders).
+    group  ⊕_j Z_{s_j}  (coordinatewise reduction mod the column orders),
+    which is the kernel of Abold on ⊕_j Z_{s_j}. Only kb.range_order = |G|
+    is read; the generators of K are not.
 
-    x -> ((r_max / s_j) x_j)_j embeds ⊕_j Z_{s_j} in Z_{r_max}^d, so K'
-    is the row span of the k x d matrix of the generators of K reduced
-    mod s and scaled so. For each prime power p^e exactly dividing r_max
-    the row span is reduced over Z/p^e (``_eliminate``); the i-th
-    largest generators of the p-parts are summed with CRT weights into
-    one generator whose order is the product of theirs, and coordinate j
-    is divided back by r_max / s_j. The generators are listed with
-    their orders ascending, each dividing the next (invariant factors).
+    For each prime power p^e exactly dividing r_max, the rows with
+    p | r_i, scaled to modulus p^e, are reduced over Z/p^e with x_j in
+    the p-part of Z_{s_j} (``_eliminate``): every column that is not a
+    pivot gives a generator e_j minus pivot coordinates, every pivot of
+    excess valuation a torsion generator. Each p-part generator is scaled
+    by a unit, as if its own column were embedded in Z_{r_max} by
+    x -> (r_max / s_j) x; the i-th largest generators of the p-parts are
+    summed with CRT weights into one generator whose order is the
+    product of theirs. The generators are listed with their orders
+    ascending, each dividing the next (invariant factors). Nothing forms
+    a k x d array; the elimination works on the m' x d nontrivial rows
+    in ``int_dtype``, where no value exceeds a product of two residues,
+    r_max^2.
 
-    The arithmetic runs in ``int_dtype``: no value it forms exceeds a
-    product of two residues, r_max^2, nor the congruence check's row sum
-    of d residues. Certificates, each raising
-    ``CertificateError``: the column orders are minimal; every generator
-    satisfies Abold g = 0 (mod R Z^m), checked for all generators at
-    once; ``element_order`` of each generator equals its stated order;
-    and prod(s) = |K'| |G|, which with the congruence shows that K' is
-    the whole kernel of Abold on ⊕_j Z_{s_j}.
+    Certificates, each raising ``CertificateError``, all on the sparse
+    generators before the dense tuples are built: the column orders are
+    minimal; every generator satisfies Abold g = 0 (mod R Z^m);
+    ``element_order`` of each generator equals its stated order; the
+    generators are independent (``_check_independent``); and
+    prod(s) = |K'| |G|. With independence the span has order
+    prod(orders) = |K'|, and with the congruence it lies in the kernel,
+    whose order is prod(s) / |G|: so K' is the whole kernel.
     """
     s = column_orders(grd)
-    range_order = kb.range_order
-    if kb.kernel_order == 1 or not kb.generators:
-        _check_order_bookkeeping(s, 1, range_order)
-        return KernelBasis((), (), tuple(s), 1, range_order)
-
-    r_max = grd.r_max
-    dtype = int_dtype(r_max * max(r_max, len(s)))
-    scale = np.array([r_max // sj for sj in s], dtype=dtype)
-    H = np.array(kb.generators, dtype=dtype) % r_max * scale % r_max
+    r_max, d = grd.r_max, grd.d
+    dtype = int_dtype(r_max * r_max)
+    rows = _nontrivial_rows(grd)
+    pes = _prime_powers(r_max)
     parts = []
-    for p, e in _prime_powers(r_max):
+    for p, e in pes:
         q = p**e
-        crt = (r_max // q) * pow(r_max // q, -1, q)  # 1 mod q, 0 mod r_max / q
-        rows, orders = _eliminate(H, p, e)
-        parts.append((rows * crt % r_max, orders))
-    n = max(len(orders) for _, orders in parts)
-    G = np.zeros((n, len(s)), dtype=dtype)
+        B = [[v % pf * (q // pf) for v in row]
+             for row, pf in ((row, gcd(r_i, q)) for row, r_i in rows) if pf > 1]
+        sp = [gcd(sj, q) for sj in s]
+        gens = sorted(_eliminate(np.array(B, dtype=dtype), p, e, sp),
+                      key=lambda g: (-g[2], -g[0]))
+        parts.append((q, sp, gens))
+    n = max((len(gens) for *_, gens in parts), default=0)
+    sums: list[Sparse] = [{} for _ in range(n)]
     orders = [1] * n
-    for rows, p_orders in parts:
-        G[:len(rows)] += rows
-        orders[:len(p_orders)] = [o * po for o, po in zip(orders, p_orders)]
-    G = (G % r_max)[::-1] // scale
-    orders.reverse()
-    _check_congruence(grd, G)
-    gens = [tuple(g) for g in G.tolist()]
-    for g, o in zip(gens, orders):
-        if element_order(g, s) != o:
-            raise CertificateError(f"compressed generator {g} does not have order {o}")
-    korder = prod(orders)
-    _check_order_bookkeeping(s, korder, range_order)
-    return KernelBasis(tuple(gens), tuple(orders), tuple(s), korder, range_order)
+    for q, sp, gens in parts:
+        crt = (r_max // q) * pow(r_max // q, -1, q)  # 1 mod q, 0 mod r_max / q
+        for acc, i, (own, g, o) in zip(sums, range(n), gens):
+            lam = pow(r_max // s[own] // (q // sp[own]), -1, q)
+            for c, v in g.items():
+                acc[c] = (acc.get(c, 0) + crt * ((r_max // s[c]) * lam * v % q)) % r_max
+            orders[i] *= o
+    gens = [({c: y // (r_max // s[c]) for c, y in acc.items() if y}, o)
+            for acc, o in zip(reversed(sums), reversed(orders))]
+    for g, o in gens:
+        if any(sum(row[c] * v for c, v in g.items()) % r_i for row, r_i in rows):
+            raise CertificateError(f"compressed generator {_dense(g, d)} fails the congruence")
+        if element_order(g.values(), [s[c] for c in g]) != o:
+            raise CertificateError(f"compressed generator {_dense(g, d)} does not have order {o}")
+    _check_independent(gens, s, [p for p, _ in pes])
+    korder = prod(o for _, o in gens)
+    _check_order_bookkeeping(s, korder, kb.range_order)
+    return KernelBasis(tuple(_dense(g, d) for g, _ in gens), tuple(o for _, o in gens),
+                       tuple(s), korder, kb.range_order)
 
 
 def compress_coset(grd: GroupRelaxationData, fc: FeasibleCoset) -> FeasibleCoset:
@@ -316,19 +576,3 @@ def coset_array(fc: FeasibleCoset, cap: int) -> np.ndarray:
         X = ((M[:, None, :] + X[None, :, :]) % m).reshape(u * len(X), len(mods))
     return X
 
-
-def span(kb: KernelBasis) -> set[tuple[int, ...]]:
-    """Subgroup generated by the basis, by breadth-first closure."""
-    zero = (0,) * len(kb.moduli)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in kb.generators:
-                y = tuple((a + b) % m for a, b, m in zip(x, h, kb.moduli))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen

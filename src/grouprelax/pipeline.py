@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -104,6 +105,13 @@ def _decimal_digits(d: int) -> Optional[int]:
     return max(twos, fives) if d == 1 else None
 
 
+def fmt_int(n: int) -> str:
+    """Decimal digits of n, also past sys.get_int_max_str_digits(), which
+    bounds str(int) (a guard for parsing, kept for the MPS reader): |K|
+    has about 17000 digits at 5636 columns."""
+    return str(Decimal(n))
+
+
 def fmt_rational(v: Optional[Fraction]) -> str:
     """Exact decimal when it terminates, else 6 significant digits."""
     if v is None:
@@ -144,8 +152,8 @@ def emit_report(rows: Sequence[ReportRow]) -> str:
             fmt_pct(r.r_pct),
             "true" if r.certified else "false",
             "true" if r.degenerate_lp else "false",
-            str(r.k_order),
-            str(r.g_order),
+            fmt_int(r.k_order),
+            fmt_int(r.g_order),
             r.method,
             "" if r.seed is None else str(r.seed),
             str(r.wall_ms),

@@ -21,12 +21,12 @@ from grouprelax import (IntMatrix, PipelineConfig, SearchConfig,
                         run_pipeline, snf, solve_group, sp_diagnose,
                         spectral_gap, transition_matrix)
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import (KernelBasis, _group_residual, enumerate_coset,
-                               span)
+from grouprelax.kernel import KernelBasis, _group_residual, enumerate_coset
 from grouprelax.pipeline import report_row_from_values
 from grouprelax.search import sample_budget
 from grouprelax.spdiag import SPParams, shifted_cost, speedup_conditions
 from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, pseudo_lipschitz, step
+from tests.compress_oracle import span
 from tests.conftest import build
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 

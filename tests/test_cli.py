@@ -103,6 +103,29 @@ def test_huge_exponent_exits_1(tmp_path):
     assert res.exit_code == 1 and "exponent" in res.output, res.output
 
 
+def huge_coefficient_model(tmp_path, a):
+    """One >= row a·x1 + 3·x2 >= 1: r_max = a, a prime."""
+    path = tmp_path / "huge.mps"
+    path.write_text("NAME huge\nROWS\n N COST\n G R1\nCOLUMNS\n    M1 'MARKER' 'INTORG'\n"
+                    f"    x1 COST 1\n    x1 R1 {a}\n    x2 COST 1\n    x2 R1 3\n"
+                    "    M1 'MARKER' 'INTEND'\nRHS\n    RHS R1 1\nENDATA\n")
+    return path
+
+
+def test_compress_factors_a_61_bit_prime(tmp_path):
+    # the column orders divide r_max = 2^61 - 1, which trial division to
+    # its square root would take minutes to factor
+    res = run(["kernel", "--compress", str(huge_coefficient_model(tmp_path, 2**61 - 1))])
+    assert res.exit_code == 0, res.output
+    assert f"k_order {2**61 - 1}\ng_order {2**61 - 1}\n" in res.output
+
+
+def test_compress_uncertified_prime_exits_5(tmp_path):
+    # 2^89 - 1 is prime, but past the bound where Miller–Rabin proves it
+    res = run(["kernel", "--compress", str(huge_coefficient_model(tmp_path, 2**89 - 1))])
+    assert res.exit_code == 5 and "cannot prove" in res.output, res.output
+
+
 def test_not_pure_ilp_exit_code(tmp_path):
     path = tmp_path / "cont.mps"
     path.write_text(

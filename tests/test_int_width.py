@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grouprelax import ILPInstance, IntMatrix, KernelBasis, SPParams, feasible_coset
+from grouprelax import ILPInstance, IntMatrix, SPParams, feasible_coset
 from grouprelax import kernel, search, spdiag, walks
 from grouprelax.exact import int_dtype
 from tests import spdiag_oracle
@@ -38,17 +38,16 @@ def widths(module, fn, *args):
 
 @pytest.mark.parametrize("r_max, dtype", [(3037000493, np.int64), (3037000507, object)])
 def test_compress_kernel_width(r_max, dtype):
-    # primes on either side of 2^31.5; K is given by two generators with
-    # large entries, so that the elimination's products of two residues
-    # come near r_max^2 (at r_max = 2^32 - 5 int64 gets them wrong)
-    a, b = 1234567891, r_max - 2
-    grd = stub_grd([[1, a, b]], [r_max], [0])
-    gens = tuple(((-a * y - b * z) % r_max, y, z)
-                 for y, z in ((r_max - 3, 1999999999), (r_max // 2, r_max - 5)))
-    kb = KernelBasis(gens, (r_max, r_max), (r_max,) * 3, r_max**2, r_max)
+    # primes on either side of 2^31.5; the row's entries are large, so
+    # that scaling it to make the pivot 1 forms products of two residues
+    # near r_max^2 (at r_max = 2^32 - 5 int64 gets them wrong)
+    a, b, c = 1234567891, r_max - 2, r_max - 3
+    grd = stub_grd([[c, a, b]], [r_max], [0])
+    kb = feasible_coset(grd).basis
     result, reference, chosen = widths(kernel, kernel.compress_kernel, grd, kb)
     assert chosen == [dtype] and result == reference
-    assert result.generators == (((-a) % r_max, 1, 0), ((-b) % r_max, 0, 1))
+    t = pow(c, -1, r_max)
+    assert result.generators == ((-a * t % r_max, 1, 0), (-b * t % r_max, 0, 1))
 
 
 @pytest.mark.parametrize("m, dtype", [(2**62, np.int64), (2**62 + 4, object)])

@@ -4,8 +4,13 @@ against exhaustive enumeration oracles."""
 
 import hashlib
 import itertools
+import os
 import random
-from math import prod
+import subprocess
+import sys
+from math import isqrt, prod
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +19,8 @@ from grouprelax import (column_orders, compress_coset, compress_kernel,
                         enumerate_coset, feasible_coset, relax_ilp)
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import _group_residual, coset_array, element_order, span
-from tests.compress_oracle import two_snf_compress_kernel
+from grouprelax.kernel import _group_residual, coset_array, element_order
+from tests.compress_oracle import eliminate_compress_kernel, span, two_snf_compress_kernel
 from tests.conftest import build, stub_grd
 
 
@@ -102,6 +107,25 @@ def test_column_orders():
     assert column_orders(stub_grd([[2, 1], [2, 3]], [4, 4], [0, 0])) == [2, 4]
 
 
+def test_prime_powers():
+    pp = grouprelax.kernel._prime_powers
+    rng = random.Random(3)
+    for n in [1, 2, 12, 997 * 991, 1009 * 1013, 2**64, 3**40 * 5, 2**61 - 1, 3215031751,
+              1000003 * 10000019, 1048583**2 * 7, 1073741827 * 2147483659,
+              *(rng.randrange(1, 10**9) for _ in range(200))]:
+        got = pp(n)
+        assert prod(p**e for p, e in got) == n
+        assert [p for p, _ in got] == sorted({p for p, _ in got})
+        for p, _ in got:  # every factor prime, by trial division up to 10^5
+            assert p > 1 and all(p % f for f in range(2, min(isqrt(p), 10**5) + 1))
+    assert pp(2**61 - 1) == [(2**61 - 1, 1)]
+    assert pp(3215031751) == [(151, 1), (751, 1), (28351, 1)]  # a strong pseudoprime to 2, 3, 5, 7
+    with pytest.raises(CapExceeded, match="cannot prove"):
+        pp(2**89 - 1)
+    with pytest.raises(CapExceeded, match="could not factor"):
+        pp(1099511627791 * 2199023255579)  # two 41-bit primes: past the rho budget
+
+
 def test_enumerate_coset_planted():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
@@ -168,6 +192,22 @@ def test_compress_trivial_kernel():
     assert kb2.kernel_order == 1
 
 
+def test_compress_splits_dependent_torsion(monkeypatch):
+    # x0 + x1 + 2 x2 = 0, 2 x1 + 2 x2 = 0 (mod 4), s = (4, 4, 2): the free
+    # column gives g = (1, 1, 1) and the second pivot the torsion element
+    # (2, 2, 0) = 2g, so K' is cyclic of order 4, not Z_2 + Z_2
+    split = grouprelax.kernel._split_torsion
+    calls = []
+    monkeypatch.setattr(grouprelax.kernel, "_split_torsion",
+                        lambda *args: calls.append(1) or split(*args))
+    grd = stub_grd([[1, 1, 2], [0, 2, 2]], [4, 4], [0, 0])
+    kb = feasible_coset(grd).basis
+    kb2 = compress_kernel(grd, kb)
+    assert calls and kb2.moduli == (4, 4, 2) and kb2.orders == (4,)
+    assert span(kb2) == {(0, 0, 0), (1, 1, 1), (2, 2, 0), (3, 3, 1)}
+    assert span(kb2) == {tuple(v % s for v, s in zip(x, kb2.moduli)) for x in span(kb)}
+
+
 def test_compress_image_oracle_fuzz():
     """Compressed kernel must equal the exact image of K in the product
     of the column-order cyclic groups, with matching order bookkeeping."""
@@ -217,18 +257,19 @@ def test_feasible_coset_factors_once(monkeypatch):
 
 
 def assert_matches_oracle(grd, kb, span_limit=10**4):
-    """Same |K'|, |G| and sorted orders as the two-SNF compression, and
+    """Same moduli, |K'|, |G| and sorted orders as both references (the
+    two-SNF compression and the k x d elimination of K's generators), and
     the same subgroup where it is small enough to enumerate."""
     new = compress_kernel(grd, kb)
-    old = two_snf_compress_kernel(grd, kb)
-    assert new.moduli == old.moduli
-    assert new.kernel_order == old.kernel_order
-    assert new.range_order == old.range_order
-    assert sorted(new.orders) == sorted(old.orders)
     assert list(new.orders) == sorted(new.orders)
     assert all(b % a == 0 for a, b in zip(new.orders, new.orders[1:]))
-    if new.kernel_order <= span_limit:
-        assert span(new) == span(old)
+    for old in (two_snf_compress_kernel(grd, kb), eliminate_compress_kernel(grd, kb)):
+        assert new.moduli == old.moduli
+        assert new.kernel_order == old.kernel_order
+        assert new.range_order == old.range_order
+        assert sorted(new.orders) == sorted(old.orders)
+        if new.kernel_order <= span_limit:
+            assert span(new) == span(old)
     return new
 
 
@@ -281,16 +322,19 @@ def test_compress_runs_no_snf(monkeypatch):
 def corrupt_elimination(monkeypatch, how):
     eliminate = grouprelax.kernel._eliminate
 
-    def corrupted(H, p, e):
-        rows, orders = eliminate(H, p, e)
+    def corrupted(B, p, e, sp):
+        gens = eliminate(B, p, e, sp)
+        own, g, order = gens[0]
         if how == "shift":
-            rows = rows.copy()
-            rows[0, 0] += 1
+            gens[0] = (own, {**g, own: g[own] + 1}, order)
         elif how == "order":
-            orders = [o * p for o in orders]
-        else:
-            rows, orders = rows[1:], orders[1:]
-        return rows, orders
+            gens = [(own, g, o * p) for own, g, o in gens]
+        elif how == "drop":
+            gens = gens[1:]
+        else:  # generator 1 in place of generator 2, of the same order
+            assert gens[1][2] == order
+            gens[1] = gens[0]
+        return gens
 
     monkeypatch.setattr(grouprelax.kernel, "_eliminate", corrupted)
 
@@ -299,6 +343,8 @@ def corrupt_elimination(monkeypatch, how):
     ("shift", "fails the congruence"),
     ("order", "does not have order"),
     ("drop", "bookkeeping broke"),
+    # congruence, element orders and the order count all still hold
+    ("repeat", "not independent"),
 ])
 def test_compress_certificates_fire(monkeypatch, how, message):
     # cutgen m=4 L=20 s35: r_max = 4, three generators of order 4
@@ -306,6 +352,41 @@ def test_compress_certificates_fire(monkeypatch, how, message):
     corrupt_elimination(monkeypatch, how)
     with pytest.raises(CertificateError, match=message):
         compress_kernel(grd, fc.basis)
+
+
+def test_independence_check_fires_under_python_O():
+    script = (
+        "assert False\n"  # stripped by -O, so this line shows -O is on
+        "from grouprelax import CutStockSpec, compress_kernel, cutgen, feasible_coset, kernel\n"
+        "from grouprelax.errors import CertificateError\n"
+        "from grouprelax.relax import relax_ilp\n"
+        "eliminate = kernel._eliminate\n"
+        "def repeated(B, p, e, sp):\n"
+        "    gens = eliminate(B, p, e, sp)\n"
+        "    gens[1] = gens[0]\n"
+        "    return gens\n"
+        "kernel._eliminate = repeated\n"
+        "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
+        "try:\n"
+        "    compress_kernel(grd, feasible_coset(grd).basis)\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "compressed generators are not independent mod 2\n"
+
+
+def test_compress_reads_no_generator_of_k():
+    # only |G| is read: any other field of the basis would raise here
+    for spec in (CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35),
+                 CutStockSpec(m=8, L=1000, v2=0.5, dbar=10.0, seed=26)):
+        _, _, grd, fc = build(cutgen(spec))
+        got = compress_kernel(grd, SimpleNamespace(range_order=fc.basis.range_order))
+        assert got == compress_kernel(grd, fc.basis)
 
 
 # sha256 of (r, Abold, bbold, kept, dropped, x_hat, generators, orders,

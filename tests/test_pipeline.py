@@ -12,9 +12,15 @@ import pytest
 import grouprelax
 from grouprelax import PipelineConfig, emit_report, run_pipeline
 from grouprelax.gen import planted
-from grouprelax.pipeline import (CSV_HEADER, fmt_pct, fmt_rational,
+from grouprelax.pipeline import (CSV_HEADER, fmt_int, fmt_pct, fmt_rational,
                                  report_row_from_values)
 from grouprelax.search import SearchConfig
+
+
+def test_fmt_int_past_the_str_digit_limit():
+    n = 10 ** (sys.get_int_max_str_digits() + 1) - 1  # str(n) raises ValueError
+    assert fmt_int(n) == "9" * (sys.get_int_max_str_digits() + 1)
+    assert [fmt_int(v) for v in (0, 7, -12, 3135)] == ["0", "7", "-12", "3135"]
 
 
 def test_fmt_rational():

@@ -16,8 +16,8 @@ from grouprelax import (ILPInstance, IntMatrix, compress_coset, emit_mps, enumer
                         feasible_coset, lift_to_ilp, parse_mps, relax_ilp, snf,
                         solve_lp_exact, solve_mod, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
-from grouprelax.kernel import span
 from grouprelax.mps import _num
+from tests.compress_oracle import span
 from tests.conftest import random_feasible_instance, stub_grd
 from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract

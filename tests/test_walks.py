@@ -20,12 +20,12 @@ from grouprelax import (CutStockSpec, compress_coset, cutgen, cyclic_metric,
                         pseudo_lipschitz, spectral_gap, step, transition_matrix)
 from grouprelax.errors import CertificateError, DenseLimitExceeded
 from grouprelax.gen import planted
-from grouprelax.kernel import (FeasibleCoset, KernelBasis, coset_array, enumerate_coset,
-                               span)
+from grouprelax.kernel import FeasibleCoset, KernelBasis, coset_array, enumerate_coset
 from grouprelax.relax import LinearCost
 from grouprelax.walks import (CayleyWalkSpec, _neighbours, check_coset_table, coset_table,
                               cyclic_norm_max, transition_counts, walk)
 from tests import walk_oracle
+from tests.compress_oracle import span
 from tests.conftest import build
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 
@@ -513,10 +513,11 @@ def test_certificates_fire_under_python_O():
         # compression: a generator that breaks the congruence
         "from grouprelax import kernel\n"
         "eliminate = kernel._eliminate\n"
-        "def shifted(H, p, e):\n"
-        "    rows, orders = eliminate(H, p, e)\n"
-        "    rows[0, 0] += 1\n"
-        "    return rows, orders\n"
+        "def shifted(B, p, e, sp):\n"
+        "    gens = eliminate(B, p, e, sp)\n"
+        "    own, g, order = gens[0]\n"
+        "    gens[0] = (own, {**g, own: g[own] + 1}, order)\n"
+        "    return gens\n"
         "kernel._eliminate = shifted\n"
         "from grouprelax import CutStockSpec, cutgen\n"
         "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
