@@ -5,12 +5,11 @@ from .errors import (CapExceeded, CertificateError, DenseLimitExceeded,
                      DiagnosticUnavailable, EmptyWidthBand, GroupRelaxError,
                      Infeasible, MalformedMPS, NotPureILP, PatternLimitExceeded,
                      Unbounded)
-from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, is_unimodular, snf, solve_mod
+from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, snf, solve_mod
 from .gen import CutStockSpec, cutgen, planted
 from .kernel import (FeasibleCoset, KernelBasis, column_orders, compress_coset,
                      compress_kernel, enumerate_coset, feasible_coset)
-from .lp import (BasisSolution, ILPInstance, StandardFormILP,
-                 check_asymptotic_sufficiency, solve_lp_exact, to_standard_form)
+from .lp import BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact, to_standard_form
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, ReportRow, emit_report, run_pipeline
 from .relax import (BoundChain, GroupRelaxationData, GroupSolution, LinearCost,
@@ -18,8 +17,8 @@ from .relax import (BoundChain, GroupRelaxationData, GroupSolution, LinearCost,
 from .search import (ILPOptimum, SearchConfig, SearchResult, branch_and_bound,
                      brute_force_group, brute_force_ilp, gomory_shortest_path,
                      markov_chain_search, solve_group)
-from .spdiag import (SPParams, SPReport, build_sp_hamiltonian, ground_overlap,
-                     shifted_cost, sp_diagnose, speedup_conditions, theta_eta)
+from .spdiag import (SPParams, SPReport, ground_overlap, sp_diagnose, speedup_conditions,
+                     theta_eta)
 from .walks import (CayleyWalkSpec, character_gap, cyclic_metric,
                     expander_generation, log_sobolev_lower, metropolis_step,
                     pseudo_lipschitz, spectral_gap, step, transition_matrix)

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form, extended gcd,
-linear congruences, unimodularity checks, and the fraction-free pivot;
+linear congruences, determinants, and the fraction-free pivot;
 and the package's two rules for exact integer arithmetic elsewhere.
 
 All scalars here are Python ints (arbitrary precision), so nothing here
@@ -65,10 +65,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._of(_identity_rows(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of([[0] * cols for _ in range(rows)])
 
     def copy(self) -> "IntMatrix":
         return IntMatrix._of([list(row) for row in self.data])
@@ -144,11 +140,6 @@ class SNFResult:
         # V by E^-T
         return IntMatrix._of(_replay(self.Vinv_t.rows, self.col_ops))
 
-    def diag_matrix(self, rows: int, cols: int) -> IntMatrix:
-        S = IntMatrix.zeros(rows, cols)
-        for i, d in enumerate(self.D):
-            S[i, i] = d
-        return S
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -367,16 +358,12 @@ def det_exact(M: IntMatrix) -> int:
     return gauss_jordan(list(M.data), [0] * M.rows)
 
 
-def is_unimodular(M: IntMatrix) -> bool:
-    """True iff M is square with determinant +-1."""
-    if M.rows != M.cols:
-        raise ValueError("unimodularity is defined for square matrices")
-    return abs(det_exact(M)) == 1
-
-
 def solve_rational(A: IntMatrix, cols: Sequence[int] | None, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve A[:, cols] x = rhs exactly (square nonsingular system); the
-    rhs, ints and Fractions, is cleared to integers first."""
+    rhs, ints and Fractions, is cleared to integers first. No library
+    path calls it: a lift reads the LP's certified adj and det
+    (``relax.lift_to_ilp``). It stays as the tests' reference for that
+    lift, and by name for the benchmark's tracer."""
     rows = [[row[j] for j in cols] for row in A.data] if cols is not None else list(A.data)
     n = len(rows)
     if any(len(row) != n for row in rows) or len(rhs) != n:

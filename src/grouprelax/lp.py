@@ -12,8 +12,8 @@ determinant det, and xb = adj·b, so x_B = xb / det. Entering B at
 position r, a column with a = adj·A_j gives det' = a_r and, for every
 row i != r, adj'_i = (a_r·adj_i - a_i·adj_r) / det exactly: the
 fraction-free pivot ``exact.bareiss_pivot``, which is also the only
-elimination in the row-rank repair of ``to_standard_form`` and in
-``check_asymptotic_sufficiency``. Row r is unchanged.
+elimination in the row-rank repair of ``to_standard_form``. Row r is
+unchanged.
 
 Pivot rules (Bland): the entering column is the first one, in column
 order, with a negative reduced cost; the leaving row has the minimum
@@ -21,20 +21,27 @@ ratio x_B,i / (B^-1 A_j)_i over rows where (B^-1 A_j)_i > 0, ties to the
 smallest basis index. These are the rules of the full-tableau simplex
 it replaced, so it returns the same basis in the same order.
 
-Certificate: at exit adj·A_B = det·I, A_B·xb = det·b, x_B >= 0 and every
-reduced cost >= 0 are checked; a failure raises CertificateError.
+Certificate: at exit det != 0, adj·A_B = det·I, A_B·xb = det·b, x_B >= 0
+and every reduced cost >= 0 are checked, the last two on integer
+numerators; a failure raises CertificateError. The first two make adj /
+det the exact inverse of A_B, so the ``BasisSolution`` that carries them
+is the one record of the optimal basis: the relaxation reads its group
+cost off the reduced-cost numerators, and every lift solves
+A_B x_B = rhs as adj·rhs / det, with no second elimination. Its
+Fractions (x_lp, reduced_costs, opt_lp) are views built when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from operator import mul
 from typing import Sequence
 
 from .errors import CertificateError, Infeasible, Unbounded
-from .exact import IntMatrix, bareiss_pivot as _pivot, clear_denominators, gauss_jordan
+from .exact import IntMatrix, bareiss_pivot as _pivot, clear_denominators
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -53,7 +60,7 @@ class ILPInstance:
 
     def __post_init__(self):
         self.b = [int(v) for v in self.b]
-        self.c = [Fraction(v) for v in self.c]
+        self.c = [v if isinstance(v, Fraction) else Fraction(v) for v in self.c]
         if self.A.rows != len(self.b) or self.A.rows != len(self.row_sense):
             raise ValueError("row dimension mismatch")
         if self.A.cols != len(self.c):
@@ -87,12 +94,39 @@ class StandardFormILP:
 
 @dataclass
 class BasisSolution:
+    """An optimal basis in integers, certified by ``solve_lp_exact``: adj
+    and xb make x_B = xb / det, and the reduced costs and OPT_LP are
+    numerators over den. The Fraction fields are views of them."""
+
     basis: list[int]
     nonbasic: list[int]
-    x_lp: list[Fraction]
-    reduced_costs: dict[int, Fraction]  # keyed by nonbasic column
-    opt_lp: Fraction
-    degenerate_primal: bool
+    det: int                # signed det A_B, columns in basis order; nonzero
+    adj: list[list[int]]    # det·A_B^-1, rows in basis order; certified
+    xb: list[int]           # adj·b, so x_B = xb / det
+    den: int                # scale·|det|, scale the lcm of c's denominators
+    reduced: list[int]      # den·(reduced cost) of each nonbasic column, >= 0
+    opt_num: int            # den·OPT_LP
+    n: int                  # standard-form columns
+
+    @cached_property
+    def x_lp(self) -> list[Fraction]:
+        x = [Fraction(0)] * self.n
+        for bi, v in zip(self.basis, self.xb):
+            x[bi] = Fraction(v, self.det)
+        return x
+
+    @cached_property
+    def reduced_costs(self) -> dict[int, Fraction]:
+        """Keyed by nonbasic column."""
+        return {j: Fraction(v, self.den) for j, v in zip(self.nonbasic, self.reduced)}
+
+    @cached_property
+    def opt_lp(self) -> Fraction:
+        return Fraction(self.opt_num, self.den)
+
+    @property
+    def degenerate_primal(self) -> bool:
+        return 0 in self.xb
 
 
 def to_standard_form(inst: ILPInstance) -> StandardFormILP:
@@ -187,19 +221,21 @@ def _simplex(cols: list[tuple[int, ...]], cost: list[int], ncols: int, basis: li
 
 
 def _certify(cols: list[tuple[int, ...]], b: list[int], basis: list[int],
-             adj: list[list[int]], xb: list[int], det: int,
-             x: list[Fraction], reduced: dict[int, Fraction]) -> None:
-    """The optimality certificate: adj·A_B = det·I, A_B·xb = det·b,
-    x >= 0 and every nonbasic reduced cost >= 0. O(m^3 + mn)."""
+             adj: list[list[int]], xb: list[int], det: int, reduced: list[int]) -> None:
+    """The optimality certificate: det != 0, adj·A_B = det·I,
+    A_B·xb = det·b, x_B = xb / det >= 0 and every reduced-cost numerator
+    >= 0. O(m^3 + mn)."""
     m = len(basis)
+    if det == 0:
+        raise CertificateError("the LP basis determinant is 0")
     if any(_dot(adj[i], cols[bk]) != (det if i == k else 0)
            for i in range(m) for k, bk in enumerate(basis)):
         raise CertificateError("adj·A_B differs from det·I")
     if any(sum(cols[bk][i] * v for bk, v in zip(basis, xb)) != det * b[i] for i in range(m)):
         raise CertificateError("A_B·xb differs from det·b")
-    if any(v < 0 for v in x):
+    if any(v * det < 0 for v in xb):
         raise CertificateError("the LP basis is not primal feasible")
-    if any(v < 0 for v in reduced.values()):
+    if any(v < 0 for v in reduced):
         raise CertificateError("the LP basis is not dual feasible")
 
 
@@ -217,8 +253,8 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
     column with a negative reduced cost and leave by the minimum ratio
     xb_i / a_i, ties to the smallest basis index: the pivots of the
     tableau simplex, so the basis and its order are the ones it picks.
-    At exit adj·A_B = det·I, A_B·xb = det·b, x_B >= 0 and the reduced
-    costs >= 0 are checked; a failure raises CertificateError.
+    At exit det != 0, adj·A_B = det·I, A_B·xb = det·b, x_B >= 0 and the
+    reduced costs >= 0 are checked; a failure raises CertificateError.
     """
     m, n = sf.A.rows, sf.A.cols
     cols = list(zip(*sf.A.data)) if m else [()] * n
@@ -247,37 +283,14 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
     scale, cost = clear_denominators(sf.c)
     det = _simplex(cols, cost, n, basis, adj, xb, det)
 
-    x = [Fraction(0)] * n
-    for bi, v in zip(basis, xb):
-        x[bi] = Fraction(v, det)
     basic = set(basis)
     nonbasic = [j for j in range(n) if j not in basic]
-    y = _duals(cost, basis, adj)
-    reduced = {j: Fraction(cost[j] * det - _dot(y, cols[j]), scale * det) for j in nonbasic}
-    _certify(cols, sf.b, basis, adj, xb, det, x, reduced)
+    # every value over den = scale·|det|: det's sign moves to the numerators
+    y, s = _duals(cost, basis, adj), 1 if det > 0 else -1
+    reduced = [(cost[j] * det - _dot(y, cols[j])) * s for j in nonbasic]
+    _certify(cols, sf.b, basis, adj, xb, det, reduced)
     return BasisSolution(
-        basis=list(basis),
-        nonbasic=nonbasic,
-        x_lp=x,
-        reduced_costs=reduced,
-        opt_lp=sum((c * xi for c, xi in zip(sf.c, x)), Fraction(0)),
-        degenerate_primal=any(x[bi] == 0 for bi in basis),
+        basis=list(basis), nonbasic=nonbasic, det=det, adj=adj, xb=xb,
+        den=scale * det * s, reduced=reduced,
+        opt_num=_dot([cost[bi] for bi in basis], xb) * s, n=n,
     )
-
-
-def check_asymptotic_sufficiency(sf: StandardFormILP, bs: BasisSolution) -> bool:
-    """Sufficient condition for the group relaxation to solve the ILP:
-    A_B^{-1} b >= max_ij |(A_B^{-1} A_N)_ij| * |det A_B| componentwise.
-
-    One fraction-free elimination of [A_B | A_N | b] leaves N = D·A_B^{-1} A_N
-    and X = D·x_B with D = det A_B, so the test is D·X_i >= D^2·max |N_ij|.
-    """
-    if not bs.nonbasic:
-        return True
-    rows = [[row[j] for j in bs.basis + bs.nonbasic] for row in sf.A.data]
-    xb = list(sf.b)
-    det = gauss_jordan(rows, xb)
-    if det == 0:
-        raise ValueError("singular basis")
-    bound = det * det * max(abs(v) for row in rows for v in row[len(bs.basis):])
-    return all(v * det >= bound for v in xb)

@@ -56,13 +56,6 @@ def _row(name: str, chain: BoundChain, **rest) -> ReportRow:
                      chain.delta_b, chain.r_abs, chain.r_pct, **rest)
 
 
-def report_row_from_values(name: str, opt_lp, opt_b, opt_ilp,
-                           method: str = "supplied") -> ReportRow:
-    """Row from externally supplied optima (report arithmetic only)."""
-    return _row(name, bound_chain(opt_lp, opt_b, opt_ilp), certified=False,
-                degenerate_lp=False, k_order=0, g_order=0, method=method, seed=None, wall_ms=0)
-
-
 def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> ReportRow:
     cfg = cfg or PipelineConfig()
     t0 = time.monotonic()

@@ -2,6 +2,12 @@
 optimal LP basis (``relax_ilp`` runs the whole chain from an instance),
 lift kernel-space solutions back to full ILP vectors, and assemble the
 LP <= group <= ILP bound chain.
+
+Both ends read the LP's certified integers (``lp.BasisSolution``). The
+group cost is defined once, from the reduced-cost numerators over the
+LP's one denominator; cbold and the OPT_LP shift are its Fraction views.
+A lift is x_B = adj·rhs / det, exact because the LP certified
+adj·A_B = det·I; a remainder means the point is off the coset.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import CertificateError
-from .exact import IntMatrix, SNFResult, clear_denominators, det_exact, snf, solve_rational
+from .exact import IntMatrix, SNFResult, det_exact, snf
 from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
 
@@ -56,10 +62,9 @@ class GroupRelaxationData:
     r: list[int]                 # invariant factors of A_B, r_1 | ... | r_m
     Abold: IntMatrix             # m x d, entries reduced into [0, r_row)
     bbold: list[int]             # reduced likewise
-    cbold: list[Fraction]        # reduced costs over kept columns, >= 0
+    cost: LinearCost             # OPT_LP + cbold·x over kept columns, in lowest terms
     kept_cols: list[int]         # Abold column -> standard-form column index
     dropped_cols: list[int]      # nonbasic columns congruent to 0 mod R Z^m
-    shift: Fraction              # OPT_LP
 
     @property
     def d(self) -> int:
@@ -74,11 +79,14 @@ class GroupRelaxationData:
         return self.r[-1]
 
     @cached_property
-    def cost(self) -> LinearCost:
-        """Shifted group cost OPT_LP + cbold·x of a kernel-space point,
-        over L, the lcm of the denominators of OPT_LP and cbold."""
-        den, (const, *weights) = clear_denominators([self.shift, *self.cbold])
-        return LinearCost(den, const, weights)
+    def cbold(self) -> list[Fraction]:
+        """The reduced costs of the kept columns, >= 0."""
+        return [Fraction(w, self.cost.den) for w in self.cost.weights]
+
+    @cached_property
+    def shift(self) -> Fraction:
+        """OPT_LP."""
+        return Fraction(self.cost.const, self.cost.den)
 
 
 @dataclass
@@ -132,12 +140,15 @@ def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelax
     kept = [j for j, k in zip(bs.nonbasic, keep) if k]
     dropped = [j for j, k in zip(bs.nonbasic, keep) if not k]
     Abold = IntMatrix._of([[v for v, k in zip(row, keep) if k] for row in red])
-    cbold = [bs.reduced_costs[j] for j in kept]
-    if any(c < 0 for c in cbold):
+    weights = [v for v, k in zip(bs.reduced, keep) if k]
+    if any(w < 0 for w in weights):
         raise CertificateError("optimal basis has a negative reduced cost")
+    # over den: the lcm of the reduced denominators of OPT_LP and cbold is den / g
+    g = math.gcd(bs.den, bs.opt_num, *weights)
+    cost = LinearCost(bs.den // g, bs.opt_num // g, [w // g for w in weights])
     return GroupRelaxationData(
         sf=sf, bs=bs, r=r, Abold=Abold, bbold=bbold,
-        cbold=cbold, kept_cols=kept, dropped_cols=dropped, shift=bs.opt_lp,
+        cost=cost, kept_cols=kept, dropped_cols=dropped,
     )
 
 
@@ -150,9 +161,9 @@ def relax_ilp(inst: ILPInstance) -> GroupRelaxationData:
 def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
     """Lift kernel-space x_N (over kept columns) to a full vector.
 
-    x_B = A_B^{-1}(b - A_N x_N) must come out integral; a fractional
-    result means the input was not in the feasible coset and is treated
-    as a hard fault.
+    x_B = adj·(b - A_N x_N) / det must come out integral; a remainder
+    means the input was not in the feasible coset and raises
+    CertificateError.
     """
     sf, bs = grd.sf, grd.bs
     if len(x_n) != len(grd.kept_cols):
@@ -162,18 +173,16 @@ def lift_to_ilp(grd: GroupRelaxationData, x_n: Sequence[int]) -> GroupSolution:
         if v < 0:
             raise ValueError("kernel-space entries must be nonnegative")
         full[j] = int(v)
-    rhs = [bv - sum(sf.A.data[i][j] * full[j] for j in grd.kept_cols)
-           for i, bv in enumerate(sf.b)]
-    xb = solve_rational(sf.A, bs.basis, rhs)
-    for v in xb:
-        if v.denominator != 1:
+    moved = [(j, full[j]) for j in grd.kept_cols if full[j]]
+    rhs = [bv - sum(row[j] * v for j, v in moved) for row, bv in zip(sf.A.data, sf.b)]
+    for j, row in zip(bs.basis, bs.adj):
+        full[j], rem = divmod(sum(map(mul, row, rhs)), bs.det)
+        if rem:
             raise CertificateError("non-integral basic lift: inconsistent coset input")
-    for i, j in enumerate(bs.basis):
-        full[j] = int(xb[i])
     return GroupSolution(
         objective=grd.cost([int(v) for v in x_n]),
         lifted_x=full,
-        ilp_feasible=all(v >= 0 for v in xb),
+        ilp_feasible=all(full[j] >= 0 for j in bs.basis),
     )
 
 

@@ -76,12 +76,6 @@ def default_mix_steps(fc: FeasibleCoset, epsilon: float) -> int:
     return math.ceil(k * u * u * (math.log(kb.kernel_order) - math.log(epsilon)))
 
 
-def sample_budget(kernel_order: int, kstar_order: int, epsilon: float) -> int:
-    """ceil(2 (|K|/|K*|) ln(1/eps)) samples suffice to hit an optimum
-    with failure probability eps when sampling near-uniformly."""
-    return math.ceil(2 * (kernel_order / kstar_order) * math.log(1 / epsilon))
-
-
 def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
                         grd: Optional[GroupRelaxationData] = None) -> SearchResult:
     """Anytime search: burn in one mixing time, then repeatedly walk a
@@ -270,6 +264,12 @@ class ILPOptimum:
     group_pruned: int   # nodes the group bound pruned and the LP bound did not
 
 
+def _cost_at(inst: ILPInstance, x: list[int]) -> Fraction:
+    """c·x, one Fraction over the lcm of c's denominators."""
+    scale, cs = clear_denominators(inst.c)
+    return Fraction(sum(map(mul, cs, x)), scale)
+
+
 def _node_instance(inst: ILPInstance, lo: list[int], hi: list[Optional[int]]):
     """The node lo <= x <= hi of inst as an ILP in y = x - lo over the
     variables whose bounds differ, with the constant c·lo it leaves out.
@@ -279,7 +279,7 @@ def _node_instance(inst: ILPInstance, lo: list[int], hi: list[Optional[int]]):
     (None, [], c·lo) when every variable is fixed. Raises Infeasible when
     a row left without variables fails."""
     free = [j for j in range(inst.n_vars) if hi[j] is None or lo[j] < hi[j]]
-    const = sum((c * v for c, v in zip(inst.c, lo)), Fraction(0))
+    const = _cost_at(inst, lo)
     rows, b, sense = [], [], []
     for row, s, rhs in zip(inst.A.data, inst.row_sense, inst.b):
         rest = rhs - sum(map(mul, row, lo))
@@ -356,8 +356,14 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
             bound = const + bs.opt_lp
             if best is not None and bound >= best[0]:
                 continue
-            y = bs.x_lp[:len(free)]
-            frac = next((k for k, v in enumerate(y) if v.denominator != 1), None)
+            # y = floor of the LP optimum on the free variables, frac the
+            # first of them that is fractional
+            y, frac = [0] * len(free), None
+            for k, v in zip(bs.basis, bs.xb):
+                if k < len(free):
+                    y[k], rem = divmod(v, bs.det)
+                    if rem and (frac is None or k < frac):
+                        frac = k
             if res is None and frac is not None:
                 res = gomory_shortest_path(build_group_relaxation(sf, bs), group_cap)
         except Infeasible:
@@ -376,9 +382,9 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
             best = (bound, x)
             continue
         j = free[frac]
-        v = lo[j] + y[frac]
         up, down = list(lo), list(hi)
-        up[j], down[j] = math.ceil(v), math.floor(v)
+        down[j] = lo[j] + y[frac]
+        up[j] = down[j] + 1
         heapq.heappush(heap, (bound, next(order), lo, down))
         heapq.heappush(heap, (bound, next(order), up, hi))
     if best is None:
@@ -388,7 +394,7 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
             _holds(sum(map(mul, row, x)), s, rhs)
             for row, s, rhs in zip(inst.A.data, inst.row_sense, inst.b)):
         raise CertificateError("branch and bound returned a point outside the ILP")
-    if sum((c * v for c, v in zip(inst.c, x)), Fraction(0)) != value:
+    if _cost_at(inst, x) != value:
         raise CertificateError("branch and bound value differs from c·x")
     return ILPOptimum(value, x, nodes, group_pruned)
 

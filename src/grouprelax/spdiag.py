@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificateError, DenseLimitExceeded, DiagnosticUnavailable
-from .exact import clear_denominators, int_dtype
+from .exact import int_dtype
 from .kernel import FeasibleCoset, KernelBasis, coset_array
 from .relax import GroupRelaxationData
 from .walks import (DENSE_LIMIT_DEFAULT, CayleyWalkSpec, character_gap,
@@ -43,15 +43,6 @@ class SPParams:
     def __post_init__(self):
         if not (0 < self.eta < 1):
             raise ValueError("eta must be in (0, 1)")
-
-
-def shifted_cost(values: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """Shift constant C = f_max + 1 and ground energy E* = f_min - C.
-    All shifted values lie in [E*, -1], so E* < 0 always."""
-    fmax = max(values)
-    fmin = min(values)
-    C = fmax + 1
-    return C, fmin - C
 
 
 def theta_eta(x, eta):
@@ -87,18 +78,6 @@ def _theta_eta_array(x: np.ndarray, eta: float) -> np.ndarray:
     """theta_eta elementwise, with theta_eta's float operations."""
     v = (x + 1 - eta) / eta
     return np.where(v < 0, v, 0.0)
-
-
-def build_sp_hamiltonian(P, ftilde: Sequence[Fraction], mu: float,
-                         eta: float, e_star: Fraction):
-    """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
-    P is, sparse when P is. The theta arguments all land in [-1, 0]."""
-    _, (E, *a) = clear_denominators([abs(Fraction(e_star)), *map(Fraction, ftilde)])
-    theta = _theta_vector(np.array(a, dtype=object), E, eta)
-    if isinstance(P, np.ndarray):
-        return -P + np.diag(mu * theta)
-    import scipy.sparse as sp
-    return (-P + sp.diags_array(mu * theta)).tocsr()
 
 
 def ground_overlap(H, kstar_idx: Sequence[int]) -> tuple[float, float]:

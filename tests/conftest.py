@@ -1,6 +1,9 @@
 """Shared fixtures: instance builders and the seeded random corpus used
-by the bound-chain / kernel-oracle / compression suites."""
+by the bound-chain / kernel-oracle / compression suites, and the small
+helpers only tests read (report rows from supplied optima, the MCS
+sample budget)."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,7 +18,9 @@ from grouprelax import (
     gomory_shortest_path,
     relax_ilp,
 )
-from grouprelax.relax import GroupRelaxationData
+from grouprelax.exact import clear_denominators
+from grouprelax.pipeline import ReportRow, _row
+from grouprelax.relax import GroupRelaxationData, LinearCost, bound_chain
 
 
 def build(inst):
@@ -24,20 +29,35 @@ def build(inst):
     return grd.sf, grd.bs, grd, feasible_coset(grd)
 
 
-def stub_grd(Abold_rows, r, bbold, cbold=None):
+def stub_grd(Abold_rows, r, bbold, cbold=None, shift=0):
     """Bare congruence system for kernel-level unit tests; the LP fields
-    are not consulted by the kernel and walk operations."""
+    are not consulted by the kernel and walk operations. The cost is
+    shift + cbold·x over the lcm of their denominators, as the LP's
+    would be in lowest terms."""
     A = IntMatrix(Abold_rows)
+    cbold = [Fraction(v) for v in (cbold or [1] * A.cols)]
+    den, (const, *weights) = clear_denominators([Fraction(shift), *cbold])
     return GroupRelaxationData(
         sf=None, bs=None,
         r=list(r),
         Abold=A,
         bbold=list(bbold),
-        cbold=[Fraction(v) for v in (cbold or [1] * A.cols)],
+        cost=LinearCost(den, const, weights),
         kept_cols=list(range(A.cols)),
         dropped_cols=[],
-        shift=Fraction(0),
     )
+
+
+def report_row_from_values(name, opt_lp, opt_b, opt_ilp, method="supplied") -> ReportRow:
+    """Row from externally supplied optima (report arithmetic only)."""
+    return _row(name, bound_chain(opt_lp, opt_b, opt_ilp), certified=False,
+                degenerate_lp=False, k_order=0, g_order=0, method=method, seed=None, wall_ms=0)
+
+
+def sample_budget(kernel_order: int, kstar_order: int, epsilon: float) -> int:
+    """ceil(2 (|K|/|K*|) ln(1/eps)) samples suffice to hit an optimum
+    with failure probability eps when sampling near-uniformly."""
+    return math.ceil(2 * (kernel_order / kstar_order) * math.log(1 / epsilon))
 
 
 def random_feasible_instance(seed):

@@ -5,20 +5,47 @@ The two-phase tableau simplex with Bland's rule is the reference that
 tableau of Fractions on every pivot. The revised simplex in ``lp.py``
 must choose the same entering column, the same leaving row and the same
 drive-out pivots, so both return the same basis, in the same order, and
-the same ``BasisSolution``.
+the same Fraction views of it: x_lp, the reduced costs, OPT_LP and
+primal degeneracy (``TableauSolution``).
 
 The row-rank repair over all rows, the Gauss–Jordan solve and the
 sufficiency test with one solve per nonbasic column are the Fraction
 references for ``to_standard_form``, ``solve_rational``, ``det_exact``
-and ``check_asymptotic_sufficiency``, which run on the fraction-free
-pivot of ``exact.py``.
+and ``check_asymptotic_sufficiency``. The last, Gomory's sufficient
+condition for the group optimum to solve the ILP, reads the LP's
+certified adj and xb; no library path calls it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from grouprelax.errors import Infeasible, Unbounded
 from grouprelax.exact import IntMatrix
 from grouprelax.lp import EQ, LE, BasisSolution, ILPInstance, StandardFormILP
+
+
+@dataclass
+class TableauSolution:
+    basis: list[int]
+    nonbasic: list[int]
+    x_lp: list[Fraction]
+    reduced_costs: dict[int, Fraction]  # keyed by nonbasic column
+    opt_lp: Fraction
+    degenerate_primal: bool
+
+
+def check_asymptotic_sufficiency(sf: StandardFormILP, bs: BasisSolution) -> bool:
+    """Sufficient condition for the group relaxation to solve the ILP:
+    A_B^{-1} b >= max_ij |(A_B^{-1} A_N)_ij| * |det A_B| componentwise.
+
+    With the LP's adj = det·A_B^{-1} and xb = det·x_B the test is
+    det·xb_i >= det^2·max |adj·A_N|."""
+    if not bs.nonbasic:
+        return True
+    cols = list(zip(*sf.A.data))
+    big = max(abs(sum(map(mul, row, cols[j]))) for row in bs.adj for j in bs.nonbasic)
+    return all(v * bs.det >= bs.det * bs.det * big for v in bs.xb)
 
 
 def fraction_to_standard_form(inst: ILPInstance) -> StandardFormILP:
@@ -136,7 +163,7 @@ def _simplex(T: list[list[Fraction]], basis: list[int], n: int) -> None:
         basis[leave_row] = enter
 
 
-def tableau_solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
+def tableau_solve_lp_exact(sf: StandardFormILP) -> TableauSolution:
     """Two-phase exact rational simplex; returns an optimal basis."""
     m, n = sf.A.rows, sf.A.cols
     # phase 1: rows flipped so b >= 0, one artificial per row
@@ -188,7 +215,7 @@ def tableau_solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
     nonbasic = [j for j in range(n) if j not in set(basis)]
     reduced = {j: T2[m][j] for j in nonbasic}
     opt = sum((c * xi for c, xi in zip(sf.c, x)), Fraction(0))
-    return BasisSolution(
+    return TableauSolution(
         basis=list(basis),
         nonbasic=nonbasic,
         x_lp=x,

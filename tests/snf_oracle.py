@@ -1,5 +1,6 @@
 """The eager Smith normal form: the reference that ``exact.snf`` is
-tested against.
+tested against; and the diagonal and unimodularity helpers that check
+an SNF's contract.
 
 It accumulates U, V, Uinv and Vinv on the fly, one elementary operation
 at a time, with the same pivot order and the same operations as
@@ -10,7 +11,7 @@ throughout.
 
 from dataclasses import dataclass
 
-from grouprelax.exact import IntMatrix, ext_gcd
+from grouprelax.exact import IntMatrix, det_exact, ext_gcd
 
 
 @dataclass
@@ -129,3 +130,16 @@ def eager_snf(M: IntMatrix) -> EagerSNF:
 
     D = [S.data[i][i] for i in range(k)]
     return EagerSNF(U=U, D=D, V=V, Uinv=Uinv, Vinv=Vinv)
+
+
+def diag_matrix(D: list[int], rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix with D on its diagonal, zeros elsewhere."""
+    return IntMatrix([[D[i] if i == j and i < len(D) else 0 for j in range(cols)]
+                      for i in range(rows)])
+
+
+def is_unimodular(M: IntMatrix) -> bool:
+    """True iff M is square with determinant +-1."""
+    if M.rows != M.cols:
+        raise ValueError("unimodularity is defined for square matrices")
+    return abs(det_exact(M)) == 1

@@ -3,7 +3,8 @@ against: the coset from ``enumerate_coset``, one Fraction cost per
 state, the n x n count matrix from a dict neighbour table, the exact
 pseudo-Lipschitz norm over object arrays and a fresh H_mu per sweep
 point. Given the same coset and parameters, both must return SPReports
-with equal repr.
+with equal repr. Also the shifted cost and the H_mu builder on Fraction
+costs that the spdiag tests read.
 """
 
 import math
@@ -14,11 +15,26 @@ import numpy as np
 import scipy.sparse as sp
 
 from grouprelax.errors import CertificateError, DenseLimitExceeded
+from grouprelax.exact import clear_denominators
 from grouprelax.kernel import enumerate_coset
-from grouprelax.spdiag import (SPParams, SPReport, ground_overlap, shifted_cost,
+from grouprelax.spdiag import (SPParams, SPReport, _theta_vector, ground_overlap,
                                speedup_conditions, theta_eta)
 from grouprelax.walks import (CayleyWalkSpec, character_gap, cyclic_norm_max,
                               log_sobolev_lower)
+
+
+def shifted_cost(values) -> tuple[Fraction, Fraction]:
+    """Shift constant C = f_max + 1 and ground energy E* = f_min - C.
+    All shifted values lie in [E*, -1], so E* < 0 always."""
+    C = max(values) + 1
+    return C, min(values) - C
+
+
+def build_sp_hamiltonian(P, ftilde, mu: float, eta: float, e_star: Fraction):
+    """H_mu = -P + mu * diag(theta_eta(ftilde / |E*|)); symmetric since
+    P is, sparse when P is. The theta arguments all land in [-1, 0]."""
+    _, (E, *a) = clear_denominators([abs(Fraction(e_star)), *map(Fraction, ftilde)])
+    return hamiltonian(P, mu, _theta_vector(np.array(a, dtype=object), E, eta))
 
 
 def neighbours(spec, states):

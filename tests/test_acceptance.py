@@ -22,12 +22,12 @@ from grouprelax import (IntMatrix, PipelineConfig, SearchConfig,
                         spectral_gap, transition_matrix)
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from grouprelax.kernel import KernelBasis, _group_residual, enumerate_coset
-from grouprelax.pipeline import report_row_from_values
-from grouprelax.search import sample_budget
-from grouprelax.spdiag import SPParams, shifted_cost, speedup_conditions
+from grouprelax.spdiag import SPParams, speedup_conditions
 from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, pseudo_lipschitz, step
 from tests.compress_oracle import span
-from tests.conftest import build
+from tests.conftest import build, report_row_from_values
+from tests.snf_oracle import diag_matrix
+from tests.spdiag_oracle import shifted_cost
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 
 
@@ -112,7 +112,7 @@ def test_criterion_5_snf_contract():
         n = rng.randint(1, 8)
         M = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         fact = snf(M)
-        assert fact.U @ fact.diag_matrix(m, n) @ fact.V == M
+        assert fact.U @ diag_matrix(fact.D, m, n) @ fact.V == M
         assert abs(det_exact(fact.U)) == 1
         assert abs(det_exact(fact.V)) == 1
         nz = [d for d in fact.D if d]

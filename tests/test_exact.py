@@ -6,16 +6,16 @@ from math import gcd
 
 import pytest
 
-from grouprelax import IntMatrix, det_exact, ext_gcd, is_unimodular, relax_ilp, snf, solve_mod
+from grouprelax import IntMatrix, det_exact, ext_gcd, relax_ilp, snf, solve_mod
 from grouprelax.errors import Infeasible
 from grouprelax.gen import CutStockSpec, cutgen
-from tests.snf_oracle import eager_snf
+from tests.snf_oracle import diag_matrix, eager_snf, is_unimodular
 
 
 def test_int_matrix_builders_make_fresh_int_rows():
     A = IntMatrix([[1, 2, 3], [4, 5, 6]])
     B = IntMatrix([[1, 0], [0, 1], [1, 1]])
-    for M, rows in [(IntMatrix.zeros(2, 3), [[0] * 3] * 2),
+    for M, rows in [(IntMatrix.identity(2), [[1, 0], [0, 1]]),
                     (A.select_columns([2, 0]), [[3, 1], [6, 4]]),
                     (A @ B, [[4, 5], [10, 11]])]:
         assert M.data == rows and (M.rows, M.cols) == (len(rows), len(rows[0]))
@@ -45,7 +45,7 @@ def assert_matches_eager_oracle(M):
 def check_snf_contract(M):
     fact = assert_matches_eager_oracle(M)
     m, n = M.rows, M.cols
-    assert fact.U @ fact.diag_matrix(m, n) @ fact.V == M
+    assert fact.U @ diag_matrix(fact.D, m, n) @ fact.V == M
     assert fact.U @ fact.Uinv == IntMatrix.identity(m)
     assert fact.V @ fact.Vinv == IntMatrix.identity(n)
     assert abs(det_exact(fact.U)) == 1
@@ -163,7 +163,7 @@ def test_snf_matches_eager_oracle_on_ladder_coset_matrices():
         scale = [grd.r_max // r_i for r_i in grd.r]
         M = IntMatrix([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)])
         fact = assert_matches_eager_oracle(M)
-        assert fact.U @ fact.diag_matrix(M.rows, M.cols) @ fact.V == M
+        assert fact.U @ diag_matrix(fact.D, M.rows, M.cols) @ fact.V == M
 
 
 def test_snf_matches_eager_oracle_past_int64():

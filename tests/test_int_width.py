@@ -2,7 +2,6 @@
 each caller: a bound at 2^63 keeps int64, one past it gives object, and
 either way the result equals the Python-int (object dtype) reference."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -72,8 +71,7 @@ def test_max_move_variation_width(spread, dtype):
 @pytest.mark.parametrize("const, dtype", [(3, np.int64), (4, object)])
 def test_sp_diagnose_costs_width(const, dtype):
     # |const + w·x| < const + 4 (2^60 - 1) + 4·2^60 + 1 = 2^63 - 3 + const
-    grd = stub_grd([[1, 3]], [4], [0], cbold=[2**60 - 1, 2**60])
-    grd = dataclasses.replace(grd, shift=Fraction(const))
+    grd = stub_grd([[1, 3]], [4], [0], cbold=[2**60 - 1, 2**60], shift=const)
     fc = feasible_coset(grd)
     result, reference, chosen = widths(spdiag, spdiag.sp_diagnose, grd, fc, SPParams())
     # the costs, then den·ftilde and its sum, both past 2^63

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from grouprelax import (ILPInstance, IntMatrix, check_asymptotic_sufficiency, det_exact,
+from grouprelax import (ILPInstance, IntMatrix, det_exact, gomory_shortest_path, relax_ilp,
                         solve_lp_exact, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, Unbounded
 from grouprelax.exact import solve_rational
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from tests.conftest import dependent_row_instance, random_feasible_instance
-from tests.lp_oracle import (fraction_solve, fraction_sufficiency, fraction_to_standard_form,
-                             tableau_solve_lp_exact)
+from tests.lp_oracle import (check_asymptotic_sufficiency, fraction_solve, fraction_sufficiency,
+                             fraction_to_standard_form, tableau_solve_lp_exact)
 
 
 def inst_4I_2I(b=(2, 2)):
@@ -171,8 +171,21 @@ def test_asymptotic_sufficiency():
     assert check_asymptotic_sufficiency(sf, bs)
 
 
+def test_sufficiency_implies_a_feasible_lift():
+    # Gomory: where x_B >= |det A_B|·max |A_B^-1 A_N|, a shortest path of at
+    # most |G| - 1 <= |det| - 1 unit steps cannot drive x_B negative
+    held = 0
+    for seed in range(1000):
+        grd = relax_ilp(random_feasible_instance(seed))
+        if check_asymptotic_sufficiency(grd.sf, grd.bs):
+            held += abs(grd.bs.det) > 1
+            assert gomory_shortest_path(grd).solution.ilp_feasible, seed
+    assert held >= 50
+
+
 def lp_outcome(solve, sf):
-    """Every BasisSolution field, or the type of the library error raised."""
+    """Every Fraction view of the basis (every TableauSolution field), or
+    the type of the library error raised."""
     try:
         bs = solve(sf)
     except GroupRelaxError as e:

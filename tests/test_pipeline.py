@@ -1,6 +1,7 @@
 """End-to-end pipeline rows, rational/percent formatting, CSV and
 histogram emission."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import grouprelax
-from grouprelax import PipelineConfig, emit_report, run_pipeline
+from grouprelax import CutStockSpec, PipelineConfig, cutgen, emit_report, relax_ilp, run_pipeline
 from grouprelax.gen import planted
-from grouprelax.pipeline import (CSV_HEADER, fmt_int, fmt_pct, fmt_rational,
-                                 report_row_from_values)
+from grouprelax.pipeline import CSV_HEADER, fmt_int, fmt_pct, fmt_rational
 from grouprelax.search import SearchConfig
+from tests.conftest import random_feasible_instance, report_row_from_values
 
 
 def test_fmt_int_past_the_str_digit_limit():
@@ -88,6 +89,24 @@ def test_run_pipeline_planted_row():
     assert row.k_order == row.g_order == 8
     assert row.wall_ms == 0
     assert row.method == "dijkstra"
+
+
+def test_report_and_group_cost_pinned():
+    # the Dijkstra report of the random suite's law, seeds 0-199, and the
+    # group cost (den, const, weights) there and on the benchmark's cutgen
+    # ladder: the LP's certified integers must reproduce both bit for bit
+    insts = [random_feasible_instance(seed) for seed in range(200)]
+    rows = [run_pipeline(inst, PipelineConfig(record_wall=False)) for inst in insts]
+    assert hashlib.sha256(emit_report(rows).encode()).hexdigest() == (
+        "9a07909c12d9e920b29a5959a547e317a5eae7b508be56550064e0fb78ff98ef")
+    insts += [cutgen(CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed))
+              for m, seed in ((6, 51), (8, 26), (10, 11))]
+    costs = hashlib.sha256()
+    for inst in insts:
+        c = relax_ilp(inst).cost
+        costs.update(repr((c.den, c.const, c.weights)).encode() + b";")
+    assert costs.hexdigest() == (
+        "1cbbf93bc89c77bfc4ec2f485c809ad51b98def03447af10b009618597f65261")
 
 
 def test_run_pipeline_known_optimum():

@@ -1,17 +1,20 @@
 """Group relaxation construction, lifting, and the bound chain."""
 
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, bound_chain,
-                        build_group_relaxation, cutgen, enumerate_coset,
-                        lift_to_ilp, snf)
+                        build_group_relaxation, cutgen, det_exact, enumerate_coset,
+                        gomory_shortest_path, lift_to_ilp, snf)
 from grouprelax.errors import CertificateError
-from grouprelax.exact import SNFResult
+from grouprelax.exact import SNFResult, clear_denominators, solve_rational
 from grouprelax.gen import planted
-from grouprelax.relax import _check_basis_snf
-from tests.conftest import build
+from grouprelax.relax import GroupSolution, _check_basis_snf
+from tests.conftest import build, random_feasible_instance
+from tests.lp_oracle import fraction_solve
 
 
 def test_build_block_instance():
@@ -166,3 +169,69 @@ def test_basis_snf_certificate():
         _check_basis_snf(AB, fact([2, 3], [[1, 0], [0, 1]], [[1, 0], [0, 1]]), [2, 3])
     with pytest.raises(CertificateError, match="not unimodular"):
         _check_basis_snf(IntMatrix([[2]]), fact([4], [[2]], [[1]]), [4])
+
+
+def record_cases():
+    """The random suite's law, seeds 0-199, and the benchmark's cutgen ladder."""
+    insts = [random_feasible_instance(seed) for seed in range(200)]
+    insts += [cutgen(CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed))
+              for m, seed in ((6, 51), (8, 26), (10, 11))]
+    return [build(inst) for inst in insts]
+
+
+def test_basis_record_matches_its_oracles():
+    # the LP's integers: adj·A_B = det·I with det = det A_B, and the group
+    # cost is the Fraction views of OPT_LP and the kept reduced costs over
+    # their lcm denominator, as clear_denominators puts them
+    for sf, bs, grd, _ in record_cases():
+        AB = sf.A.select_columns(bs.basis)
+        m = len(bs.basis)
+        assert IntMatrix(bs.adj) @ AB == IntMatrix(
+            [[bs.det if i == j else 0 for j in range(m)] for i in range(m)])
+        assert bs.det == det_exact(AB)
+        x_b, det = fraction_solve(sf.A, bs.basis, sf.b)
+        assert det == bs.det and [bs.x_lp[j] for j in bs.basis] == x_b
+        views = [bs.opt_lp, *(bs.reduced_costs[j] for j in grd.kept_cols)]
+        cost = grd.cost
+        assert (cost.den, [cost.const, *cost.weights]) == clear_denominators(views)
+        assert [grd.shift, *grd.cbold] == views
+
+
+def solve_rational_lift(grd, x_n) -> GroupSolution:
+    """The lift by a fresh Gauss–Jordan solve of A_B x_B = b - A_N x_N
+    (``exact.solve_rational``): the reference for ``lift_to_ilp``."""
+    sf, full = grd.sf, [0] * grd.sf.A.cols
+    for j, v in zip(grd.kept_cols, x_n):
+        full[j] = v
+    x_b = solve_rational(sf.A, grd.bs.basis, [b - sum(map(mul, row, full))
+                                              for row, b in zip(sf.A.data, sf.b)])
+    if any(v.denominator != 1 for v in x_b):
+        raise CertificateError("non-integral basic lift")
+    for j, v in zip(grd.bs.basis, x_b):
+        full[j] = int(v)
+    return GroupSolution(grd.cost(x_n), full, all(v >= 0 for v in x_b))
+
+
+def test_lift_matches_solve_rational():
+    # x_hat, Dijkstra's x_N and random coset points lift as the fresh solve
+    # lifts them; one more unit on a kept column leaves the coset, since
+    # its column is nonzero mod R, and must raise
+    rng = random.Random(18)
+    for _, _, grd, fc in record_cases():
+        kb = fc.basis
+        points = [fc.x_hat, gomory_shortest_path(grd).best_point]
+        for _ in range(4):
+            x = list(fc.x_hat)
+            for g, o in zip(kb.generators, kb.orders):
+                k = rng.randrange(o)
+                x = [(a + k * v) % mod for a, v, mod in zip(x, g, kb.moduli)]
+            points.append(x)
+        for x in points:
+            assert lift_to_ilp(grd, x) == solve_rational_lift(grd, x)
+            for j in rng.sample(range(grd.d), min(grd.d, 2)):
+                off = list(x)
+                off[j] += 1
+                with pytest.raises(CertificateError, match="non-integral"):
+                    solve_rational_lift(grd, off)
+                with pytest.raises(CertificateError, match="non-integral"):
+                    lift_to_ilp(grd, off)

@@ -18,10 +18,10 @@ from grouprelax.gen import planted
 from grouprelax.kernel import (FeasibleCoset, KernelBasis, enumerate_coset,
                                feasible_coset)
 from grouprelax.relax import LinearCost
-from grouprelax.search import default_mix_steps, sample_budget
+from grouprelax.search import default_mix_steps
 from grouprelax.walks import CayleyWalkSpec, walk
 from tests import walk_oracle
-from tests.conftest import build, random_feasible_instance, stub_grd
+from tests.conftest import build, random_feasible_instance, sample_budget, stub_grd
 
 
 def test_mcs_planted_finds_optimum():

@@ -17,9 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import grouprelax
-from grouprelax import (SPParams, build_sp_hamiltonian, ground_overlap,
-                        shifted_cost, sp_diagnose, speedup_conditions,
-                        theta_eta)
+from grouprelax import SPParams, ground_overlap, sp_diagnose, speedup_conditions, theta_eta
 from grouprelax.errors import (CertificateError, DenseLimitExceeded,
                                DiagnosticUnavailable)
 from grouprelax.gen import CutStockSpec, cutgen, planted
@@ -28,6 +26,7 @@ from grouprelax.kernel import (KernelBasis, compress_coset, enumerate_coset,
 from grouprelax.walks import (CayleyWalkSpec, character_gap, spectral_gap,
                               transition_matrix)
 from tests import spdiag_oracle
+from tests.spdiag_oracle import build_sp_hamiltonian, shifted_cost
 from tests.conftest import build, stub_grd
 
 
