@@ -5,12 +5,14 @@
 Past 5000 patterns, raise the cap: --pattern-cap 20000.
 
 Runs cutgen's instance through standard form, the exact LP, the
-relaxation (its basis SNF), the feasible coset, compression and the
-Dijkstra solve, and prints one JSON object with each stage's
-``perf_counter`` seconds, the best over ``--repeat`` runs of the whole
-chain, and the process's peak RSS (``ru_maxrss``, MB) after each stage of
-the first run. It calls the library through its module functions only, so it
-also times older trees of the package (point PYTHONPATH at their src).
+relaxation (its basis SNF), |G| from the residue lattice, the feasible
+coset, compression and the Dijkstra solve, and prints one JSON object
+with each stage's ``perf_counter`` seconds, the best over ``--repeat``
+runs of the whole chain, and the process's peak RSS (``ru_maxrss``, MB)
+after each stage of the first run. It calls the library through its
+module functions only, so it also times older trees of the package
+(point PYTHONPATH at their src); a tree without ``kernel.range_order``
+reports no group_order stage.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from grouprelax import gen, kernel, lp, relax, search
 
-STAGES = ("standard_form", "lp", "relaxation_snf", "coset", "compression", "dijkstra")
+STAGES = ("standard_form", "lp", "relaxation_snf", "group_order", "coset", "compression",
+          "dijkstra")
 
 
 def peak_rss_mb() -> float:
@@ -46,6 +49,8 @@ def run_chain(inst) -> tuple[dict, dict, dict]:
     sf = timed("standard_form", lp.to_standard_form, inst)
     bs = timed("lp", lp.solve_lp_exact, sf)
     grd = timed("relaxation_snf", relax.build_group_relaxation, sf, bs)
+    if hasattr(kernel, "range_order"):
+        timed("group_order", kernel.range_order, grd)
     fc = timed("coset", kernel.feasible_coset, grd)
     fc2 = timed("compression", kernel.compress_coset, grd, fc)
     res = timed("dijkstra", search.gomory_shortest_path, grd)
@@ -90,9 +95,9 @@ def main() -> None:
         "spec": {"m": args.m, "L": args.L, "v2": args.v2, "dbar": args.dbar, "seed": args.seed,
                  "pattern_cap": args.pattern_cap},
         "repeat": max(1, args.repeat),
-        "stages_s": {k: round(best[k], 4) for k in STAGES},
-        "total_s": round(sum(best.values()), 4),
-        "peak_rss_mb_after": {k: round(peak_rss[k], 1) for k in STAGES},
+        "stages_s": {k: round(best[k], 6) for k in STAGES if k in best},
+        "total_s": round(sum(best.values()), 6),
+        "peak_rss_mb_after": {k: round(peak_rss[k], 1) for k in STAGES if k in peak_rss},
         **facts,
         "python": platform.python_version(), "numpy": np.__version__,
     }))

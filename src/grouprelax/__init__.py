@@ -8,7 +8,7 @@ from .errors import (CapExceeded, CertificateError, DenseLimitExceeded,
 from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, snf, solve_mod
 from .gen import CutStockSpec, cutgen, planted
 from .kernel import (FeasibleCoset, KernelBasis, column_orders, compress_coset,
-                     compress_kernel, enumerate_coset, feasible_coset)
+                     compress_kernel, enumerate_coset, feasible_coset, range_order)
 from .lp import BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact, to_standard_form
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, ReportRow, emit_report, run_pipeline

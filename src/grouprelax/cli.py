@@ -47,6 +47,14 @@ def _handle_errors(fn):
     return wrapper
 
 
+class _Names(dict):
+    """str(v) for each int v, made on first use."""
+
+    def __missing__(self, v: int) -> str:
+        s = self[v] = str(v)
+        return s
+
+
 def _load(path: str):
     p = Path(path)
     return parse_mps(p.read_text(), name_hint=p.stem)
@@ -113,12 +121,17 @@ def kernel(file, compress):
     if compress:
         fc = compress_coset(grd, fc)
     kb = fc.basis
-    click.echo(f"moduli {' '.join(map(str, kb.moduli))}")
-    click.echo(f"x_hat {' '.join(map(str, fc.x_hat))}")
-    for h, u in zip(kb.generators, kb.orders):
-        click.echo(f"gen {' '.join(map(str, h))} order {u}")
-    click.echo(f"k_order {fmt_int(kb.kernel_order)}")
-    click.echo(f"g_order {fmt_int(kb.range_order)}")
+    # the text is built once and written once; a generator row is mostly
+    # zeros, so each distinct entry is formatted once (at d = 5636 the
+    # 5354 rows hold 30 million entries)
+    name = _Names().__getitem__
+    click.echo("\n".join([
+        f"moduli {' '.join(map(str, kb.moduli))}",
+        f"x_hat {' '.join(map(str, fc.x_hat))}",
+        *(f"gen {' '.join(map(name, h))} order {u}" for h, u in zip(kb.generators, kb.orders)),
+        f"k_order {fmt_int(kb.kernel_order)}",
+        f"g_order {fmt_int(kb.range_order)}",
+    ]))
 
 
 @main.command()

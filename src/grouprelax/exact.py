@@ -83,9 +83,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r})"
 
-    def column(self, j: int) -> list[int]:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def select_columns(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
         return IntMatrix._of([[row[j] for j in idx] for row in self.data])

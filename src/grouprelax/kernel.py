@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
-from .exact import IntMatrix, SNFResult, int_dtype, snf, solve_mod
+from .exact import IntMatrix, SNFResult, ext_gcd, int_dtype, snf, solve_mod
 from .relax import GroupRelaxationData
 
 
@@ -88,16 +88,54 @@ def _kernel_generators(fact: SNFResult, r_max: int, A: IntMatrix, r: Sequence[in
     return gens, orders, kernel_order
 
 
+def range_order(grd: GroupRelaxationData) -> int:
+    """|G|, the order of the subgroup of ⊕Z_{r_i} that the columns of
+    Abold generate: prod(r_i) / det L, where L is the lattice spanned by
+    the distinct column residues and the r_i e_i, over the rows with
+    r_i > 1. No element of G is enumerated.
+
+    L is triangularized row by row with unimodular column operations: the
+    row's pivot starts as r_i e_i and takes the gcd of the row's entries,
+    the other vectors are cleared there, and det L is the product of the
+    pivots. L holds r_max e_k for every row k, so every entry is reduced
+    mod r_max."""
+    rows = _nontrivial_rows(grd)
+    r_max = grd.r_max
+    vecs = [col for col in set(zip(*(row for row, _ in rows))) if any(col)]
+    det = 1
+    for i, (_, r_i) in enumerate(rows):
+        p = [r_i if k == i else 0 for k in range(len(rows))]
+        rest = []
+        for v in vecs:
+            if v[i] % p[i]:
+                g, s, t = ext_gcd(p[i], v[i])
+                a, b = v[i] // g, p[i] // g
+                p, v = ([(s * x + t * y) % r_max for x, y in zip(p, v)],
+                        [(a * x - b * y) % r_max for x, y in zip(p, v)])
+            elif v[i]:
+                q = v[i] // p[i]
+                v = [(y - q * x) % r_max for x, y in zip(p, v)]
+            if any(v):
+                rest.append(v)
+        det *= p[i]
+        vecs = rest
+    order, rem = divmod(prod(r_i for _, r_i in rows), det)
+    if rem:
+        raise CertificateError(f"det L = {det} does not divide prod(r_i)")
+    return order
+
+
 def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
     """Feasible coset x_hat + K of Abold x = bbold (mod R Z^m) in
-    Z_{r_max}^d, with |K| and |G| = r_max^d / |K|.
+    Z_{r_max}^d, with |K| and |G| (``range_order``).
 
     Preconditioning with diag(r_max / r_j) turns every row into a
     congruence mod r_max; one SNF of that matrix gives both the
     particular solution (a per-row modular solve in SNF coordinates) and
     the cyclic generators of K with orders gcd(r_max, t_i). Both are
     verified by substitution, over the rows with r_i > 1, before
-    returning.
+    returning, and |K| by the count r_max^d = |K| |G| against the
+    lattice's |G|.
     """
     m, d, r_max = grd.m, grd.d, grd.r_max
     if d == 0 and any(grd.bbold[i] % grd.r[i] for i in range(m)):
@@ -122,8 +160,12 @@ def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
         if residual != [grd.bbold[i] % grd.r[i] for i in range(m)]:
             raise CertificateError("feasible-point substitution check failed")
         gens, orders, korder = _kernel_generators(fact, r_max, grd.Abold, grd.r)
+    g_order = range_order(grd)
+    if korder * g_order != r_max**d:
+        raise CertificateError(f"|K| = {korder} and |G| = {g_order} do not multiply to "
+                               f"r_max^d = {r_max}^{d}")
     basis = KernelBasis(generators=tuple(gens), orders=tuple(orders), moduli=(r_max,) * d,
-                        kernel_order=korder, range_order=r_max**d // korder)
+                        kernel_order=korder, range_order=g_order)
     return FeasibleCoset(x_hat=x_hat, basis=basis)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, Infeasible
-from .kernel import compress_coset, feasible_coset
+from .kernel import compress_coset, feasible_coset, range_order
 from .lp import ILPInstance
 from .relax import BoundChain, bound_chain, relax_ilp
 from .search import SearchConfig, branch_and_bound, solve_group
@@ -57,13 +57,25 @@ def _row(name: str, chain: BoundChain, **rest) -> ReportRow:
 
 
 def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> ReportRow:
+    """One report row. The feasible coset is built only when a reader
+    needs it: an MCS or brute-force solver, or ``cfg.compress``. On the
+    Dijkstra path without compression, |G| comes from the residue
+    lattice (``kernel.range_order``) and |K| = r_max^d / |G|, the values
+    the coset would report."""
     cfg = cfg or PipelineConfig()
     t0 = time.monotonic()
     grd = relax_ilp(inst)
-    fc = feasible_coset(grd)
-    if cfg.compress:
-        fc = compress_coset(grd, fc)
+    fc = None
+    if cfg.compress or cfg.search.method != "dijkstra":
+        fc = feasible_coset(grd)
+        if cfg.compress:
+            fc = compress_coset(grd, fc)
     res = solve_group(grd, fc, cfg.search)
+    if fc is None:
+        g_order = range_order(grd)
+        k_order = grd.r_max**grd.d // g_order
+    else:
+        k_order, g_order = fc.basis.kernel_order, fc.basis.range_order
 
     # opt_ilp is certified or NA: the known optimum, else on a certified
     # group optimum the branch and bound rooted at it (no second LP or
@@ -83,7 +95,7 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
     chain = bound_chain(grd.bs.opt_lp, res.objective, opt_ilp)
     wall = int((time.monotonic() - t0) * 1000) if cfg.record_wall else 0
     return _row(inst.name, chain, certified=certified, degenerate_lp=grd.bs.degenerate_primal,
-                k_order=fc.basis.kernel_order, g_order=fc.basis.range_order,
+                k_order=k_order, g_order=g_order,
                 method=cfg.search.method, seed=cfg.search.seed, wall_ms=wall)
 
 

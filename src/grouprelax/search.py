@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -129,54 +129,98 @@ def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
 
 
 def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchResult:
-    """Dijkstra from 0 to the target residue over the range group: nodes
-    are residue tuples mod the r_i > 1 (a row mod 1 is always 0), one
-    outgoing edge per kept column with weight equal to its reduced cost.
+    """Dijkstra from 0 to the target residue over the range group
+    (Gomory, 1965). A node is a residue over the rows with r_i > 1 (a row
+    mod 1 is always 0), coded in mixed radix with row 0 the most
+    significant digit, so codes order as the residue tuples do. One edge
+    per distinct column residue: its cheapest column, ties to the lowest
+    index, with weight equal to its reduced cost; a costlier column of
+    the same residue is dominated (Shapiro, 1968).
+
     The reconstructed edge multiplicities are an optimal x_N; the result
-    is certified. Raises CapExceeded once more than cap distinct residues
-    have a distance."""
-    rows = [i for i, r_i in enumerate(grd.r) if r_i > 1]
-    m, r = len(rows), [grd.r[i] for i in rows]
-    target = tuple(grd.bbold[i] % grd.r[i] for i in rows)
-    src = (0,) * m
-    cols = [tuple(grd.Abold.data[i][j] for i in rows) for j in range(grd.d)]
+    is certified three ways, each raising CertificateError: the potential
+    pi = settled distance, or dist(target) off the settled set, has
+    pi(0) = 0 and pi(u + a_j) <= pi(u) + w_j for every settled u and kept
+    residue a_j (a dual certificate that no path is shorter); the path
+    sums to the target; and its lift has the path's cost. Raises
+    CapExceeded once more than cap distinct residues have a distance,
+    Infeasible when the target is unreachable."""
+    rows = [(row, r_i, b % r_i) for row, r_i, b in zip(grd.Abold.data, grd.r, grd.bbold)
+            if r_i > 1]
     # the group cost scaled by L > 0 to integers keeps every comparison and tie
     cost = grd.cost
     den, shift, cbold = cost.den, cost.const, cost.weights
-    dist: dict[tuple[int, ...], int] = {src: 0}
-    pred: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, src)]
-    done = set()
+    kept: dict[tuple[int, ...], int] = {}  # residue -> its cheapest column
+    for j, col in enumerate(zip(*(row for row, _, _ in rows))):
+        k = kept.get(col)
+        if k is None or cbold[j] < cbold[k]:
+            kept[col] = j
+    cols = list(kept.values())
+    weights = [cbold[j] for j in cols]
+    # per row, last first: each kept residue's digit times the row's place
+    # value pv, and the row's modulus in code units r_i·pv
+    digits, target, pv = [], 0, 1
+    for i in reversed(range(len(rows))):
+        _, r_i, b = rows[i]
+        digits.append(([col[i] * pv for col in kept], pv, r_i * pv))
+        target += b * pv
+        pv *= r_i
+
+    def neighbours(u: int) -> list[int]:
+        """The code of u + a for every kept residue a, in kept order."""
+        out = None
+        for ds, pv, mod in digits:
+            ui = u % mod - u % pv  # u's digit of this row, in code units
+            part = [(ui + x) % mod for x in ds]
+            out = part if out is None else list(map(add, out, part))
+        return out or []
+
+    dist: dict[int, int] = {0: 0}
+    pred: dict[int, tuple[int, int]] = {}
+    heap: list[tuple[int, int]] = [(0, 0)]
+    done: dict[int, int] = {}  # settled residue -> its distance
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        dcur, u = heapq.heappop(heap)
+        dcur, u = pop(heap)
         if u in done:
             continue
-        done.add(u)
+        done[u] = dcur
         if u == target:
             break
-        for j, col in enumerate(cols):
-            v = tuple((u[i] + col[i]) % r[i] for i in range(m))
-            nd = dcur + cbold[j]
+        for v, w, j in zip(neighbours(u), weights, cols):
+            nd = dcur + w
             old = dist.get(v)
             if old is None or nd < old:
                 dist[v] = nd
                 pred[v] = (u, j)
-                heapq.heappush(heap, (nd, v))
+                push(heap, (nd, v))
                 if old is None and len(dist) > cap:
                     raise CapExceeded(f"Dijkstra reached more than {cap} residues")
     if target not in done:
         raise Infeasible("target residue unreachable: group relaxation infeasible")
 
+    # pi <= top everywhere and w >= 0, so an edge out of an unsettled
+    # residue holds; each settled u is checked against every kept residue
+    top = done[target]
+    if done[0] != 0 or max(done.values()) > top or min(weights, default=0) < 0:
+        raise CertificateError("dual certificate fails: pi(0) != 0, pi above the "
+                               "target's distance, or a negative weight")
+    pi, off = done.get, itertools.repeat(top)
+    for u, du in done.items():
+        # max_j pi(u + a_j) - w_j <= pi(u), in one pass over the kept residues
+        if weights and max(map(sub, map(pi, neighbours(u), off), weights)) > du:
+            raise CertificateError(
+                f"dual certificate fails: pi(u + a_j) > pi(u) + w_j at residue {u}")
     x_n = [0] * grd.d
     node = target
-    while node != src:
+    while node:
         node, j = pred[node]
         x_n[j] += 1
     # path feasibility: the steps must sum to the target residue
     if _group_residual(grd.Abold, grd.r, x_n) != [b % r_i for b, r_i in zip(grd.bbold, grd.r)]:
         raise CertificateError("shortest path does not sum to the target residue")
     sol = lift_to_ilp(grd, x_n)
-    obj = Fraction(shift + dist[target], den)
+    obj = Fraction(shift + top, den)
     if sol.objective != obj:
         raise CertificateError(
             f"lifted objective {sol.objective} differs from the path length {obj}")
@@ -399,9 +443,11 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
     return ILPOptimum(value, x, nodes, group_pruned)
 
 
-def solve_group(grd: GroupRelaxationData, fc: FeasibleCoset,
+def solve_group(grd: GroupRelaxationData, fc: Optional[FeasibleCoset],
                 cfg: SearchConfig) -> SearchResult:
-    """Dispatch on cfg.method; the objective is the shifted group cost."""
+    """Dispatch on cfg.method; the objective is the shifted group cost.
+    Dijkstra reads only grd, so fc may be None for it; the brute-force
+    and MCS solvers walk the coset fc."""
     if cfg.method == "dijkstra":
         return gomory_shortest_path(grd, cfg.cap)
     if cfg.method == "brute":

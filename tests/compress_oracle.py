@@ -63,7 +63,7 @@ def two_snf_compress_kernel(grd, kb):
         mjj = fact.D[j] if j < len(fact.D) else 0
         if mjj in (0, 1):
             continue
-        w = fact.U.column(j)
+        w = [row[j] for row in fact.U.data]
         g = tuple(v % s[row] for row, v in enumerate(D.matvec(w)))
         o = element_order(g, s)
         if o > 1:

@@ -126,7 +126,7 @@ def fraction_sufficiency(sf: StandardFormILP, bs: BasisSolution) -> bool:
         return True
     xb, det = fraction_solve(sf.A, bs.basis, sf.b)
     biggest = max(abs(v) for j in bs.nonbasic
-                  for v in fraction_solve(sf.A, bs.basis, sf.A.column(j))[0])
+                  for v in fraction_solve(sf.A, bs.basis, [row[j] for row in sf.A.data])[0])
     return all(v >= biggest * abs(det) for v in xb)
 
 

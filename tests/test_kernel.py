@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import isqrt, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,13 +16,14 @@ from types import SimpleNamespace
 import pytest
 
 import grouprelax.kernel
-from grouprelax import (column_orders, compress_coset, compress_kernel,
-                        enumerate_coset, feasible_coset, relax_ilp)
+from grouprelax import (ILPInstance, IntMatrix, column_orders, compress_coset,
+                        compress_kernel, enumerate_coset, feasible_coset, range_order,
+                        relax_ilp)
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from grouprelax.kernel import _group_residual, coset_array, element_order
 from tests.compress_oracle import eliminate_compress_kernel, span, two_snf_compress_kernel
-from tests.conftest import build, stub_grd
+from tests.conftest import build, random_feasible_instance, stub_grd
 
 
 def ambient_kernel(grd):
@@ -409,3 +411,92 @@ def test_relaxation_and_coset_pinned(m, seed, v2, digest):
            fc.basis.generators, fc.basis.orders, compress_coset(grd, fc).basis)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
+
+
+def subgroup_order(grd):
+    """|G| by closure: every sum of columns mod r over the rows r_i > 1
+    (oracle for small groups)."""
+    rows = [(row, r_i) for row, r_i in zip(grd.Abold.data, grd.r) if r_i > 1]
+    cols = list(zip(*(row for row, _ in rows)))
+    seen, todo = {(0,) * len(rows)}, [(0,) * len(rows)]
+    while todo:
+        u = todo.pop()
+        for col in cols:
+            v = tuple((a + b) % r_i for a, b, (_, r_i) in zip(u, col, rows))
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen)
+
+
+def test_range_order_matches_the_coset():
+    # the residue lattice's |G| against the coset SNF's r_max^d / |K|
+    grds = [relax_ilp(random_feasible_instance(seed)) for seed in range(1000)]
+    grds += [relax_ilp(cutgen(CutStockSpec(m=m, L=1000, v2=0.5, dbar=10.0, seed=seed)))
+             for m, seed in ((6, 51), (8, 26), (10, 11))]
+    grds += [relax_ilp(planted(t, m, 1)[0]) for t, m in ((2, 12), (3, 7))]
+    big = 2**61 - 1  # the huge-coefficient model: one >= row big·x1 + 3·x2 >= 1
+    grds.append(relax_ilp(ILPInstance(name="huge", A=IntMatrix([[big, 3]]), b=[1],
+                                      c=[Fraction(1), Fraction(1)], row_sense=[">="])))
+    assert grds[-1].r_max == big
+    multi = 0
+    for grd in grds:
+        assert range_order(grd) == feasible_coset(grd).basis.range_order
+        multi += sum(r_i > 1 for r_i in grd.r) > 1
+    assert multi >= 20  # the law has groups of several nontrivial rows
+
+
+def test_range_order_matches_closure():
+    # random systems of 1 to 3 nontrivial rows, r_1 | r_2 | r_3, against
+    # the closure of the columns; includes columns that repeat a residue
+    rng = random.Random(7)
+    for _ in range(300):
+        r = [rng.choice((1, 2, 3))]
+        for _ in range(rng.randint(0, 2)):
+            r.append(r[-1] * rng.choice((1, 2, 3, 4)))
+        d = rng.randint(0, 4)
+        cols = [[rng.randrange(r_i) for r_i in r] for _ in range(d)]
+        cols += cols[:rng.randint(0, d)]
+        grd = stub_grd([list(row) for row in zip(*cols)] if cols else [[] for _ in r],
+                       r, [0] * len(r))
+        assert range_order(grd) == subgroup_order(grd) == feasible_coset(grd).basis.range_order
+
+
+def test_coset_order_count_fires(monkeypatch):
+    # r_max^d = |K| |G| checks the SNF's |K| against the lattice's |G|
+    grd = relax_ilp(cutgen(CutStockSpec(m=8, L=1000, v2=0.5, dbar=10.0, seed=26)))
+    g = range_order(grd)
+    monkeypatch.setattr(grouprelax.kernel, "range_order", lambda grd: 2 * g)
+    with pytest.raises(CertificateError, match="do not multiply"):
+        feasible_coset(grd)
+    monkeypatch.undo()
+    kernel_generators = grouprelax.kernel._kernel_generators
+
+    def one_order_short(*args):
+        gens, orders, korder = kernel_generators(*args)
+        return gens, orders, korder // orders[0]
+
+    monkeypatch.setattr(grouprelax.kernel, "_kernel_generators", one_order_short)
+    with pytest.raises(CertificateError, match="do not multiply"):
+        feasible_coset(grd)
+
+
+def test_coset_order_count_fires_under_python_O():
+    script = (
+        "assert False\n"  # stripped by -O, so this line shows -O is on
+        "from grouprelax import feasible_coset, kernel, planted, relax_ilp\n"
+        "from grouprelax.errors import CertificateError\n"
+        "lattice = kernel.range_order\n"
+        "kernel.range_order = lambda grd: lattice(grd) + 1\n"
+        "grd = relax_ilp(planted(2, 3, 1)[0])\n"
+        "try:\n"
+        "    feasible_coset(grd)\n"
+        "except CertificateError as exc:\n"
+        "    print(str(exc).split(' do not')[0])\n"
+    )
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "|K| = 8 and |G| = 9\n"

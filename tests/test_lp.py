@@ -45,8 +45,8 @@ def test_standard_form_slack_and_surplus():
     )
     sf = to_standard_form(inst)
     assert sf.A.cols == 4
-    assert sf.A.column(2) == [1, 0]   # slack of row 1
-    assert sf.A.column(3) == [0, -1]  # surplus of row 2
+    assert [row[2] for row in sf.A.data] == [1, 0]   # slack of row 1
+    assert [row[3] for row in sf.A.data] == [0, -1]  # surplus of row 2
     assert sf.slack_map == {2: 0, 3: 1}
     assert sf.c[2] == sf.c[3] == 0
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import grouprelax
-from grouprelax import CutStockSpec, PipelineConfig, cutgen, emit_report, relax_ilp, run_pipeline
+from grouprelax import (CutStockSpec, PipelineConfig, cutgen, emit_report, feasible_coset,
+                        pipeline, relax_ilp, run_pipeline)
 from grouprelax.gen import planted
 from grouprelax.pipeline import CSV_HEADER, fmt_int, fmt_pct, fmt_rational
 from grouprelax.search import SearchConfig
@@ -107,6 +108,32 @@ def test_report_and_group_cost_pinned():
         costs.update(repr((c.den, c.const, c.weights)).encode() + b";")
     assert costs.hexdigest() == (
         "1cbbf93bc89c77bfc4ec2f485c809ad51b98def03447af10b009618597f65261")
+
+
+def test_dijkstra_row_builds_no_coset(monkeypatch):
+    # |K| and |G| of a Dijkstra row come from the residue lattice, equal to
+    # the coset's; the coset is built only for --compress or another solver
+    insts = [random_feasible_instance(seed) for seed in range(40)]
+    insts += [planted(2, 3, 1)[0], cutgen(CutStockSpec(m=6, L=1000, v2=0.5, dbar=10.0, seed=51))]
+    want = []
+    for inst in insts:
+        kb = feasible_coset(relax_ilp(inst)).basis
+        want.append((kb.kernel_order, kb.range_order))
+    built = []
+
+    def counted(grd):
+        built.append(grd)
+        return feasible_coset(grd)
+
+    monkeypatch.setattr(pipeline, "feasible_coset", counted)
+    cfg = PipelineConfig(record_wall=False)
+    assert [(row.k_order, row.g_order) for row in
+            (run_pipeline(inst, cfg) for inst in insts)] == want
+    assert not built
+    run_pipeline(insts[-2], PipelineConfig(compress=True, record_wall=False))
+    run_pipeline(insts[-2], PipelineConfig(search=SearchConfig(method="brute"),
+                                           record_wall=False))
+    assert len(built) == 2
 
 
 def test_run_pipeline_known_optimum():

@@ -2,18 +2,25 @@
 group, and the brute-force oracles."""
 
 import hashlib
+import heapq
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import grouprelax
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, SearchConfig,
                         brute_force_group, brute_force_ilp, cutgen,
                         gomory_shortest_path, markov_chain_search, relax_ilp,
-                        solve_group)
-from grouprelax.errors import CapExceeded, Infeasible
+                        search, solve_group)
+from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import planted
 from grouprelax.kernel import (FeasibleCoset, KernelBasis, enumerate_coset,
                                feasible_coset)
@@ -127,6 +134,54 @@ def test_dijkstra_pinned():
         res = gomory_shortest_path(relax_ilp(random_feasible_instance(seed)))
         law.update(f"{seed}:{x_n_digest(res.best_point)}:{res.samples_used};".encode())
     assert law.hexdigest()[:16] == "1c6192fcda224c73"
+
+
+def inflated_heap(at):
+    """heapq whose pop number at reports its distance one too high: the
+    settled distance of that residue is then longer than its best edge."""
+    pops = itertools.count()
+
+    def heappop(heap):
+        d, u = heapq.heappop(heap)
+        return (d + 1, u) if next(pops) == at else (d, u)
+
+    return SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+
+
+def test_dijkstra_dual_certificate_fires(monkeypatch):
+    grds = [relax_ilp(planted(2, 12, 1)[0]),
+            relax_ilp(cutgen(CutStockSpec(m=8, L=1000, v2=0.5, dbar=10.0, seed=26)))]
+    for grd in grds:
+        for at in (1, 3):
+            monkeypatch.setattr(search, "heapq", inflated_heap(at))
+            with pytest.raises(CertificateError, match="dual certificate fails"):
+                gomory_shortest_path(grd)
+        monkeypatch.undo()
+        assert gomory_shortest_path(grd).certified_optimal
+
+
+def test_dijkstra_dual_certificate_fires_under_python_O():
+    script = (
+        "assert False\n"  # stripped by -O, so this line shows -O is on
+        "import heapq\n"
+        "from types import SimpleNamespace\n"
+        "from grouprelax import planted, relax_ilp, search\n"
+        "from grouprelax.errors import CertificateError\n"
+        "def heappop(heap):\n"
+        "    d, u = heapq.heappop(heap)\n"
+        "    return (d + (u != 0), u)\n"
+        "search.heapq = SimpleNamespace(heappush=heapq.heappush, heappop=heappop)\n"
+        "try:\n"
+        "    search.gomory_shortest_path(relax_ilp(planted(2, 12, 1)[0]))\n"
+        "except CertificateError as exc:\n"
+        "    print(str(exc).split(':')[0])\n"
+    )
+    src = str(Path(grouprelax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "dual certificate fails\n"
 
 
 def single_constraint_inst(b):
