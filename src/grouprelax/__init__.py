@@ -5,7 +5,7 @@ from .errors import (CapExceeded, CertificateError, DenseLimitExceeded,
                      DiagnosticUnavailable, EmptyWidthBand, GroupRelaxError,
                      Infeasible, MalformedMPS, NotPureILP, PatternLimitExceeded,
                      Unbounded)
-from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, snf, solve_mod
+from .exact import IntMatrix, SNFResult, det_exact, ext_gcd, snf
 from .gen import CutStockSpec, cutgen, planted
 from .kernel import (FeasibleCoset, KernelBasis, column_orders, compress_coset,
                      compress_kernel, enumerate_coset, feasible_coset, range_order)

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form, extended gcd,
-linear congruences, determinants, and the fraction-free pivot;
+determinants, and the fraction-free pivot;
 and the package's two rules for exact integer arithmetic elsewhere.
 
 All scalars here are Python ints (arbitrary precision), so nothing here
@@ -23,8 +23,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import Infeasible
 
 
 def int_dtype(bound: int):
@@ -68,10 +66,6 @@ class IntMatrix:
 
     def copy(self) -> "IntMatrix":
         return IntMatrix._of([list(row) for row in self.data])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def __setitem__(self, ij, value):
         i, j = ij
@@ -152,24 +146,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def solve_mod(t: int, b: int, r: int) -> tuple[int, int]:
-    """Solve t*y = b (mod r) for r >= 1.
-
-    Returns (particular, count) where particular is the smallest
-    nonnegative solution and count = gcd(r, t) is the number of
-    solutions in [0, r); all solutions are particular + multiples of
-    r // count. Raises Infeasible when gcd(r, t) does not divide b.
-    """
-    if r < 1:
-        raise ValueError("modulus must be >= 1")
-    g, x, _ = ext_gcd(t, r)
-    if b % g != 0:
-        raise Infeasible(f"{t}*y = {b} (mod {r}): gcd {g} does not divide {b}")
-    step = r // g
-    particular = (x * (b // g)) % step
-    return particular, g
 
 
 def _identity_rows(n: int) -> list[list[int]]:

@@ -4,12 +4,13 @@ Provides the feasible-point solve, cyclic kernel generators, per-column
 orders, ambient-space compression, and coset enumeration (the brute
 force oracle used throughout the tests).
 
-``feasible_coset`` reads x_hat and the generators of K off one Smith
-normal form over Python ints. ``compress_kernel`` runs no SNF and reads
-no generator of K: it row-reduces the m' nontrivial congruence rows over
-Z/p^e for each prime power of r_max in numpy, and certifies the result
-by substitution, element orders, independence and the order count
-prod(s) = |K'| |G|.
+``feasible_coset`` and ``compress_kernel`` run one routine (``_coset``)
+and no Smith normal form: it row-reduces the m' nontrivial congruence
+rows over Z/p^e for each prime power of r_max in numpy, the right-hand
+side as one more column, with every column modulus r_max for K and the
+column orders s_j for the compressed K'. It reads no generator of K,
+and certifies its result by the congruence, element orders,
+independence, the order count prod(s) = |K| |G| and substitution.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
-from .exact import IntMatrix, SNFResult, ext_gcd, int_dtype, snf, solve_mod
+from .exact import IntMatrix, ext_gcd, int_dtype
 from .relax import GroupRelaxationData
 
 
@@ -58,34 +59,6 @@ def element_order(v: Sequence[int], moduli: Sequence[int]) -> int:
 def _group_residual(Abold: IntMatrix, r: Sequence[int], x: Sequence[int]) -> list[int]:
     """Abold x mod r, row by row; a row with r_i = 1 is 0 without a product."""
     return [sum(map(mul, row, x)) % r_i if r_i > 1 else 0 for row, r_i in zip(Abold.data, r)]
-
-
-def _kernel_generators(fact: SNFResult, r_max: int, A: IntMatrix, r: Sequence[int]):
-    """Core of the generator-finding algorithm: cyclic generators of
-    {x in Z_{r_max}^d : A x = 0 (mod R Z^m)}, read off fact, the SNF of
-    the preconditioned matrix diag(r_max / r_i) A: column i of Vinv
-    times r_max / g_i, of order g_i = gcd(r_max, t_i).
-
-    Returns (generators, orders, kernel_order) with trivial generators
-    dropped; each generator is checked against the congruence. Handles
-    d > m by treating the missing diagonal entries of the SNF as zeros
-    (free coordinates).
-    """
-    d = A.cols
-    ts = list(fact.D) + [0] * (d - len(fact.D))
-    gens, orders = [], []
-    kernel_order = 1
-    for i in range(d):
-        g = gcd(r_max, ts[i])
-        kernel_order *= g
-        if g > 1:
-            z = r_max // g
-            gens.append(tuple(z * v % r_max for v in fact.Vinv_t.data[i]))
-            orders.append(g)
-    for h in gens:
-        if any(_group_residual(A, r, h)):
-            raise CertificateError(f"kernel generator {h} fails the congruence")
-    return gens, orders, kernel_order
 
 
 def range_order(grd: GroupRelaxationData) -> int:
@@ -123,50 +96,6 @@ def range_order(grd: GroupRelaxationData) -> int:
     if rem:
         raise CertificateError(f"det L = {det} does not divide prod(r_i)")
     return order
-
-
-def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
-    """Feasible coset x_hat + K of Abold x = bbold (mod R Z^m) in
-    Z_{r_max}^d, with |K| and |G| (``range_order``).
-
-    Preconditioning with diag(r_max / r_j) turns every row into a
-    congruence mod r_max; one SNF of that matrix gives both the
-    particular solution (a per-row modular solve in SNF coordinates) and
-    the cyclic generators of K with orders gcd(r_max, t_i). Both are
-    verified by substitution, over the rows with r_i > 1, before
-    returning, and |K| by the count r_max^d = |K| |G| against the
-    lattice's |G|.
-    """
-    m, d, r_max = grd.m, grd.d, grd.r_max
-    if d == 0 and any(grd.bbold[i] % grd.r[i] for i in range(m)):
-        raise Infeasible("no columns left but the right-hand side is nonzero")
-    x_hat, gens, orders, korder = (0,) * d, [], [], 1
-    if d and r_max > 1:
-        scale = [r_max // r_i for r_i in grd.r]
-        fact = snf(IntMatrix._of([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)]))
-        Bb = [s * v for s, v in zip(scale, grd.bbold)]
-        bprime = [v % r_max for v in fact.Uinv.matvec(Bb)]
-        ts = list(fact.D) + [0] * (m - len(fact.D))
-        y = []  # (i, y_i) for the nonzero y_i, i < min(m, d)
-        for i in range(m):
-            yi, _ = solve_mod(ts[i], bprime[i], r_max)  # raises Infeasible
-            if i < d and yi:
-                y.append((i, yi))
-        x_hat = [0] * d
-        for i, yi in y:
-            x_hat = [x + yi * v for x, v in zip(x_hat, fact.Vinv_t.data[i])]
-        x_hat = tuple(x % r_max for x in x_hat)
-        residual = _group_residual(grd.Abold, grd.r, x_hat)
-        if residual != [grd.bbold[i] % grd.r[i] for i in range(m)]:
-            raise CertificateError("feasible-point substitution check failed")
-        gens, orders, korder = _kernel_generators(fact, r_max, grd.Abold, grd.r)
-    g_order = range_order(grd)
-    if korder * g_order != r_max**d:
-        raise CertificateError(f"|K| = {korder} and |G| = {g_order} do not multiply to "
-                               f"r_max^d = {r_max}^{d}")
-    basis = KernelBasis(generators=tuple(gens), orders=tuple(orders), moduli=(r_max,) * d,
-                        kernel_order=korder, range_order=g_order)
-    return FeasibleCoset(x_hat=x_hat, basis=basis)
 
 
 # Trial division runs to _TRIAL_BOUND; a cofactor below its square is
@@ -284,13 +213,6 @@ def column_orders(grd: GroupRelaxationData) -> list[int]:
     return out
 
 
-def _check_order_bookkeeping(s: Sequence[int], korder: int, range_order: int) -> None:
-    if prod(s) != korder * range_order:
-        raise CertificateError(
-            f"compressed order bookkeeping broke: prod(s) = {prod(s)} != "
-            f"|K'| * |G| = {korder} * {range_order}")
-
-
 Sparse = dict[int, int]  # column -> nonzero value
 
 
@@ -309,24 +231,35 @@ def _dense(g: Sparse, d: int) -> tuple[int, ...]:
     return tuple(x)
 
 
-def _eliminate(B: np.ndarray, p: int, e: int, sp: Sequence[int]) -> list[tuple[int, Sparse, int]]:
-    """Independent generators of {x in ⊕_j Z_{sp_j} : B x = 0 (mod p^e)},
-    where B, m_p x d, holds the rows with p | r_i, each scaled to modulus
-    p^e, and sp_j is the p-part of the column order s_j.
+def _eliminate(B: np.ndarray, p: int, e: int,
+               sp: Sequence[int]) -> tuple[Sparse, list[tuple[int, Sparse, int]]]:
+    """A solution of B x = b (mod p^e), x in ⊕_j Z_{sp_j}, and
+    independent generators of the kernel {x : B x = 0 (mod p^e)}. B,
+    m_p x (d + 1), holds the rows with p | r_i, each scaled to modulus
+    p^e, with b as its last column; sp_j is the p-part of the column
+    order s_j, and 1 for b.
 
     The rows are reduced with a pivot of minimal p-valuation a, in the
     leftmost column c that holds one; the pivot row is scaled to make the
     pivot p^a, and every other row clears that column (earlier pivot rows
-    modulo p^a). Pivot row k then reads x_{c_k} + w_k·x = 0 (mod
-    p^(e-a_k)), with w_k zero on the earlier pivot columns. Each other
-    column j with sp_j > 1 gives g_j = e_j plus the pivot coordinates
-    solved back from the last row. A pivot whose column order exceeds
-    p^(e-a_k) leaves x_{c_k} free modulo p^(e-a_k): it gives a torsion
-    generator, and then ``_split_torsion`` makes the set independent.
-    Returns (own column, generator, order) triples, entries reduced mod sp.
+    modulo p^a). A pivot in b's column leaves a row whose coefficients
+    p^(a+1) divides against a right-hand side of valuation a:
+    ``Infeasible``. Otherwise pivot row k reads
+    x_{c_k} + w_k·x = b_k (mod p^(e-a_k)), with w_k zero on the earlier
+    pivot columns. The solution has every other coordinate 0 and the
+    pivot coordinates solved back from the last row, each its least
+    nonnegative residue mod p^(e-a_k). Each other column j with sp_j > 1
+    gives g_j = e_j plus the pivot coordinates solved back the same way.
+    A pivot whose column order exceeds p^(e-a_k) leaves x_{c_k} free
+    modulo p^(e-a_k): it gives a torsion generator, and then
+    ``_split_torsion`` makes the set independent. Returns the solution's
+    nonzero pivot coordinates and (own column, generator, order) triples,
+    entries reduced mod sp.
     """
     q = p**e
     R = B % q
+    R[:, -1] = -R[:, -1] % q  # with -b, a kernel vector with x_d = 1 solves B x = b
+    n = R.shape[1] - 1
     found = []  # (row, column, a) of each pivot, in the order found
     rest = list(range(R.shape[0]))
     pa = 1
@@ -337,6 +270,10 @@ def _eliminate(B: np.ndarray, p: int, e: int, sp: Sequence[int]) -> list[tuple[i
             if not len(cols):
                 break
             c = int(cols[0])
+            if c == n:
+                raise Infeasible(f"Abold x = bbold has no solution mod {p}^{e}: a row's "
+                                 f"coefficients are 0 mod {p}^{a + 1} and its right-hand "
+                                 f"side is not")
             t = rest.pop(int(np.flatnonzero(hit[:, c])[0]))
             row = R[t] * pow(int(R[t, c]) // pa, -1, q) % q  # row[c] == pa
             idx = np.flatnonzero(R[:, c])  # includes t, which becomes zero
@@ -349,15 +286,17 @@ def _eliminate(B: np.ndarray, p: int, e: int, sp: Sequence[int]) -> list[tuple[i
     W = [R[t] // p**a for t, _, a in found]
     is_piv = np.zeros(R.shape[1], dtype=bool)
     is_piv[piv] = True
-    J = np.flatnonzero(~is_piv & (np.array(sp) > 1))
-    X: list = [None] * len(piv)  # pivot coordinates of every g_j
+    J = np.append(np.flatnonzero(~is_piv & (np.array(sp) > 1)), n)
+    X: list = [None] * len(piv)  # pivot coordinates of every g_j and, last, of x
     for k in reversed(range(len(piv))):
         acc = W[k][J] % mods[k]
         for l in range(k + 1, len(piv)):
-            acc = (acc + int(W[k][piv[l]]) * X[l] % mods[k]) % mods[k]
+            if w := int(W[k][piv[l]]):
+                acc = (acc + w * X[l] % mods[k]) % mods[k]
         X[k] = -acc % mods[k]
-    J = J.tolist()
+    J = J.tolist()[:-1]
     Xl = [x.tolist() for x in X]
+    x = {c: v for c, xk in zip(piv, Xl) if (v := xk.pop())}
     free = []
     for i, j in enumerate(J):
         g = {j: 1}
@@ -367,8 +306,8 @@ def _eliminate(B: np.ndarray, p: int, e: int, sp: Sequence[int]) -> list[tuple[i
         free.append((j, g, sp[j]))
     torsion = [k for k, c in enumerate(piv) if sp[c] > mods[k]]
     if not torsion:
-        return free
-    return _split_torsion(p, e, sp, free, Xl, piv, mods, [w.tolist() for w in W], torsion)
+        return x, free
+    return x, _split_torsion(p, e, sp, free, Xl, piv, mods, [w.tolist() for w in W], torsion)
 
 
 def _split_torsion(p, e, sp, free, Xl, piv, mods, W, torsion) -> list[tuple[int, Sparse, int]]:
@@ -422,60 +361,54 @@ def _split_torsion(p, e, sp, free, Xl, piv, mods, W, torsion) -> list[tuple[int,
     rho = express([spJ * np.array(x, dtype=object) for x in Xl])
     sigma = express([np.array([sp[piv[l]] // mods[l] * taus[l].get(k, 0) for l in torsion],
                               dtype=object) for k in range(K)])
-    dense = []  # [generator, relation row over the nJ + len(torsion) columns]
+    rows = []  # relation rows over the nJ + len(torsion) columns, one per dense generator
+    vecs = []  # the dense generators
     for i, k in enumerate(torsion):
         row = np.concatenate([-rho[k], -sigma[k]]) % q
         row[nJ + i] = (row[nJ + i] + sp[piv[k]] // mods[k]) % q
-        dense.append([{piv[l]: v for l, v in taus[k].items()}, row])
+        rows.append(row)
+        vecs.append({piv[l]: v for l, v in taus[k].items()})
+    D = np.array(rows, dtype=object).reshape(len(rows), nJ + len(torsion))
     b = [g for _, g, _ in free]
-    active = np.ones(nJ + len(torsion), dtype=bool)
+    active = np.ones(D.shape[1], dtype=bool)  # a column that is not active is zero in D
     out = []
     while True:
-        for vec, row in dense:
-            qj = np.zeros(nJ, dtype=object)
-            qj[active[:nJ]] = row[:nJ][active[:nJ]] // spJ[active[:nJ]]
-            row[:nJ] -= qj * spJ
-            for i in np.flatnonzero(qj):
-                b[i] = _axpy(b[i], qj[i], vec, q)
-        busy = np.zeros(len(active), dtype=bool)
-        for _, row in dense:
-            busy |= row != 0
-        for i in np.flatnonzero(active[:nJ] & ~busy[:nJ]):
+        Q = D[:, :nJ] // spJ
+        D[:, :nJ] -= Q * spJ
+        for n_, i in zip(*np.nonzero(Q)):
+            b[i] = _axpy(b[i], Q[n_, i], vecs[n_], q)
+        nonzero = D != 0
+        for i in np.flatnonzero(active[:nJ] & ~nonzero[:, :nJ].any(axis=0)):
             out.append((free[i][0], b[i], free[i][2]))
             active[i] = False
-        out += [(-1, vec, q) for vec, row in dense if not row.any()]
-        dense = [d for d in dense if d[1].any()]
-        if not dense:
+        live = nonzero.any(axis=1)
+        out += [(-1, vec, q) for vec, lv in zip(vecs, live) if not lv]
+        D, vecs = D[live], [vec for vec, lv in zip(vecs, live) if lv]
+        if not vecs:
             return [(own if own >= 0 else max(vec), {c: v % sp[c] for c, v in vec.items()
                                                      if v % sp[c]}, o)
                     for own, vec, o in out if o > 1]
-        best = None  # (v, dense index, column) of an entry of least valuation
-        for n_, (_, row) in enumerate(dense):
-            pv = 1
-            for v in range(e):
-                hits = np.flatnonzero(active & (row % (pv * p) != 0))
-                if len(hits):
-                    if best is None or v < best[0]:
-                        best = (v, n_, int(hits[0]))
-                    break
-                pv *= p
-        v, n_, col = best
-        pv = p**v
-        vec, row = dense.pop(n_)
+        pv = 1  # p^v for the least valuation v of an entry; its first row, then column
+        while not (hits := active & (D % (pv * p) != 0)).any():
+            pv *= p
+        n_ = int(np.flatnonzero(hits.any(axis=1))[0])
+        col = int(np.flatnonzero(hits[n_])[0])
+        row, vec = D[n_], vecs.pop(n_)
+        D = np.delete(D, n_, axis=0)
         inv = pow(int(row[col]) // pv, -1, q)
         f = row // pv * inv % q  # f[col] == 1
-        for other in dense:
-            a = other[1][col]
-            if a:
-                vec = _axpy(vec, a // pv * inv % q, other[0], q)
-                other[1] = (other[1] - a * f) % q
+        a = D[:, col]
+        for n_ in np.flatnonzero(a):
+            vec = _axpy(vec, a[n_] // pv * inv % q, vecs[n_], q)
+        D = (D - np.outer(a, f)) % q
         if col < nJ:  # b_col's relation: b_col turns dense
             vec = _axpy(vec, spJ[col] // pv * inv % q, b[col], q)
             new = (-spJ[col] * f) % q
             new[col] = 0
-            dense.append([b[col], new])
+            D = np.vstack([D, new[None, :]])
+            vecs.append(b[col])
         active[col] = False
-        if v:
+        if pv > 1:
             out.append((-1, vec, pv))
 
 
@@ -502,77 +435,105 @@ def _check_independent(gens: Sequence[tuple[Sparse, int]], s: Sequence[int],
                 if h.get(c):
                     h = {k: v for k, v in _axpy(h, -h[c], row, p).items() if v}
             if not h:
-                raise CertificateError(f"compressed generators are not independent mod {p}")
+                raise CertificateError(f"kernel generators are not independent mod {p}")
             c = min(h)
             inv = pow(h[c], -1, p)
             basis.append((c, {k: v * inv % p for k, v in h.items()}))
 
 
-def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
-    """Cyclic generators of K' = image of K in the compressed ambient
-    group  ⊕_j Z_{s_j}  (coordinatewise reduction mod the column orders),
-    which is the kernel of Abold on ⊕_j Z_{s_j}. Only kb.range_order = |G|
-    is read; the generators of K are not.
+def _coset(grd: GroupRelaxationData, s: Sequence[int], b: Sequence[int],
+           g_order: int) -> FeasibleCoset:
+    """x + K, where x solves Abold x = b (mod R Z^m) and K is the kernel
+    of Abold, both in the ambient group ⊕_j Z_{s_j}; s_j must annihilate
+    column j. g_order is |G|.
 
     For each prime power p^e exactly dividing r_max, the rows with
     p | r_i, scaled to modulus p^e, are reduced over Z/p^e with x_j in
-    the p-part of Z_{s_j} (``_eliminate``): every column that is not a
-    pivot gives a generator e_j minus pivot coordinates, every pivot of
-    excess valuation a torsion generator. Each p-part generator is scaled
-    by a unit, as if its own column were embedded in Z_{r_max} by
+    the p-part of Z_{s_j} and b as one more column (``_eliminate``):
+    every column that is not a pivot gives a generator e_j minus pivot
+    coordinates, every pivot of excess valuation a torsion generator, and
+    b's column the p-part of x. Each p-part generator is scaled by a
+    unit, as if its own column were embedded in Z_{r_max} by
     x -> (r_max / s_j) x; the i-th largest generators of the p-parts are
     summed with CRT weights into one generator whose order is the
-    product of theirs. The generators are listed with their orders
-    ascending, each dividing the next (invariant factors). Nothing forms
-    a k x d array; the elimination works on the m' x d nontrivial rows
-    in ``int_dtype``, where no value exceeds a product of two residues,
-    r_max^2.
+    product of theirs, and the p-parts of x the same way, unscaled. The
+    generators are listed with their orders ascending, each dividing the
+    next (invariant factors). Nothing forms a k x d array; the
+    elimination works on the m' x d nontrivial rows in ``int_dtype``,
+    where no value exceeds a product of two residues, r_max^2.
 
     Certificates, each raising ``CertificateError``, all on the sparse
-    generators before the dense tuples are built: the column orders are
-    minimal; every generator satisfies Abold g = 0 (mod R Z^m);
-    ``element_order`` of each generator equals its stated order; the
-    generators are independent (``_check_independent``); and
-    prod(s) = |K'| |G|. With independence the span has order
-    prod(orders) = |K'|, and with the congruence it lies in the kernel,
-    whose order is prod(s) / |G|: so K' is the whole kernel.
+    generators before the dense tuples are built: every generator
+    satisfies Abold g = 0 (mod R Z^m); ``element_order`` of each
+    generator equals its stated order; the generators are independent
+    (``_check_independent``); prod(s) = |K| |G|; and x solves the system
+    by substitution. With independence the span has order
+    prod(orders) = |K|, and with the congruence it lies in the kernel,
+    whose order is prod(s) / |G|: so K is the whole kernel.
     """
-    s = column_orders(grd)
     r_max, d = grd.r_max, grd.d
     dtype = int_dtype(r_max * r_max)
-    rows = _nontrivial_rows(grd)
+    rows = [(row, r_i, b_i) for row, r_i, b_i in zip(grd.Abold.data, grd.r, b) if r_i > 1]
     pes = _prime_powers(r_max)
     parts = []
     for p, e in pes:
         q = p**e
-        B = [[v % pf * (q // pf) for v in row]
-             for row, pf in ((row, gcd(r_i, q)) for row, r_i in rows) if pf > 1]
-        sp = [gcd(sj, q) for sj in s]
-        gens = sorted(_eliminate(np.array(B, dtype=dtype), p, e, sp),
-                      key=lambda g: (-g[2], -g[0]))
-        parts.append((q, sp, gens))
+        B = [[v % pf * (q // pf) for v in (*row, b_i)]
+             for row, b_i, pf in ((row, b_i, gcd(r_i, q)) for row, r_i, b_i in rows) if pf > 1]
+        sp = [gcd(sj, q) for sj in s] + [1]
+        xp, gens = _eliminate(np.array(B, dtype=dtype), p, e, sp)
+        parts.append((q, sp, xp, sorted(gens, key=lambda g: (-g[2], -g[0]))))
     n = max((len(gens) for *_, gens in parts), default=0)
     sums: list[Sparse] = [{} for _ in range(n)]
+    xs: Sparse = {}
     orders = [1] * n
-    for q, sp, gens in parts:
+    for q, sp, xp, gens in parts:
         crt = (r_max // q) * pow(r_max // q, -1, q)  # 1 mod q, 0 mod r_max / q
         for acc, i, (own, g, o) in zip(sums, range(n), gens):
             lam = pow(r_max // s[own] // (q // sp[own]), -1, q)
             for c, v in g.items():
                 acc[c] = (acc.get(c, 0) + crt * ((r_max // s[c]) * lam * v % q)) % r_max
             orders[i] *= o
-    gens = [({c: y // (r_max // s[c]) for c, y in acc.items() if y}, o)
-            for acc, o in zip(reversed(sums), reversed(orders))]
+        for c, v in xp.items():
+            xs[c] = (xs.get(c, 0) + crt * ((r_max // s[c]) * v % q)) % r_max
+
+    def unscale(acc: Sparse) -> Sparse:
+        return {c: y // (r_max // s[c]) for c, y in acc.items() if y}
+
+    gens = [(unscale(acc), o) for acc, o in zip(reversed(sums), reversed(orders))]
     for g, o in gens:
-        if any(sum(row[c] * v for c, v in g.items()) % r_i for row, r_i in rows):
-            raise CertificateError(f"compressed generator {_dense(g, d)} fails the congruence")
+        if any(sum(row[c] * v for c, v in g.items()) % r_i for row, r_i, _ in rows):
+            raise CertificateError(f"kernel generator {_dense(g, d)} fails the congruence")
         if element_order(g.values(), [s[c] for c in g]) != o:
-            raise CertificateError(f"compressed generator {_dense(g, d)} does not have order {o}")
+            raise CertificateError(f"kernel generator {_dense(g, d)} does not have order {o}")
     _check_independent(gens, s, [p for p, _ in pes])
     korder = prod(o for _, o in gens)
-    _check_order_bookkeeping(s, korder, kb.range_order)
-    return KernelBasis(tuple(_dense(g, d) for g, _ in gens), tuple(o for _, o in gens),
-                       tuple(s), korder, kb.range_order)
+    if korder * g_order != prod(s):
+        raise CertificateError(f"|K| = {korder} and |G| = {g_order} do not multiply to "
+                               f"prod(s) = {prod(s)}: the order bookkeeping broke")
+    x_hat = _dense(unscale(xs), d)
+    if _group_residual(grd.Abold, grd.r, x_hat) != [b_i % r_i for b_i, r_i in zip(b, grd.r)]:
+        raise CertificateError("feasible-point substitution check failed")
+    basis = KernelBasis(tuple(_dense(g, d) for g, _ in gens), tuple(o for _, o in gens),
+                        tuple(s), korder, g_order)
+    return FeasibleCoset(x_hat, basis)
+
+
+def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
+    """Feasible coset x_hat + K of Abold x = bbold (mod R Z^m) in
+    Z_{r_max}^d (``_coset`` with every column order r_max), with |G|
+    from ``range_order``. Raises Infeasible when no x solves it, and
+    CapExceeded when r_max cannot be factored (``_prime_powers``)."""
+    return _coset(grd, [grd.r_max] * grd.d, grd.bbold, range_order(grd))
+
+
+def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
+    """Cyclic generators of K' = image of K in the compressed ambient
+    group  ⊕_j Z_{s_j}  (coordinatewise reduction mod the column orders,
+    whose minimality ``column_orders`` checks), which is the kernel of
+    Abold on ⊕_j Z_{s_j}: ``_coset`` with a zero right-hand side. Only
+    kb.range_order = |G| is read; the generators of K are not."""
+    return _coset(grd, column_orders(grd), [0] * grd.m, kb.range_order).basis
 
 
 def compress_coset(grd: GroupRelaxationData, fc: FeasibleCoset) -> FeasibleCoset:

@@ -156,11 +156,9 @@ class SPReport:
 
 
 def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
-                       kstar_order: int,
-                       band: tuple[float, float] = BAND_DEFAULT
-                       ) -> tuple[ConditionCheck, ConditionCheck]:
+                       kstar_order: int) -> tuple[ConditionCheck, ConditionCheck]:
     """Dimensionless ratios for the two super-quadratic conditions, with
-    log base 2 and a closed band as the Theta(1) proxy:
+    log base 2 and the closed band BAND_DEFAULT as the Theta(1) proxy:
       R1 = max_j cyclic_norm(h_j, c) * log2(|K|/|K*|) / |E*|
       R2 = u_max^2 * k / log2(|K|/|K*|)
     The expander variant drops the second condition and keeps R1.
@@ -177,7 +175,7 @@ def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
     u_max = max(kb.orders, default=1)
     r1 = maxcyc * logr / float(abs(e_star))
     r2 = u_max * u_max * k / logr
-    lo, hi = band
+    lo, hi = BAND_DEFAULT
     return ConditionCheck(r1, lo <= r1 <= hi), ConditionCheck(r2, lo <= r2 <= hi)
 
 

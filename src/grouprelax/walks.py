@@ -363,37 +363,26 @@ def character_gap(kb: KernelBasis, laziness: Fraction = Fraction(1, 3)) -> float
     return min(2 * w * math.sin(math.pi / max(kb.orders)) ** 2, 1 - abs(lowest))
 
 
-def log_sobolev_lower(kb_or_k, u_max: Optional[int] = None) -> Fraction:
+def log_sobolev_lower(kb: KernelBasis) -> Fraction:
     """Conservative lower bound 1/(2 k u_max^2) on the log-Sobolev
     constant of the product-of-cycles walk (k generators, largest cycle
     order u_max); 1 by convention for a trivial kernel."""
-    if isinstance(kb_or_k, KernelBasis):
-        k = len(kb_or_k.generators)
-        u_max = max(kb_or_k.orders, default=1)
-    else:
-        k = int(kb_or_k)
-        if u_max is None:
-            raise ValueError("u_max required")
+    k = len(kb.generators)
+    u_max = max(kb.orders, default=1)
     if k == 0 or u_max <= 1:
         return Fraction(1)
     return Fraction(1, 2 * k * u_max * u_max)
 
 
-def cyclic_metric(v: Sequence[int], w: Sequence, moduli: Sequence[int],
-                  strict: bool = False) -> Fraction:
+def cyclic_metric(v: Sequence[int], w: Sequence, moduli: Sequence[int]) -> Fraction:
     """Weighted cyclic displacement sum_i |w_i| * max(v_i, a_i - v_i)
-    over the support of v (coordinates with v_i != 0 mod a_i).
-
-    strict=True sums over every coordinate instead, which makes the
-    value of 0 positive; the support-restricted form is the default and
-    is what the one-step cost-change bounds use.
-    """
+    over the support of v (coordinates with v_i != 0 mod a_i), the form
+    the one-step cost-change bounds use."""
     total = Fraction(0)
     for vi, wi, ai in zip(v, w, moduli):
         vi = vi % ai
-        if vi == 0 and not strict:
-            continue
-        total += abs(Fraction(wi)) * max(vi, ai - vi)
+        if vi:
+            total += abs(Fraction(wi)) * max(vi, ai - vi)
     return total
 
 

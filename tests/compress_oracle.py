@@ -1,5 +1,11 @@
-"""Two references that ``kernel.compress_kernel`` is tested against, both
-working from the generators of K rather than from the congruence rows.
+"""The SNF references that ``kernel.feasible_coset`` and
+``kernel.compress_kernel`` are tested against, working from a Smith
+normal form or from the generators of K rather than from the
+per-prime-power elimination of the congruence rows.
+
+``snf_feasible_coset`` factors diag(r_max / r_i) Abold once over Python
+ints and reads x_hat (``solve_mod`` per SNF row) and the cyclic
+generators of K (``_kernel_generators``) off it.
 
 ``two_snf_compress_kernel`` works in the coefficient space of the
 generators of K: the coefficient vectors n with D n = 0 (mod S Z^d) come
@@ -13,13 +19,84 @@ prime power of r_max (``_eliminate``).
 ``span`` enumerates the subgroup a basis generates.
 """
 
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
-from grouprelax.exact import IntMatrix, int_dtype, snf
-from grouprelax.kernel import (KernelBasis, _kernel_generators, _prime_powers, column_orders,
-                               element_order)
+from grouprelax.errors import CertificateError, Infeasible
+from grouprelax.exact import IntMatrix, ext_gcd, int_dtype, snf
+from grouprelax.kernel import (FeasibleCoset, KernelBasis, _group_residual, _prime_powers,
+                               column_orders, element_order)
+
+
+def solve_mod(t, b, r):
+    """Solve t*y = b (mod r) for r >= 1.
+
+    Returns (particular, count) where particular is the smallest
+    nonnegative solution and count = gcd(r, t) is the number of
+    solutions in [0, r); all solutions are particular + multiples of
+    r // count. Raises Infeasible when gcd(r, t) does not divide b.
+    """
+    if r < 1:
+        raise ValueError("modulus must be >= 1")
+    g, x, _ = ext_gcd(t, r)
+    if b % g != 0:
+        raise Infeasible(f"{t}*y = {b} (mod {r}): gcd {g} does not divide {b}")
+    step = r // g
+    return (x * (b // g)) % step, g
+
+
+def _kernel_generators(fact, r_max, A, r):
+    """Cyclic generators of {x in Z_{r_max}^d : A x = 0 (mod R Z^m)},
+    read off fact, the SNF of the preconditioned matrix
+    diag(r_max / r_i) A: column i of Vinv times r_max / g_i, of order
+    g_i = gcd(r_max, t_i), the missing diagonal entries of a d > m SNF
+    taken as zeros (free coordinates). Returns (generators, orders,
+    kernel_order) with trivial generators dropped; each generator is
+    checked against the congruence."""
+    d = A.cols
+    ts = list(fact.D) + [0] * (d - len(fact.D))
+    gens, orders = [], []
+    kernel_order = 1
+    for i in range(d):
+        g = gcd(r_max, ts[i])
+        kernel_order *= g
+        if g > 1:
+            z = r_max // g
+            gens.append(tuple(z * v % r_max for v in fact.Vinv_t.data[i]))
+            orders.append(g)
+    for h in gens:
+        if any(_group_residual(A, r, h)):
+            raise CertificateError(f"kernel generator {h} fails the congruence")
+    return gens, orders, kernel_order
+
+
+def snf_feasible_coset(grd):
+    """x_hat + K in Z_{r_max}^d from one SNF of diag(r_max / r_i) Abold:
+    x_hat from a per-row modular solve in SNF coordinates (Infeasible
+    when a row has none), K from ``_kernel_generators``, and
+    |G| = r_max^d / |K|."""
+    m, d, r_max = grd.m, grd.d, grd.r_max
+    if d == 0 and any(b % r_i for b, r_i in zip(grd.bbold, grd.r)):
+        raise Infeasible("no columns left but the right-hand side is nonzero")
+    x_hat, gens, orders, korder = (0,) * d, [], [], 1
+    if d and r_max > 1:
+        scale = [r_max // r_i for r_i in grd.r]
+        fact = snf(IntMatrix([[s * v for v in row] for s, row in zip(scale, grd.Abold.data)]))
+        bprime = [v % r_max for v in fact.Uinv.matvec([s * v for s, v in zip(scale, grd.bbold)])]
+        ts = list(fact.D) + [0] * (m - len(fact.D))
+        x = [0] * d
+        for i in range(m):
+            yi, _ = solve_mod(ts[i], bprime[i], r_max)
+            if i < d and yi:
+                x = [a + yi * v for a, v in zip(x, fact.Vinv_t.data[i])]
+        x_hat = tuple(a % r_max for a in x)
+        rhs = [b % r_i for b, r_i in zip(grd.bbold, grd.r)]
+        if _group_residual(grd.Abold, grd.r, x_hat) != rhs:
+            raise CertificateError("feasible-point substitution check failed")
+        gens, orders, korder = _kernel_generators(fact, r_max, grd.Abold, grd.r)
+    basis = KernelBasis(tuple(gens), tuple(orders), (r_max,) * d, korder, r_max**d // korder)
+    return FeasibleCoset(x_hat, basis)
 
 
 def span(kb):

@@ -126,6 +126,29 @@ def test_compress_uncertified_prime_exits_5(tmp_path):
     assert res.exit_code == 5 and "cannot prove" in res.output, res.output
 
 
+def test_coset_uncertified_prime_exits_5(tmp_path):
+    # the coset's elimination factors r_max as compression does, so the
+    # uncompressed kernel and the coset's other readers stop there too
+    path = str(huge_coefficient_model(tmp_path, 2**89 - 1))
+    for args in (["kernel", path], ["solve", path, "--method", "mcs"],
+                 ["solve", path, "--method", "brute"]):
+        res = run(args)
+        assert res.exit_code == 5 and "cannot prove" in res.output, (args, res.output)
+
+
+def test_group_infeasible_coset_exits_2(tmp_path):
+    # 2 x1 = 1: the LP is feasible, the group system mod 2 is not
+    path = tmp_path / "bad.mps"
+    path.write_text(
+        "NAME bad\nROWS\n N COST\n E r1\nCOLUMNS\n"
+        "    M 'MARKER' 'INTORG'\n    x1 COST 1\n    x1 r1 2\n"
+        "    M 'MARKER' 'INTEND'\nRHS\n    RHS r1 1\nENDATA\n"
+    )
+    res = run(["kernel", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "error: Abold x = bbold has no solution mod 2^1" in res.output
+
+
 def test_not_pure_ilp_exit_code(tmp_path):
     path = tmp_path / "cont.mps"
     path.write_text(

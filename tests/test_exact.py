@@ -1,14 +1,16 @@
 """Exact integer linear algebra: SNF factorization contract and the
-eager SNF oracle, extended gcd, linear congruences, determinants."""
+eager SNF oracle, extended gcd, the SNF coset oracle's linear
+congruences, determinants."""
 
 import random
 from math import gcd
 
 import pytest
 
-from grouprelax import IntMatrix, det_exact, ext_gcd, relax_ilp, snf, solve_mod
+from grouprelax import IntMatrix, det_exact, ext_gcd, relax_ilp, snf
 from grouprelax.errors import Infeasible
 from grouprelax.gen import CutStockSpec, cutgen
+from tests.compress_oracle import solve_mod
 from tests.snf_oracle import diag_matrix, eager_snf, is_unimodular
 
 

@@ -1,4 +1,4 @@
-"""Property tests (hypothesis): the SNF contract, linear congruences,
+"""Property tests (hypothesis): the SNF contract, the oracle's linear congruences,
 compression against the two-SNF reference, the revised simplex
 against the tableau simplex, the fraction-free row-rank repair
 against the Fraction one, MPS round trips, number tokens and malformed
@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from grouprelax import (ILPInstance, IntMatrix, compress_coset, emit_mps, enumerate_coset,
                         feasible_coset, lift_to_ilp, parse_mps, relax_ilp, snf,
-                        solve_lp_exact, solve_mod, to_standard_form)
+                        solve_lp_exact, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
 from grouprelax.mps import _num
-from tests.compress_oracle import span
+from tests.compress_oracle import solve_mod, span
 from tests.conftest import random_feasible_instance, stub_grd
 from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
