@@ -15,7 +15,7 @@ import click
 from .errors import (CapExceeded, DenseLimitExceeded, GroupRelaxError,
                      Infeasible, NotPureILP, PatternLimitExceeded, Unbounded)
 from .gen import PATTERN_CAP_DEFAULT, CutStockSpec, cutgen, planted
-from .kernel import compress_coset, feasible_coset
+from .kernel import feasible_coset
 from .mps import emit_mps, parse_mps
 from .pipeline import PipelineConfig, emit_report, fmt_int, fmt_rational, run_pipeline
 from .relax import relax_ilp
@@ -117,9 +117,7 @@ def relax(file):
 def kernel(file, compress):
     """Kernel generators, orders, |K|, |G|."""
     grd = relax_ilp(_load(file))
-    fc = feasible_coset(grd)
-    if compress:
-        fc = compress_coset(grd, fc)
+    fc = feasible_coset(grd, compress)
     kb = fc.basis
     # the text is built once and written once; a generator row is mostly
     # zeros, so each distinct entry is formatted once (at d = 5636 the

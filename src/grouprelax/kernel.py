@@ -1,21 +1,21 @@
 """Feasible coset x_hat + K of the null-space formulation.
 
-Provides the feasible-point solve, cyclic kernel generators, per-column
-orders, ambient-space compression, and coset enumeration (the brute
-force oracle used throughout the tests).
+Provides per-column orders, |G| from the residue lattice, the feasible
+coset in Z_{r_max}^d or in the compressed group ⊕_j Z_{s_j}, and the
+coset's points as one array (``coset_array``), which the brute force and
+the diagnostics price.
 
-``feasible_coset`` and ``compress_kernel`` run one routine (``_coset``)
-and no Smith normal form: it row-reduces the m' nontrivial congruence
-rows over Z/p^e for each prime power of r_max in numpy, the right-hand
-side as one more column, with every column modulus r_max for K and the
-column orders s_j for the compressed K'. It reads no generator of K,
-and certifies its result by the congruence, element orders,
-independence, the order count prod(s) = |K| |G| and substitution.
+``feasible_coset`` runs one routine (``_coset``) and no Smith normal
+form: it row-reduces the m' nontrivial congruence rows over Z/p^e for
+each prime power of r_max in numpy, the right-hand side as one more
+column, with every column modulus r_max for K, or the column orders s_j
+for the compressed K'. It reads no generator of K, and certifies its
+result by the congruence, element orders, independence, the order count
+prod(s) = |K| |G| and substitution.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm, prod
@@ -519,52 +519,35 @@ def _coset(grd: GroupRelaxationData, s: Sequence[int], b: Sequence[int],
     return FeasibleCoset(x_hat, basis)
 
 
-def feasible_coset(grd: GroupRelaxationData) -> FeasibleCoset:
-    """Feasible coset x_hat + K of Abold x = bbold (mod R Z^m) in
-    Z_{r_max}^d (``_coset`` with every column order r_max), with |G|
-    from ``range_order``. Raises Infeasible when no x solves it, and
+def feasible_coset(grd: GroupRelaxationData, compress: bool = False) -> FeasibleCoset:
+    """Feasible coset x_hat + K of Abold x = bbold (mod R Z^m): in
+    Z_{r_max}^d, or with compress in the compressed ambient group
+    ⊕_j Z_{s_j} of the column orders (``column_orders``), where K' is the
+    image of K and x_hat its reduction mod s. One ``_coset`` call, with
+    |G| from ``range_order``. Raises Infeasible when no x solves it, and
     CapExceeded when r_max cannot be factored (``_prime_powers``)."""
-    return _coset(grd, [grd.r_max] * grd.d, grd.bbold, range_order(grd))
-
-
-def compress_kernel(grd: GroupRelaxationData, kb: KernelBasis) -> KernelBasis:
-    """Cyclic generators of K' = image of K in the compressed ambient
-    group  ⊕_j Z_{s_j}  (coordinatewise reduction mod the column orders,
-    whose minimality ``column_orders`` checks), which is the kernel of
-    Abold on ⊕_j Z_{s_j}: ``_coset`` with a zero right-hand side. Only
-    kb.range_order = |G| is read; the generators of K are not."""
-    return _coset(grd, column_orders(grd), [0] * grd.m, kb.range_order).basis
+    s = column_orders(grd) if compress else [grd.r_max] * grd.d
+    return _coset(grd, s, grd.bbold, range_order(grd))
 
 
 def compress_coset(grd: GroupRelaxationData, fc: FeasibleCoset) -> FeasibleCoset:
-    """Reduce the feasible point into the compressed ambient group; never
-    increases cost since the group costs are nonnegative."""
-    kb2 = compress_kernel(grd, fc.basis)
-    x2 = tuple(v % m for v, m in zip(fc.x_hat, kb2.moduli))
-    return FeasibleCoset(x_hat=x2, basis=kb2)
+    """``feasible_coset(grd, compress=True)``, with |G| read off fc; no
+    other field of fc is read. Kept for callers that hold the coset of
+    Z_{r_max}^d already, such as the benchmark's ``kernel --compress``."""
+    return _coset(grd, column_orders(grd), grd.bbold, fc.basis.range_order)
 
 
 def enumerate_coset(fc: FeasibleCoset, cap: int) -> Iterator[tuple[int, ...]]:
-    """Yield every coset point x_hat + sum n_i h_i exactly once."""
-    kb = fc.basis
-    if kb.kernel_order > cap:
-        raise CapExceeded(f"|K| = {kb.kernel_order} exceeds cap {cap}")
-    moduli = kb.moduli
-    for coeffs in itertools.product(*(range(u) for u in kb.orders)):
-        x = list(fc.x_hat)
-        for n_i, h in zip(coeffs, kb.generators):
-            if n_i:
-                for row in range(len(x)):
-                    x[row] = (x[row] + n_i * h[row]) % moduli[row]
-        yield tuple(x)
+    """The rows of ``coset_array`` as tuples. No library path reads it;
+    the benchmark's tracer wraps it by name."""
+    return map(tuple, coset_array(fc, cap).tolist())
 
 
 def coset_array(fc: FeasibleCoset, cap: int) -> np.ndarray:
-    """Every coset point, reduced, as a (|K|, d) array in
-    enumerate_coset's order: point i has the mixed-radix digits of i
-    over kb.orders as coefficients, the last generator's digit running
-    fastest. The dtype is the narrowest signed int that holds a sum of
-    two residues, Python ints past int64."""
+    """Every coset point, reduced, as a (|K|, d) array: point i has the
+    mixed-radix digits of i over kb.orders as coefficients, the last
+    generator's digit running fastest. The dtype is the narrowest signed
+    int that holds a sum of two residues, Python ints past int64."""
     kb = fc.basis
     if kb.kernel_order > cap:
         raise CapExceeded(f"|K| = {kb.kernel_order} exceeds cap {cap}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, Infeasible
-from .kernel import compress_coset, feasible_coset, range_order
+from .kernel import feasible_coset, range_order
 from .lp import ILPInstance
 from .relax import BoundChain, bound_chain, relax_ilp
 from .search import SearchConfig, branch_and_bound, solve_group
@@ -67,9 +67,7 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
     grd = relax_ilp(inst)
     fc = None
     if cfg.compress or cfg.search.method != "dijkstra":
-        fc = feasible_coset(grd)
-        if cfg.compress:
-            fc = compress_coset(grd, fc)
+        fc = feasible_coset(grd, cfg.compress)
     res = solve_group(grd, fc, cfg.search)
     if fc is None:
         g_order = range_order(grd)

@@ -19,8 +19,10 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CertificateError
-from .exact import IntMatrix, SNFResult, det_exact, snf
+from .exact import IntMatrix, SNFResult, det_exact, int_dtype, snf
 from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
 
@@ -29,8 +31,9 @@ from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
 class LinearCost:
     """The linear cost x -> (const + weights·x) / den on integer points,
     with den > 0; every group cost is one. Walks price a move by the
-    integer change of const + weights·x, and each call builds one
-    Fraction."""
+    integer change of const + weights·x, the brute force and the
+    diagnostics price the whole coset by ``scaled_rows``, and each call
+    builds one Fraction."""
 
     den: int
     const: int
@@ -47,6 +50,23 @@ class LinearCost:
             raise ValueError(f"point of length {len(x)} for a cost on "
                              f"{len(self.weights)} coordinates")
         return self.const + sum(map(mul, self.weights, x))
+
+    def bound(self, moduli: Sequence[int]) -> int:
+        """Above |const + weights·x|, and each partial sum of it, at every
+        x with 0 <= x_c < moduli_c, and above every modulus."""
+        return max(abs(self.const) + sum(abs(w) * m for w, m in zip(self.weights, moduli)) + 1,
+                   max(moduli, default=0))
+
+    def scaled_rows(self, X: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+        """``scaled`` at each row of X, a point of ⊕_c Z_{moduli_c}, as an
+        array in ``int_dtype(bound(moduli))``: one pass per column."""
+        if len(self.weights) != len(moduli):
+            raise ValueError(f"cost on {len(self.weights)} coordinates for a coset "
+                             f"on {len(moduli)}")
+        iv = np.full(len(X), self.const, dtype=int_dtype(self.bound(moduli)))
+        for c, w in enumerate(self.weights):
+            iv += w * X[:, c].astype(iv.dtype, copy=False)
+        return iv
 
     def __call__(self, x: Sequence[int]) -> Fraction:
         return Fraction(self.scaled(x), self.den)

@@ -13,12 +13,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, Infeasible
-from .kernel import FeasibleCoset, _group_residual, enumerate_coset
+from .kernel import FeasibleCoset, _group_residual, coset_array
 from .exact import IntMatrix, clear_denominators, int_dtype
 from .lp import GE, LE, ILPInstance, solve_lp_exact, to_standard_form
 from .relax import (GroupRelaxationData, GroupSolution, LinearCost,
@@ -227,26 +227,19 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
     return SearchResult(tuple(x_n), obj, len(done), True, [(0, obj)], sol)
 
 
-def brute_force_group(fc: FeasibleCoset, f: Callable[[tuple[int, ...]], Fraction],
-                      cap: int,
+def brute_force_group(fc: FeasibleCoset, cost: LinearCost, cap: int,
                       grd: Optional[GroupRelaxationData] = None) -> SearchResult:
-    """Exhaustive minimum over the coset plus the full argmin set K*."""
-    best = None
-    fbest = None
-    argmin: list[tuple[int, ...]] = []
-    count = 0
-    for pt in enumerate_coset(fc, cap):  # raises CapExceeded
-        count += 1
-        v = Fraction(f(pt))
-        if fbest is None or v < fbest:
-            best, fbest = pt, v
-            argmin = [pt]
-        elif v == fbest:
-            argmin.append(pt)
-    if best is None:
-        raise Infeasible("empty coset")
+    """Exhaustive minimum over the coset plus the full argmin set K*, in
+    coset order: every point of ``coset_array`` priced by its integer
+    numerator (``LinearCost.scaled_rows``); the first minimizer is the
+    best point."""
+    X = coset_array(fc, cap)  # raises CapExceeded
+    iv = cost.scaled_rows(X, fc.basis.moduli)
+    lo = iv.min()
+    argmin = list(map(tuple, X[iv == lo].tolist()))
+    best, fbest = argmin[0], Fraction(int(lo), cost.den)
     sol = lift_to_ilp(grd, best) if grd is not None else None
-    return SearchResult(best, fbest, count, True, [(0, fbest)], sol,
+    return SearchResult(best, fbest, len(X), True, [(0, fbest)], sol,
                         argmin_points=argmin)
 
 

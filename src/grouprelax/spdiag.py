@@ -184,13 +184,13 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
                 kstar_order: Optional[int] = None) -> SPReport:
     """Full diagnostic on at most dense_limit states, in memory
     O(|K| k): enumerates the coset in mixed radix, prices each point by
-    the integer numerator const + w·x of grd.cost, reads the walk's
-    (|K|, 2k) neighbour table off the generator orders and certifies it
-    (moved states, distinct points, symmetry, double stochasticity),
-    keeps the walk matrix as canonical sparse counts, takes the gap
-    delta from the characters of K, and sweeps mu in [0, mu_chosen)
-    with a Lanczos ground state of each sparse H_mu, rewriting only its
-    diagonal. Every figure is rounded as the Fraction-per-state
+    the integer numerator const + w·x of grd.cost (``scaled_rows``),
+    reads the walk's (|K|, 2k) neighbour table off the generator orders
+    and certifies it (moved states, distinct points, symmetry, double
+    stochasticity), keeps the walk matrix as canonical sparse counts,
+    takes the gap delta from the characters of K, and sweeps mu in
+    [0, mu_chosen) with a Lanczos ground state of each sparse H_mu,
+    rewriting only its diagonal. Every figure is rounded as the Fraction-per-state
     reference in the tests rounds it. kstar_order defaults to the
     brute-force count."""
     kb = fc.basis
@@ -198,18 +198,10 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     if n > params.dense_limit:
         raise DenseLimitExceeded(f"|K| = {n} exceeds dense limit {params.dense_limit}")
     cost, moduli = grd.cost, kb.moduli
-    if len(cost.weights) != len(moduli):
-        raise ValueError(f"cost on {len(cost.weights)} coordinates for a coset "
-                         f"on {len(moduli)}")
     den = cost.den
     X = coset_array(fc, params.dense_limit)
-    # each coordinate of X, and const + w·x at every point and after every
-    # partial sum, is below bound in magnitude
-    bound = max(abs(cost.const) + sum(abs(w) * m for w, m in zip(cost.weights, moduli)) + 1,
-                max(moduli, default=0))
-    iv = np.full(n, cost.const, dtype=int_dtype(bound))
-    for c, w in enumerate(cost.weights):
-        iv += w * X[:, c].astype(iv.dtype, copy=False)
+    iv = cost.scaled_rows(X, moduli)
+    bound = cost.bound(moduli)
     lo, hi = int(iv.min()), int(iv.max())
     C, e_star = Fraction(hi + den, den), Fraction(lo - hi - den, den)
     f_max = C - 1

@@ -1,5 +1,5 @@
-"""The SNF references that ``kernel.feasible_coset`` and
-``kernel.compress_kernel`` are tested against, working from a Smith
+"""The SNF references that ``kernel.feasible_coset``, uncompressed and
+compressed, is tested against, working from a Smith
 normal form or from the generators of K rather than from the
 per-prime-power elimination of the congruence rows.
 
@@ -16,6 +16,10 @@ quotient K / ker is read off one more SNF. Python ints throughout.
 generators of K, reduced mod the column orders, over Z/p^e for each
 prime power of r_max (``_eliminate``).
 
+``two_call_compressed_coset`` builds the compressed coset in two calls
+of the elimination: the coset of Z_{r_max}^d, then K' with the column
+orders as moduli and a zero right-hand side, and x_hat reduced mod them.
+
 ``span`` enumerates the subgroup a basis generates.
 """
 
@@ -25,8 +29,8 @@ import numpy as np
 
 from grouprelax.errors import CertificateError, Infeasible
 from grouprelax.exact import IntMatrix, ext_gcd, int_dtype, snf
-from grouprelax.kernel import (FeasibleCoset, KernelBasis, _group_residual, _prime_powers,
-                               column_orders, element_order)
+from grouprelax.kernel import (FeasibleCoset, KernelBasis, _coset, _group_residual,
+                               _prime_powers, column_orders, element_order, feasible_coset)
 
 
 def solve_mod(t, b, r):
@@ -218,3 +222,9 @@ def eliminate_compress_kernel(grd, kb):
     orders.reverse()
     gens = tuple(tuple(g) for g in G.tolist())
     return KernelBasis(gens, tuple(orders), tuple(s), prod(orders), kb.range_order)
+
+
+def two_call_compressed_coset(grd):
+    fc = feasible_coset(grd)
+    kb = _coset(grd, column_orders(grd), [0] * grd.m, fc.basis.range_order).basis
+    return FeasibleCoset(tuple(v % s for v, s in zip(fc.x_hat, kb.moduli)), kb)

@@ -16,11 +16,11 @@ import scipy.sparse as sp
 
 from grouprelax.errors import CertificateError, DenseLimitExceeded
 from grouprelax.exact import clear_denominators
-from grouprelax.kernel import enumerate_coset
 from grouprelax.spdiag import (SPParams, SPReport, _theta_vector, ground_overlap,
                                speedup_conditions, theta_eta)
 from grouprelax.walks import (CayleyWalkSpec, character_gap, cyclic_norm_max,
                               log_sobolev_lower)
+from tests.coset_oracle import enumerate_coset
 
 
 def shifted_cost(values) -> tuple[Fraction, Fraction]:

@@ -15,17 +15,18 @@ import numpy as np
 import pytest
 
 from grouprelax import (IntMatrix, PipelineConfig, SearchConfig,
-                        brute_force_group, compress_coset, det_exact,
-                        emit_report, expander_generation,
+                        brute_force_group, det_exact, emit_report,
+                        expander_generation, feasible_coset,
                         gomory_shortest_path, markov_chain_search,
                         run_pipeline, snf, solve_group, sp_diagnose,
                         spectral_gap, transition_matrix)
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import KernelBasis, _group_residual, enumerate_coset
+from grouprelax.kernel import KernelBasis, _group_residual
 from grouprelax.spdiag import SPParams, speedup_conditions
 from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, pseudo_lipschitz, step
 from tests.compress_oracle import span
 from tests.conftest import build, report_row_from_values
+from tests.coset_oracle import enumerate_coset
 from tests.snf_oracle import diag_matrix
 from tests.spdiag_oracle import shifted_cost
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
@@ -94,7 +95,7 @@ def test_criterion_4_compression_preserves_optima(random_suite):
         if fc.basis.kernel_order > 3000:
             continue
         f = grd.cost
-        fc2 = compress_coset(grd, fc)
+        fc2 = feasible_coset(grd, compress=True)
         assert prod(fc2.basis.moduli) == fc2.basis.kernel_order * fc2.basis.range_order
         v1 = brute_force_group(fc, f, cap=10**4).objective
         v2 = brute_force_group(fc2, f, cap=10**4).objective

@@ -54,6 +54,20 @@ def test_relax_and_kernel(tmp_path):
     assert "k_order 1" in res.output
 
 
+def test_solve_brute_bytes_pinned(tmp_path):
+    # planted t=3 m=4 ell=2 seed 5, random-lower-unit: |K| = 81, and the
+    # compressed coset is one point
+    path = tmp_path / "p.mps"
+    res = run(["gen", "planted", "--t", "3", "--m", "4", "--ell", "2", "--seed", "5",
+               "--style", "random-lower-unit", "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    head = "instance planted_t3_m4_l2_random-lower-unit_s5\nopt_lp 0\nopt_b 8\nopt_ilp 8\n"
+    for flags, k_order in (([], 81), (["--compress"], 1)):
+        res = run(["solve", str(path), "--method", "brute", *flags])
+        assert res.exit_code == 0, res.output
+        assert res.output == head + f"k_order {k_order}\ng_order 81\ncertified true\n"
+
+
 def test_diagnose(tmp_path):
     path = write_planted(tmp_path, m=3)
     res = run(["diagnose", str(path), "--mu-sweep", "4"])

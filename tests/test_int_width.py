@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grouprelax import ILPInstance, IntMatrix, SPParams, feasible_coset
-from grouprelax import kernel, search, spdiag, walks
+from grouprelax import kernel, relax, search, spdiag, walks
 from grouprelax.exact import int_dtype
 from tests import spdiag_oracle
 from tests.conftest import stub_grd
@@ -20,18 +20,22 @@ def test_int_dtype_boundary():
     assert int_dtype(2**63 + 1) is object
 
 
-def widths(module, fn, *args):
+def widths(modules, fn, *args):
     """(fn(*args), fn(*args) with every width object, the widths chosen
-    by module.int_dtype in the first call)."""
+    by int_dtype in the first call); modules, one or a tuple, are those
+    whose int_dtype fn reaches."""
     chosen = []
 
     def record(bound):
         chosen.append(int_dtype(bound))
         return chosen[-1]
+    modules = modules if isinstance(modules, tuple) else (modules,)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "int_dtype", record)
+        for module in modules:
+            mp.setattr(module, "int_dtype", record)
         result = fn(*args)
-        mp.setattr(module, "int_dtype", lambda bound: object)
+        for module in modules:
+            mp.setattr(module, "int_dtype", lambda bound: object)
         return result, fn(*args), chosen
 
 
@@ -42,8 +46,8 @@ def test_compress_kernel_width(r_max, dtype):
     # near r_max^2 (at r_max = 2^32 - 5 int64 gets them wrong)
     a, b, c = 1234567891, r_max - 2, r_max - 3
     grd = stub_grd([[c, a, b]], [r_max], [0])
-    kb = feasible_coset(grd).basis
-    result, reference, chosen = widths(kernel, kernel.compress_kernel, grd, kb)
+    result, reference, chosen = widths(
+        kernel, lambda grd: feasible_coset(grd, compress=True).basis, grd)
     assert chosen == [dtype] and result == reference
     t = pow(c, -1, r_max)
     assert result.generators == ((-a * t % r_max, 1, 0), (-b * t % r_max, 0, 1))
@@ -73,8 +77,8 @@ def test_sp_diagnose_costs_width(const, dtype):
     # |const + w·x| < const + 4 (2^60 - 1) + 4·2^60 + 1 = 2^63 - 3 + const
     grd = stub_grd([[1, 3]], [4], [0], cbold=[2**60 - 1, 2**60], shift=const)
     fc = feasible_coset(grd)
-    result, reference, chosen = widths(spdiag, spdiag.sp_diagnose, grd, fc, SPParams())
-    # the costs, then den·ftilde and its sum, both past 2^63
+    result, reference, chosen = widths((relax, spdiag), spdiag.sp_diagnose, grd, fc, SPParams())
+    # the costs (LinearCost.scaled_rows), then den·ftilde and its sum, both past 2^63
     assert chosen == [dtype, object, object]
     assert repr(result) == repr(reference) == repr(spdiag_oracle.sp_diagnose(grd, fc, SPParams()))
 

@@ -15,16 +15,18 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
 
 import grouprelax.kernel
-from grouprelax import (ILPInstance, IntMatrix, column_orders, compress_coset,
-                        compress_kernel, enumerate_coset, feasible_coset, range_order,
-                        relax_ilp)
+from grouprelax import (ILPInstance, IntMatrix, PipelineConfig, column_orders, emit_mps,
+                        feasible_coset, range_order, relax_ilp, run_pipeline)
+from grouprelax.cli import main
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import _group_residual, coset_array, element_order
+from grouprelax.kernel import _group_residual, compress_coset, coset_array, element_order
 from tests.compress_oracle import (eliminate_compress_kernel, snf_feasible_coset, span,
-                                   two_snf_compress_kernel)
+                                   two_call_compressed_coset, two_snf_compress_kernel)
+from tests.coset_oracle import enumerate_coset
 from tests.conftest import build, random_feasible_instance, stub_grd
 
 
@@ -152,8 +154,8 @@ def test_coset_array_matches_enumerate_coset():
     fcs = [build(planted(3, 3, 1, style="random-lower-unit")[0])[3],
            build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[3],
            feasible_coset(stub_grd([[1]], [4], [3]))]
-    grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[2:]
-    fcs.append(compress_coset(grd, fc))
+    grd = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[2]
+    fcs.append(feasible_coset(grd, compress=True))
     fcs.append(feasible_coset(stub_grd([[2]], [2**64], [2])))
     for fc in fcs:
         assert coset_array(fc, 1000).tolist() == [list(p) for p in enumerate_coset(fc, 1000)]
@@ -168,11 +170,11 @@ def test_compress_planted_t2_m2():
     # whole coset collapses to the single point (1, 1)
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
-    kb2 = compress_kernel(grd, fc.basis)
+    fc2 = feasible_coset(grd, compress=True)
+    kb2 = fc2.basis
     assert kb2.moduli == (2, 2)
     assert kb2.kernel_order == 1
     assert prod(kb2.moduli) == kb2.kernel_order * kb2.range_order
-    fc2 = compress_coset(grd, fc)
     assert set(enumerate_coset(fc2, 10)) == {(1, 1)}
     f = grd.cost
     assert min(map(f, enumerate_coset(fc, 10))) == f((1, 1)) == 2
@@ -183,7 +185,7 @@ def test_compress_single_constraint_6_mod_12():
     grd = stub_grd([[6]], [12], [0])
     kb = feasible_coset(grd).basis
     assert span(kb) == {(0,), (2,), (4,), (6,), (8,), (10,)}
-    kb2 = compress_kernel(grd, kb)
+    kb2 = feasible_coset(grd, compress=True).basis
     assert kb2.moduli == (2,)
     assert kb2.kernel_order == 1
     assert prod(kb2.moduli) == kb2.kernel_order * kb2.range_order == 2
@@ -191,7 +193,7 @@ def test_compress_single_constraint_6_mod_12():
 
 def test_compress_trivial_kernel():
     grd = stub_grd([[1]], [4], [0])
-    kb2 = compress_kernel(grd, feasible_coset(grd).basis)
+    kb2 = feasible_coset(grd, compress=True).basis
     assert kb2.generators == ()
     assert kb2.kernel_order == 1
 
@@ -200,13 +202,13 @@ def test_compress_splits_dependent_torsion(monkeypatch):
     # x0 + x1 + 2 x2 = 0, 2 x1 + 2 x2 = 0 (mod 4), s = (4, 4, 2): the free
     # column gives g = (1, 1, 1) and the second pivot the torsion element
     # (2, 2, 0) = 2g, so K' is cyclic of order 4, not Z_2 + Z_2
+    grd = stub_grd([[1, 1, 2], [0, 2, 2]], [4, 4], [0, 0])
+    kb = feasible_coset(grd).basis
     split = grouprelax.kernel._split_torsion
     calls = []
     monkeypatch.setattr(grouprelax.kernel, "_split_torsion",
                         lambda *args: calls.append(1) or split(*args))
-    grd = stub_grd([[1, 1, 2], [0, 2, 2]], [4, 4], [0, 0])
-    kb = feasible_coset(grd).basis
-    kb2 = compress_kernel(grd, kb)
+    kb2 = feasible_coset(grd, compress=True).basis
     assert calls and kb2.moduli == (4, 4, 2) and kb2.orders == (4,)
     assert span(kb2) == {(0, 0, 0), (1, 1, 1), (2, 2, 0), (3, 3, 1)}
     assert span(kb2) == {tuple(v % s for v, s in zip(x, kb2.moduli)) for x in span(kb)}
@@ -231,7 +233,7 @@ def test_compress_image_oracle_fuzz():
             continue
         kb = feasible_coset(grd).basis
         s = column_orders(grd)
-        kb2 = compress_kernel(grd, kb)
+        kb2 = feasible_coset(grd, compress=True).basis
         image = {tuple(v % sj for v, sj in zip(x, s)) for x in span(kb)}
         assert span(kb2) == image
         assert kb2.kernel_order == len(image)
@@ -268,7 +270,7 @@ def assert_matches_oracle(grd, kb, span_limit=10**4):
     """Same moduli, |K'|, |G| and sorted orders as both references (the
     two-SNF compression and the k x d elimination of K's generators), and
     the same subgroup where it is small enough to enumerate."""
-    new = compress_kernel(grd, kb)
+    new = feasible_coset(grd, compress=True).basis
     assert list(new.orders) == sorted(new.orders)
     assert all(b % a == 0 for a, b in zip(new.orders, new.orders[1:]))
     for old in (two_snf_compress_kernel(grd, kb), eliminate_compress_kernel(grd, kb)):
@@ -324,7 +326,7 @@ def test_compress_runs_no_snf(monkeypatch):
 
     _, _, grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))
     monkeypatch.setattr(grouprelax.exact, "snf", no_snf)
-    assert compress_kernel(grd, fc.basis).kernel_order == 64
+    assert feasible_coset(grd, compress=True).basis.kernel_order == 64
 
 
 def corrupt_elimination(monkeypatch, how):
@@ -364,7 +366,7 @@ def test_compress_certificates_fire(monkeypatch, how, message):
     _, _, grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))
     corrupt_elimination(monkeypatch, how)
     with pytest.raises(CertificateError, match=message):
-        compress_kernel(grd, fc.basis)
+        feasible_coset(grd, compress=True)
 
 
 @pytest.mark.parametrize("how, message", CERTIFICATES + [("x", "substitution check failed")])
@@ -379,7 +381,7 @@ def test_coset_certificates_fire(monkeypatch, how, message):
 def test_independence_check_fires_under_python_O():
     script = (
         "assert False\n"  # stripped by -O, so this line shows -O is on
-        "from grouprelax import CutStockSpec, compress_kernel, cutgen, feasible_coset, kernel\n"
+        "from grouprelax import CutStockSpec, cutgen, feasible_coset, kernel\n"
         "from grouprelax.errors import CertificateError\n"
         "from grouprelax.relax import relax_ilp\n"
         "eliminate = kernel._eliminate\n"
@@ -388,10 +390,9 @@ def test_independence_check_fires_under_python_O():
         "    gens[1] = gens[0]\n"
         "    return x, gens\n"
         "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
-        "kb = feasible_coset(grd).basis\n"
         "kernel._eliminate = repeated\n"
         "try:\n"
-        "    compress_kernel(grd, kb)\n"
+        "    feasible_coset(grd, compress=True)\n"
         "except CertificateError as exc:\n"
         "    print(exc)\n"
     )
@@ -446,12 +447,54 @@ def run_under_python_O(script):
 
 
 def test_compress_reads_no_generator_of_k():
-    # only |G| is read: any other field of the basis would raise here
+    # compress_coset reads only |G| off the coset it is given: any other
+    # field would raise here
     for spec in (CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35),
                  CutStockSpec(m=8, L=1000, v2=0.5, dbar=10.0, seed=26)):
         _, _, grd, fc = build(cutgen(spec))
-        got = compress_kernel(grd, SimpleNamespace(range_order=fc.basis.range_order))
-        assert got == compress_kernel(grd, fc.basis)
+        got = compress_coset(grd, SimpleNamespace(
+            basis=SimpleNamespace(range_order=fc.basis.range_order)))
+        assert got == feasible_coset(grd, compress=True)
+
+
+def test_compressed_coset_is_one_elimination(monkeypatch, tmp_path):
+    """feasible_coset(grd, compress=True), one _coset call with the column
+    orders as moduli and bbold as the right-hand side, equals the two-call
+    construction (K' with a zero right-hand side, x_hat of Z_{r_max}^d
+    reduced mod s) and compress_coset's result; and kernel --compress and
+    run_pipeline(compress=True) run _eliminate once per prime power of
+    r_max, so they build no coset of Z_{r_max}^d."""
+    insts = [random_feasible_instance(seed) for seed in range(400)]
+    insts += [planted(t, m, 1, seed=seed, style=style)[0]
+              for t, m in ((2, 8), (3, 6), (2, 12), (3, 7), (2, 2), (2, 3))
+              for seed in range(5) for style in ("identity", "random-lower-unit")]
+    insts += [cutgen(CutStockSpec(m=m, L=1000, v2=v2, dbar=10.0, seed=3))
+              for m, v2 in ((6, 0.5), (8, 0.5), (10, 0.5), (10, 0.4), (12, 0.5))]
+    shrunk = 0
+    for inst in insts:
+        grd = relax_ilp(inst)
+        one = feasible_coset(grd, compress=True)
+        assert one == two_call_compressed_coset(grd) == compress_coset(grd, feasible_coset(grd))
+        shrunk += one.basis.moduli != (grd.r_max,) * grd.d
+    assert shrunk >= 100
+
+    eliminate = grouprelax.kernel._eliminate
+    calls = []
+    monkeypatch.setattr(grouprelax.kernel, "_eliminate",
+                        lambda B, p, e, sp: calls.append((p, e)) or eliminate(B, p, e, sp))
+    # r_max = 810 = 2 3^4 5 (G = Z_6 x Z_810), 290 = 2 5 29 and 9 = 3^2
+    for inst, n_pe in ((insts[-1], 3), (insts[-5], 3), (planted(3, 3, 1)[0], 1)):
+        want = grouprelax.kernel._prime_powers(relax_ilp(inst).r_max)
+        assert len(want) == n_pe
+        calls.clear()
+        run_pipeline(inst, PipelineConfig(compress=True, ilp_cap=1, record_wall=False))
+        assert calls == want
+        path = tmp_path / f"{inst.name}.mps"
+        path.write_text(emit_mps(inst))
+        calls.clear()
+        res = CliRunner().invoke(main, ["kernel", "--compress", str(path)])
+        assert res.exit_code == 0, res.output
+        assert calls == want
 
 
 # sha256 of (r, Abold, bbold, kept, dropped, orders, compressed basis) on
@@ -472,7 +515,7 @@ def test_relaxation_and_coset_pinned(m, seed, v2, digest):
     grd = relax_ilp(cutgen(CutStockSpec(m=m, L=1000, v2=v2, dbar=10.0, seed=seed)))
     fc = feasible_coset(grd)
     key = (grd.r, grd.Abold.data, grd.bbold, grd.kept_cols, grd.dropped_cols,
-           fc.basis.orders, compress_coset(grd, fc).basis)
+           fc.basis.orders, feasible_coset(grd, compress=True).basis)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
 

@@ -121,9 +121,9 @@ def test_dijkstra_row_builds_no_coset(monkeypatch):
         want.append((kb.kernel_order, kb.range_order))
     built = []
 
-    def counted(grd):
+    def counted(grd, compress=False):
         built.append(grd)
-        return feasible_coset(grd)
+        return feasible_coset(grd, compress)
 
     monkeypatch.setattr(pipeline, "feasible_coset", counted)
     cfg = PipelineConfig(record_wall=False)

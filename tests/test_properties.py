@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from grouprelax import (ILPInstance, IntMatrix, compress_coset, emit_mps, enumerate_coset,
-                        feasible_coset, lift_to_ilp, parse_mps, relax_ilp, snf,
-                        solve_lp_exact, to_standard_form)
+from grouprelax import (ILPInstance, IntMatrix, emit_mps, feasible_coset, lift_to_ilp,
+                        parse_mps, relax_ilp, snf, solve_lp_exact, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
 from grouprelax.mps import _num
 from tests.compress_oracle import solve_mod, span
 from tests.conftest import random_feasible_instance, stub_grd
+from tests.coset_oracle import enumerate_coset
 from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
 from tests.test_kernel import assert_matches_oracle
@@ -255,7 +255,7 @@ def test_lift_accepts_every_coset_point_property(inst, compress):
     except GroupRelaxError:
         assume(False)
     if compress:
-        fc = compress_coset(grd, fc)
+        fc = feasible_coset(grd, compress=True)
     assume(fc.basis.kernel_order <= 500)
     sf = grd.sf
     for x_n in enumerate_coset(fc, 500):

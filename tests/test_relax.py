@@ -7,13 +7,14 @@ from operator import mul
 import pytest
 
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, bound_chain,
-                        build_group_relaxation, cutgen, det_exact, enumerate_coset,
-                        gomory_shortest_path, lift_to_ilp, snf)
+                        build_group_relaxation, cutgen, det_exact, gomory_shortest_path,
+                        lift_to_ilp, snf)
 from grouprelax.errors import CertificateError
 from grouprelax.exact import SNFResult, clear_denominators, solve_rational
 from grouprelax.gen import planted
 from grouprelax.relax import GroupSolution, _check_basis_snf
 from tests.conftest import build, random_feasible_instance
+from tests.coset_oracle import enumerate_coset
 from tests.lp_oracle import fraction_solve
 
 
@@ -116,7 +117,6 @@ def test_lift_off_coset_raises():
 def test_lift_satisfies_original_equations():
     inst, _ = planted(3, 2, 1, seed=5, style="random-lower-unit")
     sf, _, grd, fc = build(inst)
-    from grouprelax.kernel import enumerate_coset
     for pt in enumerate_coset(fc, 100):
         sol = lift_to_ilp(grd, pt)
         assert sf.A.matvec(sol.lifted_x) == sf.b

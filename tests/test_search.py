@@ -22,13 +22,13 @@ from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, SearchConfig,
                         search, solve_group)
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import planted
-from grouprelax.kernel import (FeasibleCoset, KernelBasis, enumerate_coset,
-                               feasible_coset)
+from grouprelax.kernel import FeasibleCoset, KernelBasis, feasible_coset
 from grouprelax.relax import LinearCost
 from grouprelax.search import default_mix_steps
 from grouprelax.walks import CayleyWalkSpec, walk
-from tests import walk_oracle
+from tests import coset_oracle, walk_oracle
 from tests.conftest import build, random_feasible_instance, sample_budget, stub_grd
+from tests.coset_oracle import enumerate_coset
 
 
 def test_mcs_planted_finds_optimum():
@@ -243,8 +243,32 @@ def test_brute_force_group_planted():
 def test_brute_force_group_constant_f():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
-    res = brute_force_group(fc, lambda s: Fraction(5), cap=100)
+    res = brute_force_group(fc, LinearCost(1, 5, (0,) * grd.d), cap=100)
     assert len(res.argmin_points) == fc.basis.kernel_order == 4
+
+
+def test_brute_force_group_matches_oracle():
+    """The coset_array brute force against the point-by-point Fraction
+    oracle, field for field (types too, by repr), K* in coset order: the
+    tier-1 law's seeds 0-299 and planted cosets, each uncompressed and
+    compressed."""
+    insts = [random_feasible_instance(seed) for seed in range(300)]
+    insts += [planted(t, m, 1, seed=seed, style=style)[0]
+              for t, m in ((2, 6), (3, 4), (2, 2), (5, 2)) for seed in range(3)
+              for style in ("identity", "random-lower-unit")]
+    cosets = several = 0
+    for inst in insts:
+        grd = relax_ilp(inst)
+        for compress in (False, True):
+            fc = feasible_coset(grd, compress)
+            if fc.basis.kernel_order > 4096:
+                continue
+            new = brute_force_group(fc, grd.cost, 4096, grd)
+            old = coset_oracle.brute_force_group(fc, grd.cost, 4096, grd)
+            assert new == old and repr(new) == repr(old)
+            cosets += 1
+            several += len(new.argmin_points) > 1
+    assert cosets >= 550 and several >= 50
 
 
 def test_brute_force_group_cap():

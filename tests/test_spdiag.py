@@ -21,13 +21,13 @@ from grouprelax import SPParams, ground_overlap, sp_diagnose, speedup_conditions
 from grouprelax.errors import (CertificateError, DenseLimitExceeded,
                                DiagnosticUnavailable)
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import (KernelBasis, compress_coset, enumerate_coset,
-                               feasible_coset)
+from grouprelax.kernel import KernelBasis, feasible_coset
 from grouprelax.walks import (CayleyWalkSpec, character_gap, spectral_gap,
                               transition_matrix)
 from tests import spdiag_oracle
 from tests.spdiag_oracle import build_sp_hamiltonian, shifted_cost
 from tests.conftest import build, stub_grd
+from tests.coset_oracle import enumerate_coset
 
 
 def test_shifted_cost_planted_values():
@@ -336,7 +336,8 @@ def oracle_report_cases():
     assert sorted(fc.basis.kernel_order for _, fc, _, _ in cases[-4:]) == [1, 27, 64, 100]
     # the |K| = 64 coset compressed (moduli differ by column), another eta
     grd, fc = cases[-2][:2]
-    cases.append((grd, compress_coset(grd, fc), SPParams(eta=0.3, mu_sweep=5), None))
+    cases.append((grd, feasible_coset(grd, compress=True), SPParams(eta=0.3, mu_sweep=5),
+                  None))
     # a degenerate coset: a cost that is the same at every point
     grd = stub_grd([[1, 3]], [6], [1], cbold=[0, 0])
     cases.append((grd, feasible_coset(grd), SPParams(), None))

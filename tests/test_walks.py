@@ -15,17 +15,18 @@ import pytest
 import scipy.sparse
 
 import grouprelax
-from grouprelax import (CutStockSpec, compress_coset, cutgen, cyclic_metric,
-                        expander_generation, log_sobolev_lower, metropolis_step,
+from grouprelax import (CutStockSpec, cutgen, cyclic_metric, expander_generation,
+                        feasible_coset, log_sobolev_lower, metropolis_step,
                         pseudo_lipschitz, spectral_gap, step, transition_matrix)
 from grouprelax.errors import CertificateError, DenseLimitExceeded
 from grouprelax.gen import planted
-from grouprelax.kernel import FeasibleCoset, KernelBasis, coset_array, enumerate_coset
+from grouprelax.kernel import FeasibleCoset, KernelBasis, coset_array
 from grouprelax.relax import LinearCost
 from grouprelax.walks import (CayleyWalkSpec, _neighbours, check_coset_table, coset_table,
                               cyclic_norm_max, transition_counts, walk)
 from tests import walk_oracle
 from tests.compress_oracle import span
+from tests.coset_oracle import enumerate_coset
 from tests.conftest import build
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 
@@ -210,8 +211,8 @@ def oracle_cosets():
                  cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35))):
         _, _, grd, fc = build(inst)
         yield grd, fc
-    _, _, grd, fc = build(cutgen(CutStockSpec(m=6, L=40, v2=0.5, dbar=4.0, seed=3)))
-    yield grd, compress_coset(grd, fc)
+    grd = build(cutgen(CutStockSpec(m=6, L=40, v2=0.5, dbar=4.0, seed=3)))[2]
+    yield grd, feasible_coset(grd, compress=True)
 
 
 def random_costs(d, rng):
@@ -441,7 +442,7 @@ def coset_cases():
         yield build(planted(t, m, 1, seed=2, style=style)[0])[3]
     grd, fc = build(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))[2:]
     yield fc
-    yield compress_coset(grd, fc)
+    yield feasible_coset(grd, compress=True)
 
 
 def test_coset_table_matches_neighbours():
