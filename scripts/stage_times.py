@@ -1,10 +1,13 @@
 """Wall time of each exact stage on one cutting-stock instance, as JSON.
 
     PYTHONPATH=src python3 scripts/stage_times.py --m 10 --L 1000 --v2 0.5 --dbar 10 --seed 3
+    PYTHONPATH=src python3 scripts/stage_times.py --planted 2,12
 
-Past 5000 patterns, raise the cap: --pattern-cap 20000.
+Past 5000 patterns, raise the cap: --pattern-cap 20000. --planted T,M[,STYLE]
+times gen.planted(T, M, 1, style=STYLE) (default identity; seed --seed)
+in place of a cutgen instance, such as the benchmark's all-torsion cosets.
 
-Runs cutgen's instance through standard form, the exact LP, the
+Runs the instance through standard form, the exact LP, the
 relaxation (its basis SNF), |G| from the residue lattice, the feasible
 coset, compression of that coset, the compressed coset in one call
 (``feasible_coset(grd, compress=True)``) and the Dijkstra solve, and
@@ -92,7 +95,10 @@ def run_chain(inst, alone: bool = False) -> tuple[dict, dict, dict]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--m", type=int, required=True)
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--m", type=int, help="cutgen's number of item types")
+    which.add_argument("--planted", metavar="T,M[,STYLE]",
+                       help="gen.planted(T, M, 1, style=STYLE) in place of cutgen")
     ap.add_argument("--L", type=int, default=1000)
     ap.add_argument("--v2", type=float, default=0.5)
     ap.add_argument("--dbar", type=float, default=10.0)
@@ -103,9 +109,15 @@ def main() -> None:
     ap.add_argument("--compressed-alone", action="store_true",
                     help="run the relaxation and the compressed coset only")
     args = ap.parse_args()
-    spec = gen.CutStockSpec(m=args.m, L=args.L, v2=args.v2, dbar=args.dbar, seed=args.seed,
-                            pattern_cap=args.pattern_cap)
-    inst = gen.cutgen(spec)
+    if args.planted:
+        t, m, *style = args.planted.split(",")
+        spec = {"planted": {"t": int(t), "m": int(m), "ell": 1, "style": style[0] if style else
+                            "identity", "seed": args.seed}}
+        inst = gen.planted(int(t), int(m), 1, seed=args.seed, style=spec["planted"]["style"])[0]
+    else:
+        spec = {"m": args.m, "L": args.L, "v2": args.v2, "dbar": args.dbar, "seed": args.seed,
+                "pattern_cap": args.pattern_cap}
+        inst = gen.cutgen(gen.CutStockSpec(**spec))
     alone = {}
     if has_compressed_coset() and not args.compressed_alone:
         out = subprocess.run([sys.executable, __file__, *sys.argv[1:], "--compressed-alone"],
@@ -123,8 +135,7 @@ def main() -> None:
                           "peak_rss_mb_after": {k: round(v, 1) for k, v in peak_rss.items()}}))
         return
     print(json.dumps({
-        "spec": {"m": args.m, "L": args.L, "v2": args.v2, "dbar": args.dbar, "seed": args.seed,
-                 "pattern_cap": args.pattern_cap},
+        "spec": spec,
         "repeat": max(1, args.repeat),
         "stages_s": {k: round(best[k], 6) for k in STAGES if k in best},
         "total_s": round(sum(best.values()), 6),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 import click
@@ -45,6 +46,9 @@ def _handle_errors(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
     return wrapper
+
+
+_KERNEL_BLOCK = 1024  # lines per write of the kernel command
 
 
 class _Names(dict):
@@ -119,17 +123,18 @@ def kernel(file, compress):
     grd = relax_ilp(_load(file))
     fc = feasible_coset(grd, compress)
     kb = fc.basis
-    # the text is built once and written once; a generator row is mostly
-    # zeros, so each distinct entry is formatted once (at d = 5636 the
-    # 5354 rows hold 30 million entries)
+    # the rows are written in blocks of _KERNEL_BLOCK lines, one write a
+    # block, so the text never holds more than a block; a generator row is
+    # mostly zeros, so each distinct entry is formatted once (at d = 5636
+    # the 5354 rows hold 30 million entries)
     name = _Names().__getitem__
-    click.echo("\n".join([
-        f"moduli {' '.join(map(str, kb.moduli))}",
-        f"x_hat {' '.join(map(str, fc.x_hat))}",
-        *(f"gen {' '.join(map(name, h))} order {u}" for h, u in zip(kb.generators, kb.orders)),
-        f"k_order {fmt_int(kb.kernel_order)}",
-        f"g_order {fmt_int(kb.range_order)}",
-    ]))
+    lines = chain(
+        [f"moduli {' '.join(map(str, kb.moduli))}", f"x_hat {' '.join(map(str, fc.x_hat))}"],
+        (f"gen {' '.join(map(name, h))} order {u}" for h, u in zip(kb.generators, kb.orders)),
+        [f"k_order {fmt_int(kb.kernel_order)}", f"g_order {fmt_int(kb.range_order)}"],
+    )
+    while block := list(islice(lines, _KERNEL_BLOCK)):
+        click.echo("\n".join(block))
 
 
 @main.command()

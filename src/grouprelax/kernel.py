@@ -12,15 +12,25 @@ column, with every column modulus r_max for K, or the column orders s_j
 for the compressed K'. It reads no generator of K, and certifies its
 result by the congruence, element orders, independence, the order count
 prod(s) = |K| |G| and substitution.
+
+The work is paid per round and per array, not per pivot or generator.
+Each round of a reduction (``_first_hits``) takes every row whose pivot
+is the only nonzero of its column at once: such a pivot clears nothing,
+so the diagonal relations of an all-torsion coset (2I mod 4, 3I mod 9)
+take one round; coupled rows take one pivot a round. A p-part's
+generators stay arrays (own column, order, and entries: generator,
+column, value); the CRT merge, the unscaling, the congruence (one
+product with the nontrivial rows), the element orders, the independence
+socle and ``column_orders`` are array operations in ``int_dtype``, and
+each dense tuple is built once, from a row of zeros.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,15 +55,6 @@ class KernelBasis:
 class FeasibleCoset:
     x_hat: tuple[int, ...]
     basis: KernelBasis
-
-
-def element_order(v: Sequence[int], moduli: Sequence[int]) -> int:
-    """Order of v in the direct sum of Z_{moduli}."""
-    o = 1
-    for vi, mi in zip(v, moduli):
-        if vi % mi:
-            o = lcm(o, mi // gcd(mi, vi % mi))
-    return o
 
 
 def _group_residual(Abold: IntMatrix, r: Sequence[int], x: Sequence[int]) -> list[int]:
@@ -193,24 +194,64 @@ def _nontrivial_rows(grd: GroupRelaxationData) -> list[tuple[list[int], int]]:
     return [(row, r_i) for row, r_i in zip(grd.Abold.data, grd.r) if r_i > 1]
 
 
+def _congruence_rows(grd: GroupRelaxationData, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of Abold with r_i > 1 as an (m', d) array, and their r_i
+    as an (m', 1) column."""
+    rows = _nontrivial_rows(grd)
+    A = np.array([row for row, _ in rows], dtype=dtype).reshape(len(rows), grd.d)
+    return A, np.array([r_i for _, r_i in rows], dtype=dtype).reshape(len(rows), 1)
+
+
+def _entry_orders(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The order of each entry of V in Z_M, M / gcd(M, V mod M). An
+    element's order is the lcm of its entries' orders."""
+    return M // np.gcd(M, V % M)
+
+
 def column_orders(grd: GroupRelaxationData) -> list[int]:
     """Order s_j of each column of Abold in Z^m / R Z^m:
     s_j = lcm_i(r_i / gcd(r_i, A_ij)), a divisor of r_max. Minimality is
     verified against each prime of r_max, factored once."""
-    rows = _nontrivial_rows(grd)
-    mods = [r_i for _, r_i in rows]
+    A, r = _congruence_rows(grd, int_dtype(grd.r_max**2))
+    s = np.lcm.reduce(_entry_orders(A, r), axis=0, initial=1)
     primes = [p for p, _ in _prime_powers(grd.r_max)]
-    out = []
-    for j, col in enumerate(zip(*(row for row, _ in rows)) if rows else [()] * grd.d):
-        s = element_order(col, mods)
-        if any((s * v) % r_i for v, r_i in zip(col, mods)):
-            raise CertificateError(f"column {j} is not annihilated by its order {s}")
-        for p in primes:  # every prime quotient of s must fail
-            if s % p == 0 and not any(((s // p) * v) % r_i for v, r_i in zip(col, mods)):
-                raise CertificateError(
-                    f"column {j} order {s} is not minimal: {s // p} suffices")
-        out.append(s)
-    return out
+    unkilled = (s * A % r).any(axis=0)
+    # a prime quotient s_j / p that annihilates column j as well
+    redundant = [(s % p == 0) & ~((s // p) * A % r).any(axis=0) for p in primes]
+    bad = np.logical_or.reduce([unkilled, *redundant])
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        if unkilled[j]:
+            raise CertificateError(f"column {j} is not annihilated by its order {s[j]}")
+        p = next(p for p, red in zip(primes, redundant) if red[j])
+        raise CertificateError(f"column {j} order {s[j]} is not minimal: {s[j] // p} suffices")
+    return s.tolist()
+
+
+def _dense(cols: Sequence[int], vals: Sequence[int], d: int) -> tuple[int, ...]:
+    x = [0] * d
+    for c, v in zip(cols, vals):
+        x[c] = v
+    return tuple(x)
+
+
+class _Gens(NamedTuple):
+    """Kernel generators as entries: entry i holds val[i] at column col[i]
+    of generator gen[i]; generator g has own column own[g] and order
+    order[g]."""
+
+    own: np.ndarray
+    order: np.ndarray
+    gen: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+
+def _block_gens(J: np.ndarray, order: np.ndarray, piv: np.ndarray, X: np.ndarray) -> _Gens:
+    """The generators e_{J_i} + sum_k X_ki e_{piv_k} of the given orders."""
+    k, i = np.nonzero(X)
+    return _Gens(J, order, np.concatenate([np.arange(len(J)), i]), np.concatenate([J, piv[k]]),
+                 np.concatenate([np.ones(len(J), dtype=X.dtype), X[k, i]]))
 
 
 Sparse = dict[int, int]  # column -> nonzero value
@@ -224,15 +265,33 @@ def _axpy(x: Sparse, a: int, y: Sparse, q: int) -> Sparse:
     return out
 
 
-def _dense(g: Sparse, d: int) -> tuple[int, ...]:
-    x = [0] * d
-    for c, v in g.items():
-        x[c] = v
-    return tuple(x)
+def _first_hits(M: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round of pivot search: the rows of hit with a hit, the first
+    hit column of each, and whether that column holds no other nonzero
+    of M. Such a lone pivot clears nothing, so a round takes all of them
+    at once; coupled rows take one pivot a round."""
+    rows = hit.any(axis=1).nonzero()[0]
+    cols = hit[rows].argmax(axis=1)
+    return rows, cols, (M.take(cols, axis=1) != 0).sum(axis=0) == 1
+
+
+def _back_solve(Wp: np.ndarray, mods: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Y with Y_k = -(Z_k + sum_{l > k} Wp_kl Y_l) mod mods_k, solved from
+    the last row up, each term reduced mod mods_k. A row with no entry
+    right of Wp's diagonal reads no other row, so all of those are solved
+    in one step and the rest one by one."""
+    out = -Z % mods[:, None]
+    ml = mods.tolist()
+    for k in ((Wp != 0).sum(axis=1) > 1).nonzero()[0][::-1].tolist():  # beside the diagonal's 1
+        acc = Z[k] % ml[k]
+        for l in Wp[k, k + 1:].nonzero()[0].tolist():
+            acc = (acc + Wp[k, k + 1 + l] * out[k + 1 + l] % ml[k]) % ml[k]
+        out[k] = -acc % ml[k]
+    return out
 
 
 def _eliminate(B: np.ndarray, p: int, e: int,
-               sp: Sequence[int]) -> tuple[Sparse, list[tuple[int, Sparse, int]]]:
+               sp: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], _Gens]:
     """A solution of B x = b (mod p^e), x in ⊕_j Z_{sp_j}, and
     independent generators of the kernel {x : B x = 0 (mod p^e)}. B,
     m_p x (d + 1), holds the rows with p | r_i, each scaled to modulus
@@ -242,75 +301,82 @@ def _eliminate(B: np.ndarray, p: int, e: int,
     The rows are reduced with a pivot of minimal p-valuation a, in the
     leftmost column c that holds one; the pivot row is scaled to make the
     pivot p^a, and every other row clears that column (earlier pivot rows
-    modulo p^a). A pivot in b's column leaves a row whose coefficients
-    p^(a+1) divides against a right-hand side of valuation a:
-    ``Infeasible``. Otherwise pivot row k reads
-    x_{c_k} + w_k·x = b_k (mod p^(e-a_k)), with w_k zero on the earlier
-    pivot columns. The solution has every other coordinate 0 and the
-    pivot coordinates solved back from the last row, each its least
-    nonnegative residue mod p^(e-a_k). Each other column j with sp_j > 1
-    gives g_j = e_j plus the pivot coordinates solved back the same way.
-    A pivot whose column order exceeds p^(e-a_k) leaves x_{c_k} free
-    modulo p^(e-a_k): it gives a torsion generator, and then
-    ``_split_torsion`` makes the set independent. Returns the solution's
-    nonzero pivot coordinates and (own column, generator, order) triples,
-    entries reduced mod sp.
+    modulo p^a). Rows whose first entry of valuation a is the only
+    nonzero of its column are all taken in one round, since they clear
+    nothing and no other pivot changes them; the pivots are then listed
+    by (a, c), the order in which one pivot a round finds them. A pivot
+    in b's column leaves a row whose coefficients p^(a+1) divides against
+    a right-hand side of valuation a: ``Infeasible``. Otherwise pivot row
+    k reads x_{c_k} + w_k·x = b_k (mod p^(e-a_k)), with w_k zero on the
+    earlier pivot columns. The solution has every other coordinate 0 and
+    the pivot coordinates solved back from the last row
+    (``_back_solve``), each its least nonnegative residue mod
+    p^(e-a_k). Each other column j with sp_j > 1 gives g_j = e_j plus
+    the pivot coordinates solved back the same way: the columns J, the
+    block X of their pivot coordinates and the orders sp_J. A pivot whose
+    column order exceeds p^(e-a_k) leaves x_{c_k} free modulo
+    p^(e-a_k): it gives a torsion generator, and then ``_split_torsion``
+    makes the set independent. Returns the solution as (pivot columns,
+    values) and the generators.
     """
     q = p**e
     R = B % q
     R[:, -1] = -R[:, -1] % q  # with -b, a kernel vector with x_d = 1 solves B x = b
     n = R.shape[1] - 1
-    found = []  # (row, column, a) of each pivot, in the order found
-    rest = list(range(R.shape[0]))
+    found = []  # (a, column, row) of each pivot
+    rest = np.arange(R.shape[0])
     pa = 1
     for a in range(e):
-        while rest:
-            hit = R[rest] % (pa * p) != 0
-            cols = np.flatnonzero(hit.any(axis=0))
-            if not len(cols):
-                break
-            c = int(cols[0])
-            if c == n:
+        while len(rest) and np.count_nonzero(hit := R[rest] % (pa * p) != 0):
+            rows, cols, lone = _first_hits(R, hit)
+            coupled = not np.count_nonzero(lone)
+            if coupled:  # the leftmost column and its first row
+                i = cols.argmin()
+                rows, cols = rows[i:i + 1], cols[i:i + 1]
+            else:
+                rows, cols = rows[lone], cols[lone]
+            if cols.max() == n:
                 raise Infeasible(f"Abold x = bbold has no solution mod {p}^{e}: a row's "
                                  f"coefficients are 0 mod {p}^{a + 1} and its right-hand "
                                  f"side is not")
-            t = rest.pop(int(np.flatnonzero(hit[:, c])[0]))
-            row = R[t] * pow(int(R[t, c]) // pa, -1, q) % q  # row[c] == pa
-            idx = np.flatnonzero(R[:, c])  # includes t, which becomes zero
-            R[idx] = (R[idx] - (R[idx, c] // pa)[:, None] * row) % q
-            R[t] = row
-            found.append((t, c, a))
+            t = rest[rows]
+            if coupled:
+                t0, c = int(t[0]), int(cols[0])
+                row = R[t0] * pow(int(R[t0, c]) // pa, -1, q) % q  # row[c] == pa
+                idx = R[:, c].nonzero()[0]  # includes t0, which becomes zero
+                R[idx] = (R[idx] - (R[idx, c] // pa)[:, None] * row) % q
+                R[t0] = row
+            else:  # each pivot made p^a
+                inv = [pow(u, -1, q) for u in (R[t, cols] // pa).tolist()]
+                R[t] = R[t] * np.array(inv, dtype=R.dtype)[:, None] % q
+            found += zip([a] * len(t), cols.tolist(), t.tolist())
+            taken = np.zeros(len(rest), dtype=bool)
+            taken[rows] = True
+            rest = rest[~taken]
         pa *= p
-    piv = [c for _, c, _ in found]
-    mods = [q // p**a for _, _, a in found]  # x_{c_k} is fixed modulo p^(e-a_k)
-    W = [R[t] // p**a for t, _, a in found]
-    is_piv = np.zeros(R.shape[1], dtype=bool)
+    found.sort()
+    piv = np.array([c for _, c, _ in found], dtype=np.int64)
+    pas = np.array([p**a for a, _, _ in found], dtype=R.dtype)
+    W = R[np.array([t for *_, t in found], dtype=np.int64)] // pas[:, None]
+    mods = q // pas  # x_{c_k} is fixed modulo p^(e-a_k)
+    is_piv = np.zeros(n + 1, dtype=bool)
     is_piv[piv] = True
-    J = np.append(np.flatnonzero(~is_piv & (np.array(sp) > 1)), n)
-    X: list = [None] * len(piv)  # pivot coordinates of every g_j and, last, of x
-    for k in reversed(range(len(piv))):
-        acc = W[k][J] % mods[k]
-        for l in range(k + 1, len(piv)):
-            if w := int(W[k][piv[l]]):
-                acc = (acc + w * X[l] % mods[k]) % mods[k]
-        X[k] = -acc % mods[k]
-    J = J.tolist()[:-1]
-    Xl = [x.tolist() for x in X]
-    x = {c: v for c, xk in zip(piv, Xl) if (v := xk.pop())}
-    free = []
-    for i, j in enumerate(J):
-        g = {j: 1}
-        for k, c in enumerate(piv):
-            if Xl[k][i]:
-                g[c] = Xl[k][i]
-        free.append((j, g, sp[j]))
-    torsion = [k for k, c in enumerate(piv) if sp[c] > mods[k]]
-    if not torsion:
-        return x, free
-    return x, _split_torsion(p, e, sp, free, Xl, piv, mods, [w.tolist() for w in W], torsion)
+    J = np.concatenate([(~is_piv & (sp > 1)).nonzero()[0], [n]])
+    torsion = (sp[piv] > mods).nonzero()[0]
+    # the g_j, then x, then each torsion generator t_k: x_{c_k} = p^(e-a_k)
+    # with the earlier pivot coordinates solved back (W is zero left of its
+    # pivots, so t_k's rows from k on come out 0)
+    Wp = W[:, piv]
+    X = _back_solve(Wp, mods, np.concatenate([W[:, J], Wp[:, torsion] * mods[torsion]], axis=1))
+    x, J, X, T = (piv, X[:, len(J) - 1]), J[:-1], X[:, :len(J) - 1], X[:, len(J):]
+    if not len(torsion):
+        return x, _block_gens(J, sp[J], piv, X)
+    return x, _split_torsion(p, e, sp, J, X, piv, mods, T, torsion)
 
 
-def _split_torsion(p, e, sp, free, Xl, piv, mods, W, torsion) -> list[tuple[int, Sparse, int]]:
+def _split_torsion(p: int, e: int, sp: np.ndarray, J: np.ndarray, X: np.ndarray,
+                   piv: np.ndarray, mods: np.ndarray, Tb: np.ndarray,
+                   torsion: np.ndarray) -> _Gens:
     """Independent generators of the p-part of K' when some pivots leave
     torsion, by a Smith reduction of the presentation of K' on the
     generators b_j = g_j and t_k (the torsion generators), in the local
@@ -324,85 +390,96 @@ def _split_torsion(p, e, sp, free, Xl, piv, mods, W, torsion) -> list[tuple[int,
     of order sp_j. Otherwise the entry of least valuation p^v is the
     pivot: its row and column are cleared, its generator is final of
     order p^v, and if the column was b_j's relation, b_j turns into a
-    dense row.
+    dense row. Rows whose pivot is the only nonzero of its t column clear
+    nothing: a round takes the leading run of them at once, up to the
+    first that touches a b column, and so lists the generators in the
+    order one pivot a round would.
     """
     q = p**e
-    nJ, K = len(free), len(piv)
+    nJ, nT = len(J), len(torsion)
+    spv, spJ = sp[piv], sp[J]
+    ex = spv[torsion] // mods[torsion]
+    T = Tb.copy()  # t_k by pivot coordinates: Tb holds the earlier ones
+    T[torsion, np.arange(nT)] = mods[torsion]
+    # each row that a later t_k touches, last first, with those (k, coefficient)
+    touched = [(l, [(int(torsion[i]), Tb[l, i]) for i in Tb[l].nonzero()[0]])
+               for l in Tb.any(axis=1).nonzero()[0][::-1].tolist()]
+    is_t = np.zeros(len(piv), dtype=bool)
+    is_t[torsion] = True
+    fixed = np.where(is_t, mods, spv)[:, None]  # t_k's coordinate: a multiple of mods_k; others: 0
 
-    def tau(k: int) -> dict[int, int]:
-        """t_k by pivot index: x_{c_k} = p^(e-a_k), back-solved below."""
-        t = {k: mods[k]}
-        for l in reversed(range(k)):
-            v = -sum(W[l][piv[i]] * x for i, x in t.items()) % mods[l]
-            if v:
-                t[l] = v
-        return t
+    def express(Z: np.ndarray) -> np.ndarray:
+        """Coefficients on the t_k, one row per torsion pivot, of the
+        kernel elements whose pivot coordinates are Z's columns (zero on
+        the free columns). Only the touched rows wait for the rows below
+        them."""
+        z = Z % spv[:, None]
+        for l, terms in touched:
+            for k, v in terms:
+                z[l] = (z[l] - z[k] // mods[k] * v) % spv[l]
+        bad = (z % fixed).any(axis=1)
+        if np.count_nonzero(bad):
+            k = bad.nonzero()[0][-1]
+            raise CertificateError("a pivot coordinate breaks its congruence" if is_t[k] else
+                                   "a torsion-free pivot coordinate is not determined")
+        return z[torsion] // mods[torsion, None]
 
-    taus = {k: tau(k) for k in torsion}
+    D = -express(np.concatenate([X * spJ, T * ex], axis=1)) % q
+    D[:, nJ:] = (D[:, nJ:] + np.diag(ex)) % q
+    pl, Jl, spl = piv.tolist(), J.tolist(), sp.tolist()
+    vecs = [{pl[l]: v for l, v in enumerate(t) if v} for t in T.T.tolist()]  # the dense generators
+    b: list = list(range(nJ))  # b_j: its index while it is g_j, else a Sparse
 
-    def express(z: list[np.ndarray]) -> dict[int, np.ndarray]:
-        """Coefficients on the t_k of the kernel elements with pivot
-        coordinates z (zero on the free columns), one per entry."""
-        coef = {}
-        for k in reversed(range(K)):
-            zk = z[k] % sp[piv[k]]
-            if k not in taus:
-                if zk.any():
-                    raise CertificateError("a torsion-free pivot coordinate is not determined")
-                continue
-            if (zk % mods[k]).any():
-                raise CertificateError("a pivot coordinate breaks its congruence")
-            coef[k] = zk // mods[k]
-            for l, v in taus[k].items():
-                z[l] = (z[l] - coef[k] * v) % sp[piv[l]]
-        return coef
+    def b_vec(i: int) -> Sparse:
+        if not isinstance(b[i], dict):
+            b[i] = {Jl[i]: 1, **{pl[k]: v for k, v in enumerate(X[:, i].tolist()) if v}}
+        return b[i]
 
-    spJ = np.array([o for _, _, o in free], dtype=object)
-    rho = express([spJ * np.array(x, dtype=object) for x in Xl])
-    sigma = express([np.array([sp[piv[l]] // mods[l] * taus[l].get(k, 0) for l in torsion],
-                              dtype=object) for k in range(K)])
-    rows = []  # relation rows over the nJ + len(torsion) columns, one per dense generator
-    vecs = []  # the dense generators
-    for i, k in enumerate(torsion):
-        row = np.concatenate([-rho[k], -sigma[k]]) % q
-        row[nJ + i] = (row[nJ + i] + sp[piv[k]] // mods[k]) % q
-        rows.append(row)
-        vecs.append({piv[l]: v for l, v in taus[k].items()})
-    D = np.array(rows, dtype=object).reshape(len(rows), nJ + len(torsion))
-    b = [g for _, g, _ in free]
     active = np.ones(D.shape[1], dtype=bool)  # a column that is not active is zero in D
     out = []
     while True:
-        Q = D[:, :nJ] // spJ
-        D[:, :nJ] -= Q * spJ
-        for n_, i in zip(*np.nonzero(Q)):
-            b[i] = _axpy(b[i], Q[n_, i], vecs[n_], q)
-        nonzero = D != 0
-        for i in np.flatnonzero(active[:nJ] & ~nonzero[:, :nJ].any(axis=0)):
-            out.append((free[i][0], b[i], free[i][2]))
-            active[i] = False
-        live = nonzero.any(axis=1)
-        out += [(-1, vec, q) for vec, lv in zip(vecs, live) if not lv]
-        D, vecs = D[live], [vec for vec, lv in zip(vecs, live) if lv]
+        if nJ:
+            Q = D[:, :nJ] // spJ
+            if Q.any():
+                D[:, :nJ] -= Q * spJ
+                for n_, i in zip(*np.nonzero(Q)):
+                    b[i] = _axpy(b_vec(i), int(Q[n_, i]), vecs[n_], q)
+            for i in np.flatnonzero(active[:nJ] & ~D[:, :nJ].any(axis=0)).tolist():
+                out.append((Jl[i], b[i], spl[Jl[i]]))
+                active[i] = False
+        live = D.any(axis=1)
+        if not live.all():
+            out += [(-1, vec, q) for vec, lv in zip(vecs, live) if not lv]
+            D, vecs = D[live], [vec for vec, lv in zip(vecs, live) if lv]
         if not vecs:
-            return [(own if own >= 0 else max(vec), {c: v % sp[c] for c, v in vec.items()
-                                                     if v % sp[c]}, o)
-                    for own, vec, o in out if o > 1]
-        pv = 1  # p^v for the least valuation v of an entry; its first row, then column
+            break
+        pv = 1  # p^v for the least valuation v of an entry
         while not (hits := active & (D % (pv * p) != 0)).any():
             pv *= p
-        n_ = int(np.flatnonzero(hits.any(axis=1))[0])
-        col = int(np.flatnonzero(hits[n_])[0])
+        rows, cols, lone = _first_hits(D, hits)
+        take = lone & (cols >= nJ)
+        k = len(take) if take.all() else int(take.argmin())
+        if nJ and (touch := D[rows[:k], :nJ].any(axis=1)).any():
+            k = int(touch.argmax()) + 1
+        if k:
+            if pv > 1:
+                out += [(-1, vecs[n_], pv) for n_ in rows[:k].tolist()]
+            active[cols[:k]] = False
+            keep = np.ones(len(vecs), dtype=bool)
+            keep[rows[:k]] = False
+            D, vecs = D[keep], [vec for vec, kp in zip(vecs, keep) if kp]
+            continue
+        n_, col = int(rows[0]), int(cols[0])  # the first row with a hit, its first column
         row, vec = D[n_], vecs.pop(n_)
         D = np.delete(D, n_, axis=0)
         inv = pow(int(row[col]) // pv, -1, q)
         f = row // pv * inv % q  # f[col] == 1
         a = D[:, col]
         for n_ in np.flatnonzero(a):
-            vec = _axpy(vec, a[n_] // pv * inv % q, vecs[n_], q)
+            vec = _axpy(vec, int(a[n_]) // pv * inv % q, vecs[n_], q)
         D = (D - np.outer(a, f)) % q
         if col < nJ:  # b_col's relation: b_col turns dense
-            vec = _axpy(vec, spJ[col] // pv * inv % q, b[col], q)
+            vec = _axpy(vec, int(spJ[col]) // pv * inv % q, b_vec(col), q)
             new = (-spJ[col] * f) % q
             new[col] = 0
             D = np.vstack([D, new[None, :]])
@@ -410,27 +487,66 @@ def _split_torsion(p, e, sp, free, Xl, piv, mods, W, torsion) -> list[tuple[int,
         active[col] = False
         if pv > 1:
             out.append((-1, vec, pv))
+    out = [item for item in out if item[2] > 1]
+    own, gen, col, val, blk = [], [], [], [], []
+    for g, (j, vec, _) in enumerate(out):
+        if isinstance(vec, dict):
+            own.append(j if j >= 0 else max(vec))
+            for c, v in vec.items():
+                if v % spl[c]:
+                    gen.append(g), col.append(c), val.append(v % spl[c])
+        else:  # b_j is still g_j
+            own.append(Jl[vec])
+            blk.append((g, vec))
+    gens = _Gens(np.array(own, dtype=np.int64), np.array([o for *_, o in out], dtype=X.dtype),
+                 np.array(gen, dtype=np.int64), np.array(col, dtype=np.int64),
+                 np.array(val, dtype=X.dtype))
+    if not blk:
+        return gens
+    g, i = np.array(blk, dtype=np.int64).T
+    kept = _block_gens(J[i], spJ[i], piv, X[:, i] % spv[:, None])
+    return gens._replace(gen=np.concatenate([gens.gen, g[kept.gen]]),
+                         col=np.concatenate([gens.col, kept.col]),
+                         val=np.concatenate([gens.val, kept.val]))
 
 
-def _check_independent(gens: Sequence[tuple[Sparse, int]], s: Sequence[int],
-                       primes: Sequence[int]) -> None:
-    """Generators g_i of orders o_i are independent iff, for each prime
-    p, the elements (o_i / p) g_i of order p (over the o_i that p
-    divides) are linearly independent over F_p. An element with a column
-    that no other one touches takes no part in a relation, so those are
-    set aside (every g_j of a non-pivot column j); the rest are
-    row-reduced mod p. Raises CertificateError on a dependence."""
+def _per_generator(ufunc: np.ufunc, X: np.ndarray, runs: tuple[np.ndarray, np.ndarray], n: int,
+                   empty: int) -> np.ndarray:
+    """ufunc reduced along X's last axis over each generator's entries;
+    runs holds the first entry of each run of one generator's entries and
+    that generator. empty for a generator with none."""
+    first, owner = runs
+    out = np.full((*X.shape[:-1], n), empty, dtype=X.dtype)
+    if len(first):
+        out[..., owner] = ufunc.reduceat(X, first, axis=-1)
+    return out
+
+
+def _check_independent(gen: np.ndarray, col: np.ndarray, val: np.ndarray, order: np.ndarray,
+                       s: np.ndarray, primes: Sequence[int]) -> None:
+    """Generators g_i of orders o_i, given as entries sorted by
+    generator, are independent iff, for each prime p, the elements
+    (o_i / p) g_i of order p (over the o_i that p divides) are linearly
+    independent over F_p. An element with a column that no other one
+    touches takes no part in a relation, so those are set aside (every
+    g_j of a non-pivot column j); the rest are row-reduced mod p. Raises
+    CertificateError on a dependence."""
     for p in primes:
-        socle = []
-        for g, o in gens:
-            if o % p == 0:
-                h = {c: w for c, v in g.items() if (w := (o // p) * v % s[c])}
-                socle.append({c: w // (s[c] // p) for c, w in h.items()})
-        users = Counter(c for h in socle for c in h)
+        o = order.take(gen)
+        w = (o // p) * val % s.take(col)
+        socle = (o % p == 0) & (w != 0)  # the entries of the order-p multiples
+        g, c = gen[socle], col[socle]
+        rest = order % p == 0
+        rest[g[np.bincount(c, minlength=len(s))[c] == 1]] = False
+        if not np.count_nonzero(rest):
+            continue
+        pick = socle & rest.take(gen)
+        rows: dict[int, Sparse] = {i: {} for i in rest.nonzero()[0].tolist()}
+        for i, cc, hh in zip(gen[pick].tolist(), col[pick].tolist(),
+                             (w[pick] // (s.take(col[pick]) // p)).tolist()):
+            rows[i][cc] = hh
         basis: list[tuple[int, Sparse]] = []  # (pivot column, row with pivot 1)
-        for h in socle:
-            if any(users[c] == 1 for c in h):
-                continue
+        for h in rows.values():
             for c, row in basis:
                 if h.get(c):
                     h = {k: v for k, v in _axpy(h, -h[c], row, p).items() if v}
@@ -458,64 +574,101 @@ def _coset(grd: GroupRelaxationData, s: Sequence[int], b: Sequence[int],
     summed with CRT weights into one generator whose order is the
     product of theirs, and the p-parts of x the same way, unscaled. The
     generators are listed with their orders ascending, each dividing the
-    next (invariant factors). Nothing forms a k x d array; the
-    elimination works on the m' x d nontrivial rows in ``int_dtype``,
-    where no value exceeds a product of two residues, r_max^2.
+    next (invariant factors). The generators stay entries (generator,
+    column, value) in ``int_dtype`` arrays, where no value exceeds
+    r_max times max(r_max, d + 1), until the dense tuples are built, once
+    each; nothing forms a k x d array.
 
-    Certificates, each raising ``CertificateError``, all on the sparse
-    generators before the dense tuples are built: every generator
-    satisfies Abold g = 0 (mod R Z^m); ``element_order`` of each
-    generator equals its stated order; the generators are independent
-    (``_check_independent``); prod(s) = |K| |G|; and x solves the system
-    by substitution. With independence the span has order
+    Certificates, each raising ``CertificateError``, all on the entries
+    before the dense tuples are built: every generator satisfies
+    Abold g = 0 (mod R Z^m); the order of each generator (the lcm of its
+    entries' orders) equals its stated order; the generators are
+    independent (``_check_independent``); prod(s) = |K| |G|; and x solves
+    the system by substitution. With independence the span has order
     prod(orders) = |K|, and with the congruence it lies in the kernel,
     whose order is prod(s) / |G|: so K is the whole kernel.
     """
     r_max, d = grd.r_max, grd.d
-    dtype = int_dtype(r_max * r_max)
-    rows = [(row, r_i, b_i) for row, r_i, b_i in zip(grd.Abold.data, grd.r, b) if r_i > 1]
+    dtype = int_dtype(r_max * max(r_max, d + 1))
+    A, r = _congruence_rows(grd, dtype)
+    rhs = np.array([b_i for b_i, r_i in zip(b, grd.r) if r_i > 1], dtype=dtype)
+    AB = np.concatenate([A, rhs.reshape(-1, 1) % r], axis=1)
+    S = np.array(s, dtype=dtype)
+    S1 = np.concatenate([S, np.ones(1, dtype=dtype)])  # and 1 for the right-hand side
     pes = _prime_powers(r_max)
     parts = []
     for p, e in pes:
         q = p**e
-        B = [[v % pf * (q // pf) for v in (*row, b_i)]
-             for row, b_i, pf in ((row, b_i, gcd(r_i, q)) for row, r_i, b_i in rows) if pf > 1]
-        sp = [gcd(sj, q) for sj in s] + [1]
-        xp, gens = _eliminate(np.array(B, dtype=dtype), p, e, sp)
-        parts.append((q, sp, xp, sorted(gens, key=lambda g: (-g[2], -g[0]))))
-    n = max((len(gens) for *_, gens in parts), default=0)
-    sums: list[Sparse] = [{} for _ in range(n)]
-    xs: Sparse = {}
+        pf = np.gcd(r, q)
+        sel = pf[:, 0] > 1
+        sp = np.gcd(S1, q)
+        xp, gens = _eliminate(AB[sel] % pf[sel] * (q // pf[sel]), p, e, sp)
+        parts.append((q, sp, xp, gens))
+    n = max((len(g.own) for *_, g in parts), default=0)
     orders = [1] * n
-    for q, sp, xp, gens in parts:
+    scale = r_max // S  # Z_{s_j} sits in Z_{r_max} as the multiples of r_max / s_j
+    G, C, V = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0, dtype)]
+    for q, sp, (xc, xv), g in parts:
         crt = (r_max // q) * pow(r_max // q, -1, q)  # 1 mod q, 0 mod r_max / q
-        for acc, i, (own, g, o) in zip(sums, range(n), gens):
-            lam = pow(r_max // s[own] // (q // sp[own]), -1, q)
-            for c, v in g.items():
-                acc[c] = (acc.get(c, 0) + crt * ((r_max // s[c]) * lam * v % q)) % r_max
+        by = np.lexsort((-g.own, -g.order))  # orders descending, then own columns
+        for i, o in enumerate(g.order.take(by).tolist()):
             orders[i] *= o
-        for c, v in xp.items():
-            xs[c] = (xs.get(c, 0) + crt * ((r_max // s[c]) * v % q)) % r_max
+        slot = np.empty(len(by), dtype=np.int64)
+        slot[by] = np.arange(n - 1, n - 1 - len(by), -1)  # the i-th largest: n - 1 - i
+        units = (scale.take(g.own) // (q // sp.take(g.own))).tolist()
+        inverse = {u: pow(u, -1, q) for u in set(units)}
+        lam = np.array([inverse[u] for u in units], dtype=dtype)
+        G += [slot.take(g.gen), np.full(len(xc), -1)]  # x as generator -1
+        C += [g.col, xc]
+        V += [scale.take(g.col) * g.val % q * lam.take(g.gen) % q * crt % r_max,
+              scale.take(xc) * xv % q * crt % r_max]
+    key = np.concatenate(G) * (d + 1) + np.concatenate(C)
+    by = key.argsort()
+    key, V = key.take(by), np.concatenate(V).take(by)
+    if len(key):  # sum the p-parts' entries of one generator and column
+        first = np.concatenate([[0], (key[1:] != key[:-1]).nonzero()[0] + 1])
+        key, V = key.take(first), np.add.reduceat(V, first) % r_max
+    G, C = np.divmod(key, d + 1)
+    V = V // scale.take(C)
+    nz = V != 0
+    G, C, V = G[nz], C[nz], V[nz]
+    nx = np.count_nonzero(G < 0)  # x's entries come first
+    x_hat = _dense(C[:nx].tolist(), V[:nx].tolist(), d)
+    G, C, V = G[nx:], C[nx:], V[nx:]
+    first = np.concatenate([[0], (G[1:] != G[:-1]).nonzero()[0] + 1]) if len(G) else G
+    runs = first, G.take(first)
+    orders.reverse()
+    order = np.array(orders, dtype=dtype)
 
-    def unscale(acc: Sparse) -> Sparse:
-        return {c: y // (r_max // s[c]) for c, y in acc.items() if y}
+    def generator(i: int) -> tuple[int, ...]:
+        return _dense(C[G == i].tolist(), V[G == i].tolist(), d)
 
-    gens = [(unscale(acc), o) for acc, o in zip(reversed(sums), reversed(orders))]
-    for g, o in gens:
-        if any(sum(row[c] * v for c, v in g.items()) % r_i for row, r_i, _ in rows):
-            raise CertificateError(f"kernel generator {_dense(g, d)} fails the congruence")
-        if element_order(g.values(), [s[c] for c in g]) != o:
-            raise CertificateError(f"kernel generator {_dense(g, d)} does not have order {o}")
-    _check_independent(gens, s, [p for p, _ in pes])
-    korder = prod(o for _, o in gens)
+    unmet = (_per_generator(np.add, A.take(C, axis=1) * V % r, runs, n, 0) % r).any(axis=0)
+    if np.count_nonzero(unmet):
+        raise CertificateError(f"kernel generator {generator(unmet.argmax())} fails the "
+                               f"congruence")
+    wrong = _per_generator(np.lcm, _entry_orders(V, S.take(C)), runs, n, 1) != order
+    if np.count_nonzero(wrong):
+        i = wrong.argmax()
+        raise CertificateError(f"kernel generator {generator(i)} does not have order {orders[i]}")
+    _check_independent(G, C, V, order, S, [p for p, _ in pes])
+    korder = prod(orders)
     if korder * g_order != prod(s):
         raise CertificateError(f"|K| = {korder} and |G| = {g_order} do not multiply to "
                                f"prod(s) = {prod(s)}: the order bookkeeping broke")
-    x_hat = _dense(unscale(xs), d)
     if _group_residual(grd.Abold, grd.r, x_hat) != [b_i % r_i for b_i, r_i in zip(b, grd.r)]:
         raise CertificateError("feasible-point substitution check failed")
-    basis = KernelBasis(tuple(_dense(g, d) for g, _ in gens), tuple(o for _, o in gens),
-                        tuple(s), korder, g_order)
+    # the dense tuples, each built once from a row of zeros
+    gens, row = [], [0] * d
+    for i, c, v in zip(G.tolist(), C.tolist(), V.tolist()):
+        while len(gens) < i:
+            gens.append(tuple(row))
+            row = [0] * d
+        row[c] = v
+    while len(gens) < n:
+        gens.append(tuple(row))
+        row = [0] * d
+    basis = KernelBasis(tuple(gens), tuple(orders), tuple(s), korder, g_order)
     return FeasibleCoset(x_hat, basis)
 
 

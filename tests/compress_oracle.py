@@ -21,16 +21,58 @@ of the elimination: the coset of Z_{r_max}^d, then K' with the column
 orders as moduli and a zero right-hand side, and x_hat reduced mod them.
 
 ``span`` enumerates the subgroup a basis generates.
+
+``corrupted_elimination`` breaks ``_eliminate``'s output one way, so
+that the certificate tests can see each certificate fire.
 """
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from grouprelax.errors import CertificateError, Infeasible
 from grouprelax.exact import IntMatrix, ext_gcd, int_dtype, snf
-from grouprelax.kernel import (FeasibleCoset, KernelBasis, _coset, _group_residual,
-                               _prime_powers, column_orders, element_order, feasible_coset)
+from grouprelax.kernel import (FeasibleCoset, KernelBasis, _coset, _Gens, _group_residual,
+                               _prime_powers, column_orders, feasible_coset)
+
+
+def element_order(v, moduli):
+    """Order of v in the direct sum of Z_{moduli}, entry by entry."""
+    o = 1
+    for vi, mi in zip(v, moduli):
+        if vi % mi:
+            o = lcm(o, mi // gcd(mi, vi % mi))
+    return o
+
+
+def corrupted_elimination(eliminate, how):
+    """eliminate with its result broken: "shift" adds 1 at the first
+    generator's own column, "order" multiplies every order by p, "drop"
+    drops the first generator, "repeat" puts the first generator in
+    place of the second (of the same order) and "x" adds 1 at the
+    solution's column 0."""
+
+    def corrupted(B, p, e, sp):
+        (xc, xv), g = eliminate(B, p, e, sp)
+        first = g.gen == 0
+        if how == "shift":
+            g = g._replace(val=g.val + (first & (g.col == g.own[0])))
+        elif how == "order":
+            g = g._replace(order=g.order * p)
+        elif how == "drop":
+            g = _Gens(g.own[1:], g.order[1:], g.gen[~first] - 1, g.col[~first], g.val[~first])
+        elif how == "repeat":
+            assert g.order[1] == g.order[0]
+            keep = g.gen != 1
+            g = _Gens(np.concatenate([g.own[:1], g.own[:1], g.own[2:]]), g.order,
+                      np.concatenate([g.gen[keep], g.gen[first] + 1]),
+                      np.concatenate([g.col[keep], g.col[first]]),
+                      np.concatenate([g.val[keep], g.val[first]]))
+        else:
+            xc, xv = np.append(xc, 0), np.append(xv, 1)
+        return (xc, xv), g
+
+    return corrupted
 
 
 def solve_mod(t, b, r):

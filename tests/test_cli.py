@@ -1,10 +1,12 @@
 """CLI surface: subcommands, exit codes, reproducible report bytes."""
 
+import hashlib
+
 import pytest
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from grouprelax import search, spdiag
+from grouprelax import cli, search, spdiag
 from grouprelax.cli import main
 from tests.test_spdiag import second_eigenpair
 
@@ -354,3 +356,27 @@ def test_diagnose_key_list(tmp_path):
     res = run(["diagnose", str(path)])
     assert res.exit_code == 0, res.output
     assert [line.split(",", 1)[0] for line in res.output.splitlines()] == DIAGNOSE_KEYS
+
+
+# sha256 of `grouprelax kernel` output: the benchmark's cutgen m=8
+# (126 compressed generators) and planted (2,12) (12 torsion generators)
+KERNEL_DIGESTS = [
+    (("cutgen", "--m", "8", "--l", "1000", "--v2", "0.5", "--dbar", "10", "--seed", "26"),
+     ("--compress",), "3519bd780f6c469c96dd533099fb7a2c5049a95a4c694600fa1a908b123cb895"),
+    (("planted", "--t", "2", "--m", "12", "--ell", "1"), (),
+     "fa38a7102705e08622a1c3051f8b6d54fd6515f9f6982c6702929930a900dbf1"),
+]
+
+
+@pytest.mark.parametrize("gen_args, flags, digest", KERNEL_DIGESTS,
+                         ids=["cutgen_m8", "planted_2_12"])
+def test_kernel_output_digest_in_blocks(tmp_path, monkeypatch, gen_args, flags, digest):
+    # the rows are written in blocks; every block size gives the same bytes
+    path = tmp_path / "k.mps"
+    res = run(["gen", *gen_args, "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    for block in (1024, 5, 1):
+        monkeypatch.setattr(cli, "_KERNEL_BLOCK", block)
+        res = run(["kernel", *flags, str(path)])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.output_bytes).hexdigest() == digest

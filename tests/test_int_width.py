@@ -48,7 +48,8 @@ def test_compress_kernel_width(r_max, dtype):
     grd = stub_grd([[c, a, b]], [r_max], [0])
     result, reference, chosen = widths(
         kernel, lambda grd: feasible_coset(grd, compress=True).basis, grd)
-    assert chosen == [dtype] and result == reference
+    # column_orders (products s_j A_ij), then the coset: both below r_max^2
+    assert chosen == [dtype, dtype] and result == reference
     t = pow(c, -1, r_max)
     assert result.generators == ((-a * t % r_max, 1, 0), (-b * t % r_max, 0, 1))
 

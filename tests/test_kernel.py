@@ -23,9 +23,10 @@ from grouprelax import (ILPInstance, IntMatrix, PipelineConfig, column_orders, e
 from grouprelax.cli import main
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
-from grouprelax.kernel import _group_residual, compress_coset, coset_array, element_order
-from tests.compress_oracle import (eliminate_compress_kernel, snf_feasible_coset, span,
-                                   two_call_compressed_coset, two_snf_compress_kernel)
+from grouprelax.kernel import _group_residual, compress_coset, coset_array
+from tests.compress_oracle import (corrupted_elimination, element_order, eliminate_compress_kernel,
+                                   snf_feasible_coset, span, two_call_compressed_coset,
+                                   two_snf_compress_kernel)
 from tests.coset_oracle import enumerate_coset
 from tests.conftest import build, random_feasible_instance, stub_grd
 
@@ -214,6 +215,38 @@ def test_compress_splits_dependent_torsion(monkeypatch):
     assert span(kb2) == {tuple(v % s for v, s in zip(x, kb2.moduli)) for x in span(kb)}
 
 
+def test_diagonal_relations_take_one_round(monkeypatch):
+    # planted (2,12): A = 2I mod 4, so the elimination and the torsion
+    # split each see 12 pivots that are alone in their columns, and each
+    # takes all 12 in one round of the pivot search
+    grd = relax_ilp(planted(2, 12, 1)[0])
+    first_hits = grouprelax.kernel._first_hits
+    rounds = []
+    monkeypatch.setattr(grouprelax.kernel, "_first_hits",
+                        lambda M, hit: rounds.append(hit.shape) or first_hits(M, hit))
+    assert feasible_coset(grd).basis.orders == (2,) * 12
+    assert rounds == [(12, 13), (12, 12)]  # the rows with b's column, then the relations
+
+
+def test_torsion_cosets_match_snf_oracle():
+    # all-torsion planted cosets, with diagonal relations (identity: 2I
+    # mod 4 and 3I mod 9) or coupled ones (random-lower-unit), and the
+    # coupled torsion of test_compress_splits_dependent_torsion, against
+    # the SNF coset, uncompressed and compressed
+    grds = [relax_ilp(planted(t, m, 1, seed=7, style=style)[0])
+            for t, m in ((2, 8), (3, 6), (2, 12)) for style in ("identity", "random-lower-unit")]
+    grds.append(stub_grd([[1, 1, 2], [0, 2, 2]], [4, 4], [0, 0]))
+    for grd in grds:
+        assert assert_coset_matches_oracle(grd)
+        old = snf_feasible_coset(grd)
+        new = assert_matches_oracle(grd, old.basis)
+        x_hat = feasible_coset(grd, compress=True).x_hat
+        diff = tuple((a - b) % s for a, b, s in zip(x_hat, old.x_hat, new.moduli))
+        assert not any(_group_residual(grd.Abold, grd.r, diff))
+        if new.kernel_order <= 10**4:
+            assert diff in span(new)
+
+
 def test_compress_image_oracle_fuzz():
     """Compressed kernel must equal the exact image of K in the product
     of the column-order cyclic groups, with matching order bookkeeping."""
@@ -330,25 +363,8 @@ def test_compress_runs_no_snf(monkeypatch):
 
 
 def corrupt_elimination(monkeypatch, how):
-    eliminate = grouprelax.kernel._eliminate
-
-    def corrupted(B, p, e, sp):
-        x, gens = eliminate(B, p, e, sp)
-        own, g, order = gens[0]
-        if how == "shift":
-            gens[0] = (own, {**g, own: g[own] + 1}, order)
-        elif how == "order":
-            gens = [(own, g, o * p) for own, g, o in gens]
-        elif how == "drop":
-            gens = gens[1:]
-        elif how == "x":  # column 0 is nonzero mod p
-            x = {**x, 0: x.get(0, 0) + 1}
-        else:  # generator 1 in place of generator 2, of the same order
-            assert gens[1][2] == order
-            gens[1] = gens[0]
-        return x, gens
-
-    monkeypatch.setattr(grouprelax.kernel, "_eliminate", corrupted)
+    monkeypatch.setattr(grouprelax.kernel, "_eliminate",
+                        corrupted_elimination(grouprelax.kernel._eliminate, how))
 
 
 CERTIFICATES = [
@@ -384,13 +400,9 @@ def test_independence_check_fires_under_python_O():
         "from grouprelax import CutStockSpec, cutgen, feasible_coset, kernel\n"
         "from grouprelax.errors import CertificateError\n"
         "from grouprelax.relax import relax_ilp\n"
-        "eliminate = kernel._eliminate\n"
-        "def repeated(B, p, e, sp):\n"
-        "    x, gens = eliminate(B, p, e, sp)\n"
-        "    gens[1] = gens[0]\n"
-        "    return x, gens\n"
+        "from tests.compress_oracle import corrupted_elimination\n"
         "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
-        "kernel._eliminate = repeated\n"
+        "kernel._eliminate = corrupted_elimination(kernel._eliminate, 'repeat')\n"
         "try:\n"
         "    feasible_coset(grd, compress=True)\n"
         "except CertificateError as exc:\n"
@@ -408,23 +420,10 @@ def test_coset_certificates_fire_under_python_O():
         "from grouprelax.errors import CertificateError\n"
         "from grouprelax.relax import relax_ilp\n"
         "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
+        "from tests.compress_oracle import corrupted_elimination\n"
         "eliminate = kernel._eliminate\n"
         "for how in ('shift', 'order', 'drop', 'repeat', 'x'):\n"
-        "    def corrupted(B, p, e, sp):\n"
-        "        x, gens = eliminate(B, p, e, sp)\n"
-        "        own, g, o = gens[0]\n"
-        "        if how == 'shift':\n"
-        "            gens[0] = (own, {**g, own: g[own] + 1}, o)\n"
-        "        elif how == 'order':\n"
-        "            gens = [(own, g, o * p) for own, g, o in gens]\n"
-        "        elif how == 'drop':\n"
-        "            gens = gens[1:]\n"
-        "        elif how == 'repeat':\n"
-        "            gens[1] = gens[0]\n"
-        "        else:\n"
-        "            x = {**x, 0: x.get(0, 0) + 1}\n"
-        "        return x, gens\n"
-        "    kernel._eliminate = corrupted\n"
+        "    kernel._eliminate = corrupted_elimination(eliminate, how)\n"
         "    try:\n"
         "        feasible_coset(grd)\n"
         "    except CertificateError as exc:\n"
@@ -437,9 +436,10 @@ def test_coset_certificates_fire_under_python_O():
 
 
 def run_under_python_O(script):
-    """stdout of script run by a fresh interpreter under python -O."""
-    src = str(Path(grouprelax.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    """stdout of script run by a fresh interpreter under python -O, with
+    the package and the tests importable."""
+    src, root = Path(grouprelax.__file__).resolve().parents[1:3]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(root)])}
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr

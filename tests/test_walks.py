@@ -512,10 +512,8 @@ def test_certificates_fire_under_python_O():
         "from grouprelax import kernel\n"
         "eliminate = kernel._eliminate\n"
         "def shifted(B, p, e, sp):\n"
-        "    x, gens = eliminate(B, p, e, sp)\n"
-        "    own, g, order = gens[0]\n"
-        "    gens[0] = (own, {**g, own: g[own] + 1}, order)\n"
-        "    return x, gens\n"
+        "    x, g = eliminate(B, p, e, sp)\n"
+        "    return x, g._replace(val=g.val + ((g.gen == 0) & (g.col == g.own[0])))\n"
         "from grouprelax import CutStockSpec, cutgen\n"
         "grd = relax_ilp(cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)))\n"
         "fc = kernel.feasible_coset(grd)\n"
