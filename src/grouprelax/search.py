@@ -49,6 +49,11 @@ class SearchConfig:
             raise ValueError("max_samples must be >= 1")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0, 1)")
+        # not (beta >= 0) also holds for NaN, which `beta > 0` would read as 0
+        if not self.beta >= 0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if self.mix_steps is not None and self.mix_steps < 1:
+            raise ValueError("mix_steps must be >= 1")
 
 
 @dataclass

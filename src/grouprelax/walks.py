@@ -10,8 +10,13 @@ Every walk, plain or Metropolis, runs in ``walk``, on a float hold
 threshold and sparse generator supports precomputed by
 ``CayleyWalkSpec``. The plain walk only counts net moves per
 generator; the Metropolis filter prices each move by the integer
-change of a ``LinearCost``, so no step does rational arithmetic.
-``step`` and ``metropolis_step`` are its one-step forms.
+change of a ``LinearCost``, so no step does rational arithmetic. Per
+call it builds a move table, +-h_j over h_j's support with -h stored as
+the step m - h, each entry holding its cost change with and without the
+wrap, so a proposal is priced and applied by compares, adds and
+subtracts alone; and it keeps the acceptance threshold of each distinct
+change, so a proposal pays no division or exp once its change has been
+met. ``step`` and ``metropolis_step`` are its one-step forms.
 
 The walk matrix comes from an (n, 2k) neighbour table: ``coset_table``
 reads it off the generator orders for a whole coset, and
@@ -78,6 +83,15 @@ def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
     change over the move's support, so delta is that change over den,
     correctly rounded.
 
+    The Metropolis walk first tabulates the 2k moves: move 2j is +h_j
+    and move 2j + 1 is -h_j, a tuple over h_j's support whose step s on
+    coordinate i (modulus m, weight w) is h_i or m - h_i. With t = m - s,
+    the move takes x_i to x_i - t when x_i >= t and to x_i + s otherwise,
+    and changes den * cost by w (s - m) or w s: no multiply and no modulo
+    per step. Each distinct change met in a call is kept in a dict with
+    its threshold, exp(-beta * delta), computed once; a change whose
+    delta is <= 0, or underflows to 0.0, is accepted with no draw.
+
     The RNG draws per step are the hold random(), the generator index,
     the sign random() and, only for a Metropolis proposal that raises
     the cost, the acceptance random(). The index is drawn as
@@ -88,10 +102,11 @@ def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
 
     Returns (state as a list, cost(state) or None without a cost,
     proposals, accepted), the last two counting non-null Metropolis
-    proposals. Raises CertificateError when the carried cost differs
-    from the cost of the final state."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    proposals. Raises ValueError unless beta >= 0, so for NaN too (+inf
+    is legal: a zero-temperature filter), and CertificateError when the
+    carried cost differs from the cost of the final state."""
+    if not beta >= 0:  # NaN too
+        raise ValueError(f"beta must be >= 0, got {beta}")
     if cost is not None and not isinstance(cost, LinearCost):
         raise TypeError("the walk cost must be a LinearCost")
     moduli = spec.moduli
@@ -124,29 +139,44 @@ def walk(spec: CayleyWalkSpec, x: Sequence[int], n: int,
                 for i, h in support:
                     x[i] = (x[i] + a * h) % moduli[i]
     elif k:
+        # move 2j is +h_j, move 2j + 1 is -h_j; an entry (i, t, s, up, down)
+        # moves x_i by -t if x_i >= t (the wrap) and den * cost by down,
+        # else by s and up
+        moves = []
+        for support in supports:
+            for sign in (1, -1):
+                move = []
+                for i, h in support:
+                    m, w = moduli[i], weights[i]
+                    s = h if sign > 0 else m - h
+                    move.append((i, m - s, s, w * s, w * (s - m)))
+                moves.append(tuple(move))
+        # each change met so far -> exp(-beta * change / den), or 2.0 (accept
+        # with no draw) where change / den is <= 0, underflows included
+        thresholds: dict[int, float] = {}
         for _ in repeat(None, n):
             if rand() < hold:
                 continue
             j = getrandbits(bits)
             while j >= k:
                 j = getrandbits(bits)
-            a = 1 if rand() < 0.5 else -1
-            support = supports[j]
-            if not support:
+            move = moves[2 * j] if rand() < 0.5 else moves[2 * j + 1]
+            if not move:
                 continue
             proposals += 1
             change = 0
-            for i, h in support:
-                v = x[i]
-                change += weights[i] * ((v + a * h) % moduli[i] - v)
-            if change > 0:
-                # int / int rounds correctly, as float(Fraction) does; a
-                # quotient that underflows to 0.0 accepts with no draw
+            for i, t, _, up, down in move:
+                change += down if x[i] >= t else up
+            p = thresholds.get(change)
+            if p is None:
+                # int / int rounds correctly, as float(Fraction) does
                 delta = change / den
-                if delta > 0 and rand() >= exp(-beta * delta):
-                    continue
-            for i, h in support:
-                x[i] = (x[i] + a * h) % moduli[i]
+                p = thresholds[change] = exp(-beta * delta) if delta > 0 else 2.0
+            if p <= 1.0 and rand() >= p:
+                continue
+            for i, t, s, _, _ in move:
+                v = x[i]
+                x[i] = v - t if v >= t else v + s
             num += change
             accepted += 1
     if cost is None:

@@ -202,6 +202,8 @@ def test_all_rows_redundant(tmp_path):
     (["diagnose", "{p}", "--eta", "1.5"], "eta must be in (0, 1)"),
     (["solve", "{p}", "--method", "mcs-metropolis", "--beta", "-1"], "beta must be >= 0"),
     (["report", "{d}"], "no .mps file in"),
+    # NaN fails beta > 0 too: unchecked, it would run the plain walk
+    (["solve", "{p}", "--method", "mcs-metropolis", "--beta", "nan"], "beta must be >= 0"),
 ])
 def test_bad_option_values_exit_1(tmp_path, args, message):
     path = write_planted(tmp_path)

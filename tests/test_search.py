@@ -387,6 +387,34 @@ def test_default_method_is_dijkstra():
     assert SearchConfig().method == "dijkstra"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("beta", math.nan, "beta must be >= 0"), ("beta", -1.0, "beta must be >= 0"),
+    ("beta", -math.inf, "beta must be >= 0"),
+    ("mix_steps", 0, "mix_steps must be >= 1"), ("mix_steps", -3, "mix_steps must be >= 1")])
+def test_search_config_rejects_bad_beta_and_mix_steps(field, value, message):
+    # a NaN beta fails beta > 0 and so ran the plain walk; mix_steps 0
+    # walked nothing and returned x_hat
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(method="mcs-metropolis", **{field: value})
+
+
+def test_infinite_beta_is_a_zero_temperature_filter():
+    # beta = inf stays legal: it accepts no uphill proposal, so no walk
+    # ends above its start
+    inst = planted(3, 6, 1, style="random-lower-unit")[0]
+    _, _, grd, fc = build(inst)
+    cfg = SearchConfig(method="mcs-metropolis", seed=4, max_samples=4, mix_steps=200,
+                       beta=math.inf)
+    res = markov_chain_search(fc, -grd.cost, cfg, grd)
+    assert res.proposals > res.accepted > 0
+    spec = CayleyWalkSpec(fc.basis.generators, fc.basis.moduli, rng=random.Random(4))
+    x, fx = fc.x_hat, (-grd.cost)(fc.x_hat)
+    for _ in range(20):
+        x, fy, _, _ = walk(spec, x, 10, -grd.cost, math.inf)
+        assert fy <= fx
+        fx = fy
+
+
 # Markov chain search outputs pinned run by run: same RNG draws in the
 # same order, so the same points, objectives, sample counts and traces.
 # Each planted coset starts at its optimum, so "-" runs also negate the

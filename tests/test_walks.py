@@ -248,25 +248,46 @@ def test_walk_matches_oracle():
 def test_walk_matches_oracle_on_other_generator_sets():
     # expander sets (k not a power of two, so some generator draws are
     # redrawn), one generator, a generator with empty support, no cost,
-    # walks long enough to redraw many times, and a den so large that
-    # every delta underflows to 0.0
+    # walks long enough to redraw many times, a den so large that every
+    # delta underflows to 0.0, and beta = inf. One spec per side walks
+    # every cost and beta in turn, each call from the last call's state,
+    # so each call must build its own move table and thresholds. The
+    # last coset's moduli exceed 2^64: its moves wrap on Python ints
     rng = random.Random(12)
-    for grd, fc in oracle_cosets():
+    huge = build(planted(3**21, 3, 5, style="random-lower-unit")[0])[2:]
+    assert min(huge[1].basis.moduli) > 2**64
+    for grd, fc in (*oracle_cosets(), huge):
         kb = fc.basis
         expander = tuple(expander_generation(kb, 8.0, random.Random(grd.d)))
         assert len(expander) & (len(expander) - 1)
         null = tuple(0 if rng.random() < 0.5 else m for m in kb.moduli)
         gen_sets = (expander, kb.generators[:1], kb.generators[:2] + (null,) + kb.generators[2:])
         tiny = LinearCost(2**1100, 0, grd.cost.weights)
+        # a move changes this cost by about one generator order: deltas of
+        # order 1 on every coset, the huge one included
+        unit = LinearCost(max(kb.orders), 0, grd.cost.weights)
+        calls = ((None, 0.0), (grd.cost, 0.0), (grd.cost, 1.0), (-grd.cost, 0.5), (tiny, 1.0),
+                 (unit, 1.0), (-unit, 2.0), (grd.cost, math.inf), (grd.cost, 1.0))
         for gens in gen_sets:
-            for cost, beta in ((None, 0.0), (grd.cost, 0.0), (grd.cost, 1.0), (-grd.cost, 0.5),
-                               (tiny, 1.0)):
+            specs = [simple_spec(gens, kb.moduli, seed=len(gens)) for _ in range(2)]
+            xs = [fc.x_hat] * 2
+            for cost, beta in calls:
                 runs = []
-                for run in (walk_oracle.walk, walk):
-                    spec = simple_spec(gens, kb.moduli, seed=len(gens))
-                    x, fx, proposals, accepted = run(spec, fc.x_hat, 6000, cost, beta)
+                for run, spec, x in zip((walk_oracle.walk, walk), specs, xs):
+                    x, fx, proposals, accepted = run(spec, x, 6000, cost, beta)
                     runs.append((x, fx, proposals, accepted, spec.rng.getstate()))
                 assert runs[0] == runs[1], (grd.d, len(gens), cost, beta)
+                xs = [x for x, *_ in runs]
+
+
+@pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf])
+def test_walk_rejects_beta_not_nonnegative(beta):
+    # nan > 0 is false: unchecked, a NaN beta would run the plain walk
+    inst, _ = planted(2, 8, 1)
+    _, _, grd, fc = build(inst)
+    spec = simple_spec(fc.basis.generators, fc.basis.moduli)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        walk(spec, fc.x_hat, 5, grd.cost, beta)
 
 
 def test_walk_needs_a_linear_cost():
