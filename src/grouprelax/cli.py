@@ -147,10 +147,9 @@ def kernel(file, compress):
 def diagnose(file, eta, dense_limit, mu_sweep):
     """Short-path spectral diagnostics on at most --dense-limit coset
     states (sparse Lanczos ground states, gap from characters)."""
+    params = SPParams(eta=eta, dense_limit=dense_limit, mu_sweep=mu_sweep)
     grd = relax_ilp(_load(file))
-    fc = feasible_coset(grd)
-    rep = sp_diagnose(grd, fc, SPParams(eta=eta, dense_limit=dense_limit,
-                                        mu_sweep=mu_sweep))
+    rep = sp_diagnose(grd, feasible_coset(grd), params)
     def emit(k, v):
         click.echo(f"{k},{v}")
     emit("k_order", rep.k_order)

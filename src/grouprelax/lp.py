@@ -33,7 +33,7 @@ Fractions (x_lp, reduced_costs, opt_lp) are views built when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -49,7 +49,8 @@ _SENSES = (LE, EQ, GE)
 
 @dataclass
 class ILPInstance:
-    """min c.x  s.t.  A x (sense) b,  x integer >= 0."""
+    """min c.x  s.t.  A x (sense) b,  x integer >= 0. A model without
+    rows is read as one zero <= row: 0·x <= 0."""
 
     name: str
     A: IntMatrix
@@ -61,6 +62,8 @@ class ILPInstance:
     def __post_init__(self):
         self.b = [int(v) for v in self.b]
         self.c = [v if isinstance(v, Fraction) else Fraction(v) for v in self.c]
+        if not (self.A.rows or self.b or self.row_sense):
+            self.A, self.b, self.row_sense = IntMatrix([[0] * len(self.c)]), [0], [LE]
         if self.A.rows != len(self.b) or self.A.rows != len(self.row_sense):
             raise ValueError("row dimension mismatch")
         if self.A.cols != len(self.c):
@@ -132,7 +135,7 @@ class BasisSolution:
 def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     """Append +1 slack per <= row and -1 surplus per >= row, then drop
     linearly dependent rows by exact elimination. When no row survives,
-    the instance is read as one zero <= row, as an MPS model without rows.
+    the instance is read as a model without rows (``ILPInstance``).
 
     Since the data is integral, slacks and surpluses are themselves
     integer and nonnegative, so the result is still a pure ILP.
@@ -170,9 +173,7 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
         det = _pivot(rows, rhs, [row[pc] for row in rows], k, det)
     keep = [i for i in range(m) if i not in dropped]
     if not keep:
-        return to_standard_form(ILPInstance(
-            name=inst.name, A=IntMatrix([[0] * n]), b=[0], c=inst.c,
-            row_sense=[LE], var_names=inst.var_names))
+        return to_standard_form(replace(inst, A=IntMatrix([]), b=[], row_sense=[]))
 
     A2 = IntMatrix([data[i] for i in keep])
     b2 = [b[i] for i in keep]
@@ -248,11 +249,13 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
     sign(b_i)·e_i per row (cost 1), starts from that basis and lets
     artificials re-enter. Zero-valued artificials left in the basis are
     then driven out, row by row, by the first structural column j with
-    adj_i·A_j != 0. Phase 2 prices the structural columns with costs
-    cleared of their denominators. Both phases enter the first
-    column with a negative reduced cost and leave by the minimum ratio
-    xb_i / a_i, ties to the smallest basis index: the pivots of the
-    tableau simplex, so the basis and its order are the ones it picks.
+    adj_i·A_j != 0; when there is none, the rows are dependent, against
+    the full row rank sf must have: ValueError. Phase 2 prices the
+    structural columns with costs cleared of their denominators. Both
+    phases enter the first column with a negative reduced cost and leave
+    by the minimum ratio xb_i / a_i, ties to the smallest basis index:
+    the pivots of the tableau simplex, so the basis and its order are the
+    ones it picks.
     At exit det != 0, adj·A_B = det·I, A_B·xb = det·b, x_B >= 0 and the
     reduced costs >= 0 are checked; a failure raises CertificateError.
     """
@@ -273,11 +276,10 @@ def solve_lp_exact(sf: StandardFormILP) -> BasisSolution:
         if basis[i] >= n:
             enter = next((j for j in range(n) if _dot(adj[i], cols[j]) != 0), None)
             if enter is None:
-                continue  # fully redundant row (rank repair should prevent this)
+                raise ValueError("no structural column can replace an artificial: "
+                                 "the rows are linearly dependent")
             det = _pivot(adj, xb, [_dot(row, cols[enter]) for row in adj], i, det)
             basis[i] = enter
-    if any(bi >= n for bi in basis):
-        raise Infeasible("could not form a basis from structural columns")
 
     # phase 2 on the original columns, costs scaled to integers
     scale, cost = clear_denominators(sf.c)

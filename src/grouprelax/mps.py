@@ -223,7 +223,7 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
             b_list.append(up)
 
     # IntMatrix and ILPInstance make ints of the cleared rows and b, and
-    # Fractions of c
+    # Fractions of c; ILPInstance reads a model without rows as one zero row
     int_rows = []
     int_b = []
     for row, bv in zip(A_rows, b_list):
@@ -235,14 +235,8 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
             int_rows.append([x * den for x in row])
             int_b.append(bv * den)
     c = [cd.get(obj_row, 0) for cd in col_data]
-    return ILPInstance(
-        name=name,
-        A=IntMatrix(int_rows) if int_rows else IntMatrix([[0] * len(col_order)]),
-        b=int_b if int_rows else [0],
-        c=c,
-        row_sense=sense_list if int_rows else [LE],
-        var_names=list(col_order),
-    )
+    return ILPInstance(name=name, A=IntMatrix(int_rows), b=int_b, c=c, row_sense=sense_list,
+                       var_names=list(col_order))
 
 
 def _fmt(v) -> str:

@@ -9,10 +9,11 @@ import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, Infeasible
-from .kernel import feasible_coset, range_order
+from .kernel import column_orders, feasible_coset, range_order
 from .lp import ILPInstance
 from .relax import BoundChain, bound_chain, relax_ilp
 from .search import SearchConfig, branch_and_bound, solve_group
@@ -57,23 +58,22 @@ def _row(name: str, chain: BoundChain, **rest) -> ReportRow:
 
 
 def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> ReportRow:
-    """One report row. The feasible coset is built only when a reader
-    needs it: an MCS or brute-force solver, or ``cfg.compress``. On the
-    Dijkstra path without compression, |G| comes from the residue
-    lattice (``kernel.range_order``) and |K| = r_max^d / |G|, the values
-    the coset would report."""
+    """One report row. The feasible coset is built only for a solver that
+    walks it (MCS or brute force). A Dijkstra row reads |G| off the
+    residue lattice (``kernel.range_order``) and |K| = prod(s) / |G| with
+    s the column orders under ``cfg.compress`` and r_max per column
+    otherwise, the orders the coset certifies; both before the solve, so
+    an r_max that compression cannot factor stops the row at once."""
     cfg = cfg or PipelineConfig()
     t0 = time.monotonic()
     grd = relax_ilp(inst)
-    fc = None
-    if cfg.compress or cfg.search.method != "dijkstra":
-        fc = feasible_coset(grd, cfg.compress)
-    res = solve_group(grd, fc, cfg.search)
-    if fc is None:
-        g_order = range_order(grd)
-        k_order = grd.r_max**grd.d // g_order
+    if cfg.search.method == "dijkstra":
+        fc, g_order = None, range_order(grd)
+        k_order = (prod(column_orders(grd)) if cfg.compress else grd.r_max**grd.d) // g_order
     else:
+        fc = feasible_coset(grd, cfg.compress)
         k_order, g_order = fc.basis.kernel_order, fc.basis.range_order
+    res = solve_group(grd, fc, cfg.search)
 
     # opt_ilp is certified or NA: the known optimum, else on a certified
     # group optimum the branch and bound rooted at it (no second LP or

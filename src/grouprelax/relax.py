@@ -1,11 +1,12 @@
-"""Build the group relaxation tuple (Abold, bbold, cbold, {r_j}) from an
+"""Build the group relaxation (Abold, bbold, the group cost, {r_j}) from an
 optimal LP basis (``relax_ilp`` runs the whole chain from an instance),
 lift kernel-space solutions back to full ILP vectors, and assemble the
 LP <= group <= ILP bound chain.
 
 Both ends read the LP's certified integers (``lp.BasisSolution``). The
-group cost is defined once, from the reduced-cost numerators over the
-LP's one denominator; cbold and the OPT_LP shift are its Fraction views.
+group cost is defined once, as the ``LinearCost`` of the reduced-cost
+numerators and OPT_LP's over the LP's one denominator; every solver and
+diagnostic prices with it.
 A lift is x_B = adj·rhs / det, exact because the LP certified
 adj·A_B = det·I; a remainder means the point is off the coset.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -82,7 +82,7 @@ class GroupRelaxationData:
     r: list[int]                 # invariant factors of A_B, r_1 | ... | r_m
     Abold: IntMatrix             # m x d, entries reduced into [0, r_row)
     bbold: list[int]             # reduced likewise
-    cost: LinearCost             # OPT_LP + cbold·x over kept columns, in lowest terms
+    cost: LinearCost             # OPT_LP + (reduced costs)·x over kept columns, in lowest terms
     kept_cols: list[int]         # Abold column -> standard-form column index
     dropped_cols: list[int]      # nonbasic columns congruent to 0 mod R Z^m
 
@@ -97,16 +97,6 @@ class GroupRelaxationData:
     @property
     def r_max(self) -> int:
         return self.r[-1]
-
-    @cached_property
-    def cbold(self) -> list[Fraction]:
-        """The reduced costs of the kept columns, >= 0."""
-        return [Fraction(w, self.cost.den) for w in self.cost.weights]
-
-    @cached_property
-    def shift(self) -> Fraction:
-        """OPT_LP."""
-        return Fraction(self.cost.const, self.cost.den)
 
 
 @dataclass
@@ -134,7 +124,7 @@ def _check_basis_snf(AB: IntMatrix, fact: SNFResult, r: list[int]) -> None:
 
 
 def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelaxationData:
-    """Form (Abold, bbold, cbold, {r_j}); columns of U^{-1}A_N that are
+    """Form (Abold, bbold, the group cost, {r_j}); columns of U^{-1}A_N that are
     0 mod R Z^m are dropped (fixing those variables to 0 is free).
 
     The basis SNF is certified first. Only rows with r_i > 1 are
@@ -163,7 +153,7 @@ def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelax
     weights = [v for v, k in zip(bs.reduced, keep) if k]
     if any(w < 0 for w in weights):
         raise CertificateError("optimal basis has a negative reduced cost")
-    # over den: the lcm of the reduced denominators of OPT_LP and cbold is den / g
+    # over den: the lcm of the reduced denominators of OPT_LP and the weights is den / g
     g = math.gcd(bs.den, bs.opt_num, *weights)
     cost = LinearCost(bs.den // g, bs.opt_num // g, [w // g for w in weights])
     return GroupRelaxationData(

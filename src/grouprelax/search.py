@@ -21,8 +21,7 @@ from .errors import CapExceeded, CertificateError, Infeasible
 from .kernel import FeasibleCoset, _group_residual, coset_array
 from .exact import IntMatrix, clear_denominators, int_dtype
 from .lp import GE, LE, ILPInstance, solve_lp_exact, to_standard_form
-from .relax import (GroupRelaxationData, GroupSolution, LinearCost,
-                    build_group_relaxation, lift_to_ilp)
+from .relax import GroupRelaxationData, GroupSolution, build_group_relaxation, lift_to_ilp
 from .walks import CayleyWalkSpec, expander_generation, walk
 
 METHODS = ("mcs", "mcs-expander", "mcs-metropolis", "dijkstra", "brute")
@@ -81,26 +80,24 @@ def default_mix_steps(fc: FeasibleCoset, epsilon: float) -> int:
     return math.ceil(k * u * u * (math.log(kb.kernel_order) - math.log(epsilon)))
 
 
-def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
-                        grd: Optional[GroupRelaxationData] = None) -> SearchResult:
-    """Anytime search: burn in one mixing time, then repeatedly walk a
-    mixing time and keep the sample iff it does not increase the cost.
-    The best-so-far value is non-increasing by construction; the result
-    is not certified optimal. Raises TypeError unless cost is a
-    LinearCost, and CapExceeded before a walk (the burn-in or a sample)
-    would take the steps walked past cfg.cap. The cap is not checked
-    against the whole plan, (cfg.max_samples + 1) walks, up front: a
-    search with cfg.stop_at may stop long before its plan ends."""
-    if not isinstance(cost, LinearCost):
-        raise TypeError("markov_chain_search needs a LinearCost")
-    kb = fc.basis
+def markov_chain_search(grd: GroupRelaxationData, fc: FeasibleCoset,
+                        cfg: SearchConfig) -> SearchResult:
+    """Anytime search over the coset fc of grd, priced by grd.cost: burn
+    in one mixing time, then repeatedly walk a mixing time and keep the
+    sample iff it does not increase the cost. The best-so-far value is
+    non-increasing by construction; the result is not certified optimal,
+    and its best point is lifted. Raises CapExceeded before a walk (the
+    burn-in or a sample) would take the steps walked past cfg.cap. The
+    cap is not checked against the whole plan, (cfg.max_samples + 1)
+    walks, up front: a search with cfg.stop_at may stop long before its
+    plan ends."""
+    kb, cost = fc.basis, grd.cost
     rng = random.Random(cfg.seed)
     fbest = cost(fc.x_hat)
     best = fc.x_hat
     trace = [(0, fbest)]
     if kb.kernel_order <= 1 or not kb.generators:
-        sol = lift_to_ilp(grd, best) if grd is not None else None
-        return SearchResult(best, fbest, 0, False, trace, sol)
+        return SearchResult(best, fbest, 0, False, trace, lift_to_ilp(grd, best))
 
     if cfg.method == "mcs-expander":
         gens = tuple(expander_generation(kb, rng=rng))
@@ -128,8 +125,7 @@ def markov_chain_search(fc: FeasibleCoset, cost: LinearCost, cfg: SearchConfig,
         samples = i
         if i and cfg.stop_at is not None and fbest <= cfg.stop_at:
             break
-    sol = lift_to_ilp(grd, best) if grd is not None else None
-    return SearchResult(best, fbest, samples, False, trace, sol,
+    return SearchResult(best, fbest, samples, False, trace, lift_to_ilp(grd, best),
                         proposals=proposals, accepted=accepted)
 
 
@@ -153,15 +149,14 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
     rows = [(row, r_i, b % r_i) for row, r_i, b in zip(grd.Abold.data, grd.r, grd.bbold)
             if r_i > 1]
     # the group cost scaled by L > 0 to integers keeps every comparison and tie
-    cost = grd.cost
-    den, shift, cbold = cost.den, cost.const, cost.weights
+    den, const, w = grd.cost.den, grd.cost.const, grd.cost.weights
     kept: dict[tuple[int, ...], int] = {}  # residue -> its cheapest column
     for j, col in enumerate(zip(*(row for row, _, _ in rows))):
         k = kept.get(col)
-        if k is None or cbold[j] < cbold[k]:
+        if k is None or w[j] < w[k]:
             kept[col] = j
     cols = list(kept.values())
-    weights = [cbold[j] for j in cols]
+    weights = [w[j] for j in cols]
     # per row, last first: each kept residue's digit times the row's place
     # value pv, and the row's modulus in code units r_i·pv
     digits, target, pv = [], 0, 1
@@ -225,26 +220,24 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
     if _group_residual(grd.Abold, grd.r, x_n) != [b % r_i for b, r_i in zip(grd.bbold, grd.r)]:
         raise CertificateError("shortest path does not sum to the target residue")
     sol = lift_to_ilp(grd, x_n)
-    obj = Fraction(shift + top, den)
+    obj = Fraction(const + top, den)
     if sol.objective != obj:
         raise CertificateError(
             f"lifted objective {sol.objective} differs from the path length {obj}")
     return SearchResult(tuple(x_n), obj, len(done), True, [(0, obj)], sol)
 
 
-def brute_force_group(fc: FeasibleCoset, cost: LinearCost, cap: int,
-                      grd: Optional[GroupRelaxationData] = None) -> SearchResult:
-    """Exhaustive minimum over the coset plus the full argmin set K*, in
-    coset order: every point of ``coset_array`` priced by its integer
-    numerator (``LinearCost.scaled_rows``); the first minimizer is the
-    best point."""
+def brute_force_group(grd: GroupRelaxationData, fc: FeasibleCoset, cap: int) -> SearchResult:
+    """Exhaustive minimum over the coset fc of grd plus the full argmin
+    set K*, in coset order: every point of ``coset_array`` priced by the
+    integer numerator of grd.cost (``LinearCost.scaled_rows``); the first
+    minimizer is the best point, and is lifted."""
     X = coset_array(fc, cap)  # raises CapExceeded
-    iv = cost.scaled_rows(X, fc.basis.moduli)
+    iv = grd.cost.scaled_rows(X, fc.basis.moduli)
     lo = iv.min()
     argmin = list(map(tuple, X[iv == lo].tolist()))
-    best, fbest = argmin[0], Fraction(int(lo), cost.den)
-    sol = lift_to_ilp(grd, best) if grd is not None else None
-    return SearchResult(best, fbest, len(X), True, [(0, fbest)], sol,
+    best, fbest = argmin[0], Fraction(int(lo), grd.cost.den)
+    return SearchResult(best, fbest, len(X), True, [(0, fbest)], lift_to_ilp(grd, best),
                         argmin_points=argmin)
 
 
@@ -339,8 +332,6 @@ def _node_instance(inst: ILPInstance, lo: list[int], hi: list[Optional[int]]):
             rows.append([int(i == k) for i in range(len(free))])
             b.append(hi[j] - lo[j])
             sense.append(LE)
-    if not rows:  # read as one zero <= row, as to_standard_form does
-        rows, b, sense = [[0] * len(free)], [0], [LE]
     node = ILPInstance(name=inst.name, A=IntMatrix(rows), b=b,
                        c=[inst.c[j] for j in free], row_sense=sense,
                        var_names=[inst.var_names[j] for j in free])
@@ -449,5 +440,5 @@ def solve_group(grd: GroupRelaxationData, fc: Optional[FeasibleCoset],
     if cfg.method == "dijkstra":
         return gomory_shortest_path(grd, cfg.cap)
     if cfg.method == "brute":
-        return brute_force_group(fc, grd.cost, cfg.cap, grd)
-    return markov_chain_search(fc, grd.cost, cfg, grd)
+        return brute_force_group(grd, fc, cfg.cap)
+    return markov_chain_search(grd, fc, cfg)

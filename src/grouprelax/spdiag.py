@@ -43,6 +43,8 @@ class SPParams:
     def __post_init__(self):
         if not (0 < self.eta < 1):
             raise ValueError("eta must be in (0, 1)")
+        if self.mu_sweep < 1:
+            raise ValueError("mu_sweep must be >= 1")
 
 
 def theta_eta(x, eta):
@@ -136,7 +138,6 @@ class SPReport:
     g_order: int
     e_star: Fraction
     shift_c: Fraction
-    f_max: Fraction
     cyclic_norm_max: Fraction         # also the one-step bound delta_p
     omega_hat: Fraction
     delta: Optional[float]
@@ -155,12 +156,13 @@ class SPReport:
     lambda_curve: list[tuple[float, float]] = field(default_factory=list)
 
 
-def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
+def speedup_conditions(kb: KernelBasis, maxcyc: Fraction, e_star: Fraction,
                        kstar_order: int) -> tuple[ConditionCheck, ConditionCheck]:
     """Dimensionless ratios for the two super-quadratic conditions, with
     log base 2 and the closed band BAND_DEFAULT as the Theta(1) proxy:
-      R1 = max_j cyclic_norm(h_j, c) * log2(|K|/|K*|) / |E*|
+      R1 = maxcyc * log2(|K|/|K*|) / |E*|
       R2 = u_max^2 * k / log2(|K|/|K*|)
+    where maxcyc = max_j cyclic_norm(h_j, c) (``walks.cyclic_norm_max``).
     The expander variant drops the second condition and keeps R1.
     """
     if not 1 <= kstar_order <= kb.kernel_order:
@@ -170,18 +172,15 @@ def speedup_conditions(kb: KernelBasis, weights: Sequence, e_star: Fraction,
     if logr == 0:
         degenerate = ConditionCheck(float("nan"), False)
         return degenerate, degenerate
-    maxcyc = float(cyclic_norm_max(kb.generators, weights, kb.moduli))
     k = len(kb.generators)
     u_max = max(kb.orders, default=1)
-    r1 = maxcyc * logr / float(abs(e_star))
+    r1 = float(maxcyc) * logr / float(abs(e_star))
     r2 = u_max * u_max * k / logr
     lo, hi = BAND_DEFAULT
     return ConditionCheck(r1, lo <= r1 <= hi), ConditionCheck(r2, lo <= r2 <= hi)
 
 
-def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
-                params: SPParams,
-                kstar_order: Optional[int] = None) -> SPReport:
+def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset, params: SPParams) -> SPReport:
     """Full diagnostic on at most dense_limit states, in memory
     O(|K| k): enumerates the coset in mixed radix, prices each point by
     the integer numerator const + w·x of grd.cost (``scaled_rows``),
@@ -190,9 +189,9 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     stochasticity), keeps the walk matrix as canonical sparse counts,
     takes the gap delta from the characters of K, and sweeps mu in
     [0, mu_chosen) with a Lanczos ground state of each sparse H_mu,
-    rewriting only its diagonal. Every figure is rounded as the Fraction-per-state
-    reference in the tests rounds it. kstar_order defaults to the
-    brute-force count."""
+    rewriting only its diagonal. |K*| counts the coset's minimizers, and
+    the cyclic norms are grd.cost's weights over its den. Every figure is
+    rounded as the Fraction-per-state reference in the tests rounds it."""
     kb = fc.basis
     n = kb.kernel_order
     if n > params.dense_limit:
@@ -204,19 +203,16 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     bound = cost.bound(moduli)
     lo, hi = int(iv.min()), int(iv.max())
     C, e_star = Fraction(hi + den, den), Fraction(lo - hi - den, den)
-    f_max = C - 1
     E = hi + den - lo                        # den * |E*|
     a = iv.astype(int_dtype(2 * bound + den), copy=False) - (hi + den)  # den * ftilde in [-E, -den]
     kstar_idx = np.flatnonzero(iv == lo)
-    if kstar_order is None:
-        kstar_order = len(kstar_idx)
+    kstar_order = len(kstar_idx)
     degenerate = kstar_order == n
 
     spec = CayleyWalkSpec(generators=kb.generators, moduli=moduli)
-    weights = grd.cbold
-    norms_max = cyclic_norm_max(kb.generators, weights, moduli)
+    norms_max = cyclic_norm_max(kb.generators, cost.weights, moduli) / den
     omega = log_sobolev_lower(kb)
-    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order)
+    c1, c2 = speedup_conditions(kb, norms_max, e_star, kstar_order)
 
     import scipy.sparse as sp
     if n == 1:
@@ -273,7 +269,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
     sweep_top = mu if mu else mu_star_gap
     overlap_curve = []
     lambda_curve = []
-    steps = max(params.mu_sweep, 1)
+    steps = params.mu_sweep
     theta = _theta_vector(a, E, eta)
     # H_mu differs from -P only on the diagonal, where it adds mu * theta
     # as -P + diags(mu * theta) does: the sum rounds the same either way
@@ -289,9 +285,9 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         overlap_curve.append((mu_i, ov))
         lambda_curve.append((mu_i, lam1))
     # mu = 0 ground state is uniform, overlap must equal |K*|/|K|
-    if not abs(overlap_curve[0][1] - len(kstar_idx) / n) < 1e-10:
+    if not abs(overlap_curve[0][1] - kstar_order / n) < 1e-10:
         raise CertificateError(
-            f"mu = 0 overlap {overlap_curve[0][1]} differs from |K*|/|K| = {len(kstar_idx)}/{n}")
+            f"mu = 0 overlap {overlap_curve[0][1]} differs from |K*|/|K| = {kstar_order}/{n}")
 
     return SPReport(
         k_order=kb.kernel_order,
@@ -299,7 +295,6 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset,
         g_order=kb.range_order,
         e_star=e_star,
         shift_c=C,
-        f_max=f_max,
         cyclic_norm_max=norms_max,
         omega_hat=omega,
         delta=delta,

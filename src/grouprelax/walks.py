@@ -439,12 +439,11 @@ def max_move_variation(iv: np.ndarray, nb: np.ndarray) -> int:
 
 def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
                      spec: CayleyWalkSpec,
-                     states: Sequence[tuple[int, ...]],
-                     weights: Optional[Sequence] = None) -> tuple[Fraction, Fraction]:
+                     states: Sequence[tuple[int, ...]]) -> tuple[Fraction, Optional[Fraction]]:
     """Exact ||f||_P = max_x E_y[(f(x) - f(y))^2] over one walk step,
-    plus the generator bound (max_j cyclic norm)^2 when weights (the
-    linear cost on coordinates) are given. Returns (exact, bound); the
-    bound is None without weights. The state set must be closed under
+    plus the generator bound (max_j cyclic norm)^2 when f is a
+    ``LinearCost``, its weights over its den. Returns (exact, bound); the
+    bound is None for any other f. The state set must be closed under
     the generators (ValueError otherwise)."""
     states = list(states)
     k = len(spec.generators)
@@ -456,8 +455,8 @@ def pseudo_lipschitz(f: Callable[[tuple[int, ...]], Fraction],
         move_w = (1 - spec.laziness) / (2 * k)
         best = move_w * Fraction(max_move_variation(iv, nb), den * den)
     bound = None
-    if weights is not None:
-        b = cyclic_norm_max(spec.generators, weights, spec.moduli)
+    if isinstance(f, LinearCost):
+        b = cyclic_norm_max(spec.generators, f.weights, spec.moduli) / f.den
         bound = b * b
         if best > bound:
             raise CertificateError("cyclic bound violated by exact pseudo-Lipschitz norm")

@@ -9,7 +9,6 @@ costs that the spdiag tests read.
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,7 +95,7 @@ def hamiltonian(P, mu, theta):
     return (-P + sp.diags_array(mu * theta)).tocsr()
 
 
-def sp_diagnose(grd, fc, params: SPParams, kstar_order: Optional[int] = None) -> SPReport:
+def sp_diagnose(grd, fc, params: SPParams) -> SPReport:
     kb = fc.basis
     if kb.kernel_order > params.dense_limit:
         raise DenseLimitExceeded(
@@ -105,19 +104,17 @@ def sp_diagnose(grd, fc, params: SPParams, kstar_order: Optional[int] = None) ->
     n = len(states)
     values = [grd.cost(s) for s in states]
     C, e_star = shifted_cost(values)
-    f_max = C - 1
     ftilde = [v - C for v in values]
     fmin = min(values)
     kstar_idx = [i for i, v in enumerate(values) if v == fmin]
-    if kstar_order is None:
-        kstar_order = len(kstar_idx)
+    kstar_order = len(kstar_idx)
     degenerate = kstar_order == kb.kernel_order
 
     spec = CayleyWalkSpec(generators=kb.generators, moduli=kb.moduli)
-    weights = grd.cbold
+    weights = [Fraction(w, grd.cost.den) for w in grd.cost.weights]
     norms_max = cyclic_norm_max(kb.generators, weights, kb.moduli)
     omega = log_sobolev_lower(kb)
-    c1, c2 = speedup_conditions(kb, weights, e_star, kstar_order)
+    c1, c2 = speedup_conditions(kb, norms_max, e_star, kstar_order)
 
     if n == 1 or not kb.generators:
         P = np.eye(n)
@@ -158,7 +155,7 @@ def sp_diagnose(grd, fc, params: SPParams, kstar_order: Optional[int] = None) ->
     sweep_top = mu if mu else mu_star_gap
     overlap_curve = []
     lambda_curve = []
-    steps = max(params.mu_sweep, 1)
+    steps = params.mu_sweep
     theta = theta_vector(ftilde, eta, e_star)
     for i in range(steps):
         mu_i = sweep_top * i / steps
@@ -170,7 +167,7 @@ def sp_diagnose(grd, fc, params: SPParams, kstar_order: Optional[int] = None) ->
 
     return SPReport(
         k_order=kb.kernel_order, kstar_order=kstar_order, g_order=kb.range_order,
-        e_star=e_star, shift_c=C, f_max=f_max, cyclic_norm_max=norms_max,
+        e_star=e_star, shift_c=C, cyclic_norm_max=norms_max,
         omega_hat=omega, delta=delta, gamma_plain=gamma_plain,
         gamma_trunc=gamma_trunc, mu_star_ls=mu_star_ls, mu_star_gap=mu_star_gap,
         mu=mu, alpha_hat=alpha_hat, condition_26a=c1, condition_26b=c2,

@@ -52,7 +52,7 @@ def test_criterion_1_planted_exactness():
         budget = math.ceil(32 * kb.kernel_order * math.log(kb.kernel_order)) or 1
         cfg = SearchConfig(method="mcs", seed=t * 100 + m, max_samples=budget,
                            stop_at=Fraction(m))
-        mc = markov_chain_search(fc, grd.cost, cfg, grd)
+        mc = markov_chain_search(grd, fc, cfg)
         assert mc.objective == m
         assert mc.samples_used <= budget
     assert time.monotonic() - t0 < 30
@@ -94,11 +94,10 @@ def test_criterion_4_compression_preserves_optima(random_suite):
         grd, fc = case["grd"], case["fc"]
         if fc.basis.kernel_order > 3000:
             continue
-        f = grd.cost
         fc2 = feasible_coset(grd, compress=True)
         assert prod(fc2.basis.moduli) == fc2.basis.kernel_order * fc2.basis.range_order
-        v1 = brute_force_group(fc, f, cap=10**4).objective
-        v2 = brute_force_group(fc2, f, cap=10**4).objective
+        v1 = brute_force_group(grd, fc, cap=10**4).objective
+        v2 = brute_force_group(grd, fc2, cap=10**4).objective
         assert v1 == v2 == case["opt_b"]
         checked += 1
     assert checked >= 150
@@ -228,9 +227,8 @@ def test_criterion_9_pseudo_lipschitz_bound(random_suite):
             continue
         spec = CayleyWalkSpec(generators=kb.generators, moduli=kb.moduli)
         states = list(enumerate_coset(fc, 512))
-        exact, bound = pseudo_lipschitz(grd.cost, spec, states,
-                                        grd.cbold)
-        maxcyc = cyclic_norm_max(kb.generators, grd.cbold, kb.moduli)
+        exact, bound = pseudo_lipschitz(grd.cost, spec, states)
+        maxcyc = cyclic_norm_max(kb.generators, grd.cost.weights, kb.moduli) / grd.cost.den
         assert exact <= bound == maxcyc**2
         # square root form of the same bound, in floats
         assert math.sqrt(float(exact)) <= float(maxcyc) + 1e-12
@@ -265,7 +263,8 @@ def test_criterion_11_condition_discrimination():
         kb = fc.basis
         values = [grd.cost(pt) for pt in enumerate_coset(fc, 4096)]
         _, e_star = shifted_cost(values)
-        c1, c2 = speedup_conditions(kb, grd.cbold, e_star, kstar_order=1)
+        maxcyc = cyclic_norm_max(kb.generators, grd.cost.weights, kb.moduli) / grd.cost.den
+        c1, c2 = speedup_conditions(kb, maxcyc, e_star, kstar_order=1)
         assert c1.in_band, f"R1 = {c1.ratio} at m = {m}"
         assert c2.in_band, f"R2 = {c2.ratio} at m = {m}"
 
@@ -273,7 +272,8 @@ def test_criterion_11_condition_discrimination():
     dense = KernelBasis(generators=((2,) * d,), orders=(2,),
                         moduli=(4,) * d, kernel_order=2,
                         range_order=4**d // 2)
-    c1, _ = speedup_conditions(dense, [1] * d, Fraction(-3), 1)
+    c1, _ = speedup_conditions(dense, cyclic_norm_max(dense.generators, [1] * d, dense.moduli),
+                               Fraction(-3), 1)
     assert not c1.in_band
 
 

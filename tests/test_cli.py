@@ -147,7 +147,7 @@ def test_coset_uncertified_prime_exits_5(tmp_path):
     # uncompressed kernel and the coset's other readers stop there too
     path = str(huge_coefficient_model(tmp_path, 2**89 - 1))
     for args in (["kernel", path], ["solve", path, "--method", "mcs"],
-                 ["solve", path, "--method", "brute"]):
+                 ["solve", path, "--method", "brute"], ["solve", path, "--compress"]):
         res = run(args)
         assert res.exit_code == 5 and "cannot prove" in res.output, (args, res.output)
 
@@ -163,6 +163,8 @@ def test_group_infeasible_coset_exits_2(tmp_path):
     res = run(["kernel", str(path)])
     assert res.exit_code == 2, res.output
     assert "error: Abold x = bbold has no solution mod 2^1" in res.output
+    res = run(["solve", str(path), "--compress"])
+    assert res.exit_code == 2, res.output
 
 
 def test_not_pure_ilp_exit_code(tmp_path):
@@ -204,6 +206,9 @@ def test_all_rows_redundant(tmp_path):
     (["report", "{d}"], "no .mps file in"),
     # NaN fails beta > 0 too: unchecked, it would run the plain walk
     (["solve", "{p}", "--method", "mcs-metropolis", "--beta", "nan"], "beta must be >= 0"),
+    # below 1 it used to run one sweep point
+    (["diagnose", "{p}", "--mu-sweep", "0"], "mu_sweep must be >= 1"),
+    (["diagnose", "{p}", "--mu-sweep", "-3"], "mu_sweep must be >= 1"),
 ])
 def test_bad_option_values_exit_1(tmp_path, args, message):
     path = write_planted(tmp_path)
@@ -283,6 +288,18 @@ GOLDEN_REPORT = (
     + "90,2\n100,2\n"
 )
 
+# with --compress: the planted coset compresses to one point; |K| on a
+# Dijkstra row is the count the compressed coset would certify
+GOLDEN_REPORT_COMPRESSED = (
+    "instance,opt_lp,opt_b,opt_ilp,delta_lp_ilp,delta_b,r_abs,r_pct,certified,"
+    "degenerate_lp,k_order,g_order,method,seed,wall_ms\n"
+    "cutgen_m4_L20_v0.8_d2.0_s35,3.5,4,4,0.5,0,0.5,100.0,true,true,64,4,dijkstra,,0\n"
+    "planted_t2_m3_l1_identity_s0,0,3,3,3,0,3,100.0,true,false,1,8,dijkstra,,0\n"
+    "\nbin_start,count\n"
+    + "".join(f"{b},0\n" for b in range(0, 90, 10))
+    + "90,2\n100,2\n"
+)
+
 DIAGNOSE_KEYS = (
     ["k_order", "kstar_order", "g_order", "e_star", "shift_c", "cyclic_norm_max",
      "delta_p_bound", "omega_hat", "delta", "gamma_plain", "gamma_trunc",
@@ -320,6 +337,15 @@ def test_report_fixed_wall_golden_bytes(tmp_path):
     res = run(["report", str(tmp_path), "--out", str(out), "--fixed-wall"])
     assert res.exit_code == 0, res.output
     assert out.read_text() == GOLDEN_REPORT
+
+
+def test_report_compress_fixed_wall_golden_bytes(tmp_path):
+    write_golden_instances(tmp_path)
+    out = tmp_path / "out" / "r.csv"
+    out.parent.mkdir()
+    res = run(["report", str(tmp_path), "--out", str(out), "--fixed-wall", "--compress"])
+    assert res.exit_code == 0, res.output
+    assert out.read_text() == GOLDEN_REPORT_COMPRESSED
 
 
 def test_diagnose_cutgen_optimal_set_not_dividing_k(tmp_path):

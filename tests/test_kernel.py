@@ -18,8 +18,8 @@ import pytest
 from click.testing import CliRunner
 
 import grouprelax.kernel
-from grouprelax import (ILPInstance, IntMatrix, PipelineConfig, column_orders, emit_mps,
-                        feasible_coset, range_order, relax_ilp, run_pipeline)
+from grouprelax import (ILPInstance, IntMatrix, PipelineConfig, SearchConfig, column_orders,
+                        emit_mps, feasible_coset, range_order, relax_ilp, run_pipeline)
 from grouprelax.cli import main
 from grouprelax.errors import CapExceeded, CertificateError, Infeasible
 from grouprelax.gen import CutStockSpec, cutgen, planted
@@ -462,8 +462,8 @@ def test_compressed_coset_is_one_elimination(monkeypatch, tmp_path):
     orders as moduli and bbold as the right-hand side, equals the two-call
     construction (K' with a zero right-hand side, x_hat of Z_{r_max}^d
     reduced mod s) and compress_coset's result; and kernel --compress and
-    run_pipeline(compress=True) run _eliminate once per prime power of
-    r_max, so they build no coset of Z_{r_max}^d."""
+    an MCS row of run_pipeline(compress=True) run _eliminate once per prime
+    power of r_max, so they build no coset of Z_{r_max}^d."""
     insts = [random_feasible_instance(seed) for seed in range(400)]
     insts += [planted(t, m, 1, seed=seed, style=style)[0]
               for t, m in ((2, 8), (3, 6), (2, 12), (3, 7), (2, 2), (2, 3))
@@ -487,7 +487,8 @@ def test_compressed_coset_is_one_elimination(monkeypatch, tmp_path):
         want = grouprelax.kernel._prime_powers(relax_ilp(inst).r_max)
         assert len(want) == n_pe
         calls.clear()
-        run_pipeline(inst, PipelineConfig(compress=True, ilp_cap=1, record_wall=False))
+        mcs = SearchConfig(method="mcs", seed=0, max_samples=1, mix_steps=1)
+        run_pipeline(inst, PipelineConfig(search=mcs, compress=True, record_wall=False))
         assert calls == want
         path = tmp_path / f"{inst.name}.mps"
         path.write_text(emit_mps(inst))

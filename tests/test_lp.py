@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from grouprelax import (ILPInstance, IntMatrix, det_exact, gomory_shortest_path, relax_ilp,
-                        solve_lp_exact, to_standard_form)
+from grouprelax import (ILPInstance, IntMatrix, StandardFormILP, det_exact, gomory_shortest_path,
+                        relax_ilp, solve_lp_exact, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, Unbounded
 from grouprelax.exact import solve_rational
 from grouprelax.gen import CutStockSpec, cutgen, planted
@@ -120,6 +120,21 @@ def test_lp_infeasible_phase1():
     )
     with pytest.raises(Infeasible):
         solve_lp_exact(to_standard_form(inst))
+
+
+def test_lp_dependent_rows_raise_value_error():
+    # full row rank is the precondition, and to_standard_form never builds
+    # such a form: feasible at (1, 0), it is refused, not called infeasible
+    sf = StandardFormILP(name="dep", A=IntMatrix([[1, 1], [2, 2]]), b=[1, 2],
+                         c=[Fraction(1), Fraction(1)], slack_map={}, var_names=["x1", "x2"])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        solve_lp_exact(sf)
+
+
+def test_instance_without_rows_is_one_zero_row():
+    c = [Fraction(1), Fraction(2)]
+    assert ILPInstance(name="e", A=IntMatrix([]), b=[], c=c, row_sense=[]) == \
+        ILPInstance(name="e", A=IntMatrix([[0, 0]]), b=[0], c=c, row_sense=["<="])
 
 
 def test_lp_invariants_on_solutions():

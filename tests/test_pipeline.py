@@ -111,14 +111,16 @@ def test_report_and_group_cost_pinned():
 
 
 def test_dijkstra_row_builds_no_coset(monkeypatch):
-    # |K| and |G| of a Dijkstra row come from the residue lattice, equal to
-    # the coset's; the coset is built only for --compress or another solver
+    # |K| and |G| of a Dijkstra row come from the residue lattice and the
+    # column orders, equal to the coset's with and without compression; the
+    # coset is built only for a solver that walks it, once
     insts = [random_feasible_instance(seed) for seed in range(40)]
     insts += [planted(2, 3, 1)[0], cutgen(CutStockSpec(m=6, L=1000, v2=0.5, dbar=10.0, seed=51))]
-    want = []
-    for inst in insts:
-        kb = feasible_coset(relax_ilp(inst)).basis
-        want.append((kb.kernel_order, kb.range_order))
+    want = {}
+    for compress in (False, True):
+        kbs = [feasible_coset(relax_ilp(inst), compress).basis for inst in insts]
+        want[compress] = [(kb.kernel_order, kb.range_order) for kb in kbs]
+    assert want[False] != want[True]
     built = []
 
     def counted(grd, compress=False):
@@ -126,14 +128,17 @@ def test_dijkstra_row_builds_no_coset(monkeypatch):
         return feasible_coset(grd, compress)
 
     monkeypatch.setattr(pipeline, "feasible_coset", counted)
-    cfg = PipelineConfig(record_wall=False)
-    assert [(row.k_order, row.g_order) for row in
-            (run_pipeline(inst, cfg) for inst in insts)] == want
+    for compress in (False, True):
+        cfg = PipelineConfig(compress=compress, record_wall=False)
+        assert [(row.k_order, row.g_order) for row in
+                (run_pipeline(inst, cfg) for inst in insts)] == want[compress]
     assert not built
-    run_pipeline(insts[-2], PipelineConfig(compress=True, record_wall=False))
-    run_pipeline(insts[-2], PipelineConfig(search=SearchConfig(method="brute"),
-                                           record_wall=False))
-    assert len(built) == 2
+    for method in ("mcs", "brute"):
+        for compress in (False, True):
+            built.clear()
+            run_pipeline(insts[-2], PipelineConfig(search=SearchConfig(method=method, seed=0),
+                                                   compress=compress, record_wall=False))
+            assert len(built) == 1
 
 
 def test_run_pipeline_known_optimum():

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, bound_chain,
+from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, LinearCost, bound_chain,
                         build_group_relaxation, cutgen, det_exact, gomory_shortest_path,
                         lift_to_ilp, snf)
 from grouprelax.errors import CertificateError
@@ -30,9 +30,8 @@ def test_build_block_instance():
     assert grd.r == [4, 4]
     assert grd.Abold == IntMatrix([[2, 0], [0, 2]])
     assert grd.bbold == [2, 2]
-    assert grd.cbold == [Fraction(1), Fraction(1)]
+    assert grd.cost == LinearCost(1, 0, (1, 1))
     assert grd.d == 2
-    assert grd.shift == 0
     assert grd.dropped_cols == []
 
 
@@ -93,7 +92,7 @@ def test_lift_d0_returns_basic_solution():
     )
     _, bs, grd, _ = build(inst)
     sol = lift_to_ilp(grd, [])
-    assert sol.objective == grd.shift == 8
+    assert sol.objective == grd.bs.opt_lp == 8
     assert sorted(sol.lifted_x) == [3, 5]
     assert sol.ilp_feasible
 
@@ -194,7 +193,6 @@ def test_basis_record_matches_its_oracles():
         views = [bs.opt_lp, *(bs.reduced_costs[j] for j in grd.kept_cols)]
         cost = grd.cost
         assert (cost.den, [cost.const, *cost.weights]) == clear_denominators(views)
-        assert [grd.shift, *grd.cbold] == views
 
 
 def solve_rational_lift(grd, x_n) -> GroupSolution:

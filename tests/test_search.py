@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from grouprelax.relax import LinearCost
 from grouprelax.search import default_mix_steps
 from grouprelax.walks import CayleyWalkSpec, walk
 from tests import coset_oracle, walk_oracle
-from tests.conftest import build, random_feasible_instance, sample_budget, stub_grd
+from tests.conftest import build, random_feasible_instance, sample_budget
 from tests.coset_oracle import enumerate_coset
 
 
@@ -35,7 +36,7 @@ def test_mcs_planted_finds_optimum():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
     cfg = SearchConfig(method="mcs", seed=1, max_samples=64)
-    res = markov_chain_search(fc, grd.cost, cfg, grd)
+    res = markov_chain_search(grd, fc, cfg)
     assert res.objective == 2
     assert res.best_point == (1, 1)
     assert not res.certified_optimal
@@ -51,8 +52,8 @@ def test_mcs_d0_instance():
         row_sense=["=", "="],
     )
     _, _, grd, fc = build(inst)
-    res = markov_chain_search(fc, grd.cost, SearchConfig(seed=0), grd)
-    assert res.objective == grd.shift == 8
+    res = markov_chain_search(grd, fc, SearchConfig(seed=0))
+    assert res.objective == grd.bs.opt_lp == 8
     assert res.samples_used == 0
 
 
@@ -60,23 +61,23 @@ def test_mcs_max_samples_one():
     inst, _ = planted(3, 2, 1)
     _, _, grd, fc = build(inst)
     cfg = SearchConfig(method="mcs", seed=5, max_samples=1)
-    res = markov_chain_search(fc, grd.cost, cfg, grd)
+    res = markov_chain_search(grd, fc, cfg)
     assert res.samples_used == 1
     assert res.objective <= grd.cost(fc.x_hat)
 
 
 def test_mcs_descends_from_suboptimal_start():
-    # feasible point (1,1,1) but the cost rewards the far corner, so the
-    # search has to actually move; trace must improve monotonically
-    grd = stub_grd([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [4, 4, 4], [2, 2, 2])
-    fc = feasible_coset(grd)
+    # planted (2,3): feasible point (1,1,1), but the negated cost rewards
+    # the far corner, so the search has to actually move; trace must
+    # improve monotonically
+    _, _, grd, fc = build(planted(2, 3, 1)[0])
     assert fc.x_hat == (1, 1, 1)
-    f = LinearCost(1, 9, (-1, -1, -1))  # sum of 3 - v
+    grd = replace(grd, cost=-grd.cost)  # -(x_1 + x_2 + x_3)
 
     cfg = SearchConfig(method="mcs", seed=2, max_samples=300, mix_steps=30,
-                       stop_at=Fraction(0))
-    res = markov_chain_search(fc, f, cfg)
-    assert res.objective == 0
+                       stop_at=Fraction(-9))
+    res = markov_chain_search(grd, fc, cfg)
+    assert res.objective == -9
     assert res.best_point == (3, 3, 3)
     vals = [v for _, v in res.trace]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -199,7 +200,7 @@ def test_dijkstra_single_constraint():
     sf, bs, grd, _ = build(single_constraint_inst(2))
     assert grd.r == [4] and grd.bbold == [2]
     res = gomory_shortest_path(grd)
-    assert res.objective - grd.shift == 1
+    assert res.objective - grd.bs.opt_lp == 1
     assert res.best_point == (1,)
 
 
@@ -208,7 +209,7 @@ def test_dijkstra_zero_target():
     sf, bs, grd, _ = build(inst)
     assert grd.bbold == [0]
     res = gomory_shortest_path(grd)
-    assert res.objective == grd.shift
+    assert res.objective == grd.bs.opt_lp
     assert res.best_point == (0,)
 
 
@@ -226,14 +227,14 @@ def test_dijkstra_unreachable():
 def test_brute_force_group_planted():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
-    res = brute_force_group(fc, grd.cost, cap=100, grd=grd)
+    res = brute_force_group(grd, fc, cap=100)
     assert res.objective == 2
     assert res.argmin_points == [(1, 1)]
     assert res.certified_optimal
 
     inst, _ = planted(3, 2, 1)
     _, _, grd, fc = build(inst)
-    res = brute_force_group(fc, grd.cost, cap=100, grd=grd)
+    res = brute_force_group(grd, fc, cap=100)
     assert res.objective == 2
     # coordinates of every coset point lie in {1, 4, 7}
     for pt in [res.best_point]:
@@ -243,7 +244,7 @@ def test_brute_force_group_planted():
 def test_brute_force_group_constant_f():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
-    res = brute_force_group(fc, LinearCost(1, 5, (0,) * grd.d), cap=100)
+    res = brute_force_group(replace(grd, cost=LinearCost(1, 5, (0,) * grd.d)), fc, cap=100)
     assert len(res.argmin_points) == fc.basis.kernel_order == 4
 
 
@@ -263,7 +264,7 @@ def test_brute_force_group_matches_oracle():
             fc = feasible_coset(grd, compress)
             if fc.basis.kernel_order > 4096:
                 continue
-            new = brute_force_group(fc, grd.cost, 4096, grd)
+            new = brute_force_group(grd, fc, 4096)
             old = coset_oracle.brute_force_group(fc, grd.cost, 4096, grd)
             assert new == old and repr(new) == repr(old)
             cosets += 1
@@ -275,7 +276,7 @@ def test_brute_force_group_cap():
     inst, _ = planted(2, 3, 1)
     _, _, grd, fc = build(inst)
     with pytest.raises(CapExceeded):
-        brute_force_group(fc, grd.cost, cap=2)
+        brute_force_group(grd, fc, cap=2)
 
 
 def test_brute_force_ilp():
@@ -405,7 +406,7 @@ def test_infinite_beta_is_a_zero_temperature_filter():
     _, _, grd, fc = build(inst)
     cfg = SearchConfig(method="mcs-metropolis", seed=4, max_samples=4, mix_steps=200,
                        beta=math.inf)
-    res = markov_chain_search(fc, -grd.cost, cfg, grd)
+    res = markov_chain_search(replace(grd, cost=-grd.cost), fc, cfg)
     assert res.proposals > res.accepted > 0
     spec = CayleyWalkSpec(fc.basis.generators, fc.basis.moduli, rng=random.Random(4))
     x, fx = fc.x_hat, (-grd.cost)(fc.x_hat)
@@ -434,12 +435,12 @@ def mcs_golden_lines(max_samples=16):
     for case, make in MCS_CASES.items():
         _, _, grd, fc = build(make())
         for sign in "+-":
-            f = grd.cost if sign == "+" else -grd.cost
+            g = grd if sign == "+" else replace(grd, cost=-grd.cost)
             for method, beta in MCS_RUNS:
                 for seed in (1, 2):
                     cfg = SearchConfig(method=method, seed=seed, beta=beta,
                                        max_samples=max_samples)
-                    res = markov_chain_search(fc, f, cfg)
+                    res = markov_chain_search(g, fc, cfg)
                     trace = " ".join(f"{i}:{v}" for i, v in res.trace)
                     lines.append(f"{case} {sign} {method} {beta} {seed} | "
                                  f"{' '.join(map(str, res.best_point))} | "
@@ -518,11 +519,11 @@ def test_mcs_golden_runs():
 def test_mcs_counts_metropolis_proposals():
     inst, _ = planted(2, 3, 1)
     _, _, grd, fc = build(inst)
-    res = markov_chain_search(fc, grd.cost, SearchConfig(
-        method="mcs-metropolis", seed=3, beta=1.5, max_samples=20), grd)
+    res = markov_chain_search(grd, fc, SearchConfig(
+        method="mcs-metropolis", seed=3, beta=1.5, max_samples=20))
     assert 0 < res.accepted <= res.proposals
-    res = markov_chain_search(fc, grd.cost, SearchConfig(
-        method="mcs", seed=3, max_samples=20), grd)
+    res = markov_chain_search(grd, fc, SearchConfig(
+        method="mcs", seed=3, max_samples=20))
     assert res.proposals == res.accepted == 0
 
 
@@ -551,9 +552,9 @@ def test_mcs_step_cap(method):
     _, _, grd, fc = build(planted(2, 8, 1)[0])
 
     def search(cap, mix_steps=100):
-        return markov_chain_search(fc, grd.cost, SearchConfig(
+        return markov_chain_search(grd, fc, SearchConfig(
             method=method, seed=5, beta=1.0, max_samples=64, mix_steps=mix_steps,
-            cap=cap), grd)
+            cap=cap))
 
     assert search(6500).samples_used == 64
     with pytest.raises(CapExceeded, match="walk 6500 steps, past the cap of 6499"):
@@ -561,8 +562,3 @@ def test_mcs_step_cap(method):
     with pytest.raises(CapExceeded, match="walk 100 steps, past the cap of 99"):
         search(99)
 
-
-def test_mcs_needs_a_linear_cost():
-    _, _, grd, fc = build(planted(2, 2, 1)[0])
-    with pytest.raises(TypeError):
-        markov_chain_search(fc, lambda x: grd.cost(x), SearchConfig(method="mcs"))

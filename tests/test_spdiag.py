@@ -99,7 +99,8 @@ def test_speedup_conditions_planted_band():
             range_order=2**m,
         )
         e_star = Fraction(-(2 * m + 1))  # min m, max 3m, shift 3m+1
-        c1, c2 = speedup_conditions(kb, [1] * m, e_star, 1)
+        # unit weights: each 2 e_j mod 4 has cyclic norm 2
+        c1, c2 = speedup_conditions(kb, Fraction(2), e_star, 1)
         assert abs(c1.ratio - 2 * m / (2 * m + 1)) < 1e-12
         assert abs(c2.ratio - 4.0) < 1e-12
         assert c1.in_band and c2.in_band
@@ -114,17 +115,17 @@ def test_speedup_conditions_dense_counterexample():
         kernel_order=2,
         range_order=4**d // 2,
     )
-    c1, _ = speedup_conditions(kb, [1] * d, Fraction(-3), 1)
+    c1, _ = speedup_conditions(kb, Fraction(2 * d), Fraction(-3), 1)  # unit weights
     assert c1.ratio == pytest.approx(2 * d / 3)
     assert not c1.in_band
 
 
 def test_speedup_conditions_degenerate():
     kb = KernelBasis(((2,),), (2,), (4,), 2, 2)
-    c1, c2 = speedup_conditions(kb, [1], Fraction(-1), 2)
+    c1, c2 = speedup_conditions(kb, Fraction(2), Fraction(-1), 2)
     assert math.isnan(c1.ratio) and not c1.in_band
     with pytest.raises(DiagnosticUnavailable):
-        speedup_conditions(kb, [1], Fraction(-1), 3)
+        speedup_conditions(kb, Fraction(2), Fraction(-1), 3)
 
 
 def test_speedup_conditions_huge_kernel():
@@ -132,7 +133,7 @@ def test_speedup_conditions_huge_kernel():
     d, u = 110, 2**10
     unit = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     kb = KernelBasis(unit, (u,) * d, (u,) * d, u**d, 1)
-    _, c2 = speedup_conditions(kb, [1] * d, Fraction(-1), 3)
+    _, c2 = speedup_conditions(kb, Fraction(u - 1), Fraction(-1), 3)
     assert c2.ratio == pytest.approx(u * u * d / (1100 - math.log2(3)))
 
 
@@ -152,15 +153,21 @@ def test_sp_diagnose_planted_t2_m3():
 
 
 def test_sp_diagnose_degenerate_report():
-    # treat the whole kernel as optimal via the oracle override
-    inst, _ = planted(2, 2, 1)
-    _, _, grd, fc = build(inst)
-    rep = sp_diagnose(grd, fc, SPParams(mu_sweep=2),
-                      kstar_order=fc.basis.kernel_order)
-    assert rep.degenerate
+    # a cost that is the same at every point: the whole kernel is optimal
+    grd = stub_grd([[1, 3]], [6], [1], cbold=[0, 0])
+    fc = feasible_coset(grd)
+    assert fc.basis.kernel_order > 1
+    rep = sp_diagnose(grd, fc, SPParams(mu_sweep=2))
+    assert rep.degenerate and rep.kstar_order == fc.basis.kernel_order
     assert rep.alpha_hat == 0.0
     assert math.isnan(rep.condition_26a.ratio)
     assert rep.gamma_plain is None and rep.mu is None
+
+
+@pytest.mark.parametrize("mu_sweep", [0, -3])
+def test_mu_sweep_below_one_is_refused(mu_sweep):
+    with pytest.raises(ValueError, match="mu_sweep must be >= 1"):
+        SPParams(mu_sweep=mu_sweep)
 
 
 def test_sp_diagnose_dense_limit():
@@ -324,7 +331,7 @@ def ladder_planted_draws(seed=1):
 
 
 def oracle_report_cases():
-    """(grd, fc, params, kstar_order) for the report comparison."""
+    """(grd, fc, params) for the report comparison."""
     insts = ladder_planted_draws()
     insts += [planted(t, m, 1, seed=4, style=style)[0]
               for t, m in ((2, 12), (4, 6), (3, 7), (5, 4))
@@ -332,34 +339,30 @@ def oracle_report_cases():
     # cutgen cosets with |K| = 1, 27, 64 and 100
     insts += [cutgen(CutStockSpec(m=m, L=L, v2=0.8, dbar=2.0, seed=s))
               for m, L, s in ((3, 10, 9), (4, 20, 24), (4, 20, 35), (3, 10, 2))]
-    cases = [(*build(inst)[2:], SPParams(), None) for inst in insts]
-    assert sorted(fc.basis.kernel_order for _, fc, _, _ in cases[-4:]) == [1, 27, 64, 100]
+    cases = [(*build(inst)[2:], SPParams()) for inst in insts]
+    assert sorted(fc.basis.kernel_order for _, fc, _ in cases[-4:]) == [1, 27, 64, 100]
     # the |K| = 64 coset compressed (moduli differ by column), another eta
     grd, fc = cases[-2][:2]
-    cases.append((grd, feasible_coset(grd, compress=True), SPParams(eta=0.3, mu_sweep=5),
-                  None))
+    cases.append((grd, feasible_coset(grd, compress=True), SPParams(eta=0.3, mu_sweep=5)))
     # a degenerate coset: a cost that is the same at every point
     grd = stub_grd([[1, 3]], [6], [1], cbold=[0, 0])
-    cases.append((grd, feasible_coset(grd), SPParams(), None))
-    # an explicit kstar_order
-    grd, fc = build(planted(3, 3, 1)[0])[2:]
-    cases.append((grd, fc, SPParams(mu_sweep=3), 5))
+    cases.append((grd, feasible_coset(grd), SPParams()))
     # past int64 and float: points mod 2^64 (Python ints); den and
     # weights past 2^53 and 2^63; den * |E*| past 2^53 with int64 costs
     grds = [stub_grd([[2]], [2**64], [2])]
     grds += [stub_grd([[1, 3]], [6], [1], cbold=cbold)
              for cbold in ([Fraction(2**70 + 1, 3**35), Fraction(-5, 7)],
                            [Fraction(1, 3**40), 2], [Fraction(1, 2**55), 0], [2**60, 1])]
-    cases += [(grd, feasible_coset(grd), params, None) for grd in grds
+    cases += [(grd, feasible_coset(grd), params) for grd in grds
               for params in (SPParams(), SPParams(eta=0.3, mu_sweep=3))]
     return cases
 
 
 def test_sp_diagnose_matches_oracle():
     degenerate = 0
-    for grd, fc, params, kstar in oracle_report_cases():
-        rep = sp_diagnose(grd, fc, params, kstar)
-        assert repr(rep) == repr(spdiag_oracle.sp_diagnose(grd, fc, params, kstar))
+    for grd, fc, params in oracle_report_cases():
+        rep = sp_diagnose(grd, fc, params)
+        assert repr(rep) == repr(spdiag_oracle.sp_diagnose(grd, fc, params))
         degenerate += rep.degenerate
     assert degenerate >= 2
 

@@ -144,11 +144,12 @@ def test_cyclic_metric_examples():
 
 
 def test_pseudo_lipschitz_constant_f():
+    # the generator bound comes only with a LinearCost
     spec = simple_spec([(2,)], (4,))
-    exact, bound = pseudo_lipschitz(lambda s: Fraction(7), spec,
-                                    [(0,), (2,)], weights=(1,))
-    assert exact == 0
-    assert bound == 4
+    for f, want in ((lambda s: Fraction(7), None), (LinearCost(1, 7, (0,)), 0)):
+        exact, bound = pseudo_lipschitz(f, spec, [(0,), (2,)])
+        assert exact == 0
+        assert bound == want
 
 
 def test_pseudo_lipschitz_planted_bound():
@@ -157,9 +158,14 @@ def test_pseudo_lipschitz_planted_bound():
     kb = fc.basis
     spec = simple_spec(kb.generators, kb.moduli)
     states = list(enumerate_coset(fc, 100))
-    exact, bound = pseudo_lipschitz(grd.cost, spec, states, grd.cbold)
+    exact, bound = pseudo_lipschitz(grd.cost, spec, states)
     assert 0 < exact <= bound
-    assert bound == cyclic_norm_max(kb.generators, grd.cbold, kb.moduli) ** 2
+    assert bound == (cyclic_norm_max(kb.generators, grd.cost.weights, kb.moduli)
+                     / grd.cost.den) ** 2
+    # the cyclic norm is over den: (2·2 / 3)^2
+    _, bound = pseudo_lipschitz(LinearCost(3, 7, (2,)), simple_spec([(2,)], (4,)),
+                                [(0,), (2,)])
+    assert bound == Fraction(16, 9)
 
 
 def test_metropolis_beta0_is_plain_walk():
@@ -431,7 +437,8 @@ def test_pseudo_lipschitz_matches_reference():
     for spec, states, f in neighbour_table_cases():
         exact, bound = pseudo_lipschitz(f, spec, states)
         assert exact == reference_pseudo_lipschitz(f, spec, states)
-        assert bound is None
+        # the generator bound comes with a LinearCost only
+        assert exact <= bound if isinstance(f, LinearCost) else bound is None
 
 
 def test_transition_counts_match_dense_reference():
