@@ -7,20 +7,24 @@ Past 5000 patterns, raise the cap: --pattern-cap 20000. --planted T,M[,STYLE]
 times gen.planted(T, M, 1, style=STYLE) (default identity; seed --seed)
 in place of a cutgen instance, such as the benchmark's all-torsion cosets.
 
-Runs the instance through standard form, the exact LP, the
-relaxation (its basis SNF), |G| from the residue lattice, the feasible
-coset, compression of that coset, the compressed coset in one call
+Writes the instance as MPS text and times reading it back (``parse``,
+the reader as a command runs it on its file), then runs the instance
+read through standard form, the exact LP, the relaxation (its basis
+SNF), |G| from the residue lattice, the feasible coset, compression of
+that coset, the compressed coset in one call
 (``feasible_coset(grd, compress=True)``) and the Dijkstra solve, and
 prints one JSON object with each stage's ``perf_counter`` seconds, the
 best over ``--repeat`` runs of the whole chain, and the process's peak
-RSS (``ru_maxrss``, MB) after each stage of the first run. The
-compressed coset's own time and peak RSS come from a second process that
-runs the relaxation and then only that stage (``--compressed-alone``),
-as ``kernel --compress`` does; it starts before this process builds any
-coset, since a child's ru_maxrss starts at its parent's RSS. It calls the library through its module
-functions only, so it also times older trees of the package (point
-PYTHONPATH at their src); a tree without ``kernel.range_order`` reports
-no group_order stage, and one whose ``feasible_coset`` takes no compress
+RSS (``ru_maxrss``, MB) after each stage of the first run.
+``--parse-only`` stops after the reader, for instances whose chain is
+too large to repeat. The compressed coset's own time and peak RSS come
+from a second process that runs the relaxation and then only that stage
+(``--compressed-alone``), as ``kernel --compress`` does; it starts
+before this process builds any coset, since a child's ru_maxrss starts
+at its parent's RSS. It calls the library through its module functions
+only, so it also times older trees of the package (point PYTHONPATH at
+their src); a tree without ``kernel.range_order`` reports no
+group_order stage, and one whose ``feasible_coset`` takes no compress
 argument no compressed_coset stage.
 """
 
@@ -38,9 +42,9 @@ import time
 
 import numpy as np
 
-from grouprelax import gen, kernel, lp, relax, search
+from grouprelax import gen, kernel, lp, mps, relax, search
 
-STAGES = ("standard_form", "lp", "relaxation_snf", "group_order", "coset", "compression",
+STAGES = ("parse", "standard_form", "lp", "relaxation_snf", "group_order", "coset", "compression",
           "compressed_coset", "dijkstra")
 
 
@@ -52,9 +56,11 @@ def has_compressed_coset() -> bool:
     return "compress" in inspect.signature(kernel.feasible_coset).parameters
 
 
-def run_chain(inst, alone: bool = False) -> tuple[dict, dict, dict]:
-    """Every stage; with alone, the relaxation and then only the
-    compressed coset."""
+def run_chain(text: str, alone: bool = False, parse_only: bool = False
+              ) -> tuple[dict, dict, dict]:
+    """Every stage on the MPS text; with alone, the reader, the
+    relaxation and then only the compressed coset; with parse_only, the
+    reader only."""
     times, rss = {}, {}
 
     def timed(name, fn, *args):
@@ -64,6 +70,9 @@ def run_chain(inst, alone: bool = False) -> tuple[dict, dict, dict]:
         rss[name] = peak_rss_mb()
         return out
 
+    inst = timed("parse", mps.parse_mps, text)
+    if parse_only:
+        return times, rss, {"patterns": inst.n_vars, "rows": inst.n_rows}
     sf = timed("standard_form", lp.to_standard_form, inst)
     bs = timed("lp", lp.solve_lp_exact, sf)
     grd = timed("relaxation_snf", relax.build_group_relaxation, sf, bs)
@@ -106,6 +115,8 @@ def main() -> None:
     ap.add_argument("--pattern-cap", type=int, default=gen.PATTERN_CAP_DEFAULT,
                     help="cap on enumerated patterns (default %(default)s)")
     ap.add_argument("--repeat", type=int, default=1, help="runs of the chain; best time per stage")
+    ap.add_argument("--parse-only", action="store_true",
+                    help="time the MPS reader only, as on instances too large for the chain")
     ap.add_argument("--compressed-alone", action="store_true",
                     help="run the relaxation and the compressed coset only")
     args = ap.parse_args()
@@ -118,15 +129,16 @@ def main() -> None:
         spec = {"m": args.m, "L": args.L, "v2": args.v2, "dbar": args.dbar, "seed": args.seed,
                 "pattern_cap": args.pattern_cap}
         inst = gen.cutgen(gen.CutStockSpec(**spec))
+    text = mps.emit_mps(inst)
     alone = {}
-    if has_compressed_coset() and not args.compressed_alone:
+    if has_compressed_coset() and not (args.compressed_alone or args.parse_only):
         out = subprocess.run([sys.executable, __file__, *sys.argv[1:], "--compressed-alone"],
                              capture_output=True, text=True, check=True)
         alone = {"compressed_coset_alone": json.loads(out.stdout)}
     best: dict[str, float] = {}
     peak_rss = None
     for _ in range(max(1, args.repeat)):
-        times, rss, facts = run_chain(inst, args.compressed_alone)
+        times, rss, facts = run_chain(text, args.compressed_alone, args.parse_only)
         peak_rss = peak_rss or rss
         for k, v in times.items():
             best[k] = min(best.get(k, v), v)

@@ -161,14 +161,17 @@ def _inverse_transpose(a, b, c, d):
     return det * d, -det * c, -det * b, det * a
 
 
-def _replay(n: int, ops: list[tuple]) -> list[list[int]]:
-    """Rows of the n×n identity after E^-T of each recorded op E, in order."""
+def _replay(n: int, ops: list[tuple], undo: bool = True) -> list[list[int]]:
+    """Rows of the n×n identity after each recorded op E, in order: E^-T
+    when undo (for U and V), else E itself (Uinv and Vinv_t again)."""
     rows = _identity_rows(n)
     for i1, i2, a, b, c, d in ops:
         if i1 == i2:
             rows[i1] = [-x for x in rows[i1]]
-        else:
+        elif undo:
             _combine(rows, i1, i2, *_inverse_transpose(a, b, c, d))
+        else:
+            _combine(rows, i1, i2, a, b, c, d)
     return rows
 
 

@@ -208,13 +208,15 @@ def _entry_orders(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return M // np.gcd(M, V % M)
 
 
-def column_orders(grd: GroupRelaxationData) -> list[int]:
+def column_orders(grd: GroupRelaxationData,
+                  pes: Sequence[tuple[int, int]] | None = None) -> list[int]:
     """Order s_j of each column of Abold in Z^m / R Z^m:
     s_j = lcm_i(r_i / gcd(r_i, A_ij)), a divisor of r_max. Minimality is
-    verified against each prime of r_max, factored once."""
+    verified against each prime of r_max, from pes, its prime powers
+    (``_prime_powers``) when the caller has them, else factored here."""
     A, r = _congruence_rows(grd, int_dtype(grd.r_max**2))
     s = np.lcm.reduce(_entry_orders(A, r), axis=0, initial=1)
-    primes = [p for p, _ in _prime_powers(grd.r_max)]
+    primes = [p for p, _ in (_prime_powers(grd.r_max) if pes is None else pes)]
     unkilled = (s * A % r).any(axis=0)
     # a prime quotient s_j / p that annihilates column j as well
     redundant = [(s % p == 0) & ~((s // p) * A % r).any(axis=0) for p in primes]
@@ -558,10 +560,11 @@ def _check_independent(gen: np.ndarray, col: np.ndarray, val: np.ndarray, order:
 
 
 def _coset(grd: GroupRelaxationData, s: Sequence[int], b: Sequence[int],
-           g_order: int) -> FeasibleCoset:
+           g_order: int, pes: Sequence[tuple[int, int]]) -> FeasibleCoset:
     """x + K, where x solves Abold x = b (mod R Z^m) and K is the kernel
     of Abold, both in the ambient group ⊕_j Z_{s_j}; s_j must annihilate
-    column j. g_order is |G|.
+    column j. g_order is |G| and pes the prime powers of r_max
+    (``_prime_powers``).
 
     For each prime power p^e exactly dividing r_max, the rows with
     p | r_i, scaled to modulus p^e, are reduced over Z/p^e with x_j in
@@ -595,7 +598,6 @@ def _coset(grd: GroupRelaxationData, s: Sequence[int], b: Sequence[int],
     AB = np.concatenate([A, rhs.reshape(-1, 1) % r], axis=1)
     S = np.array(s, dtype=dtype)
     S1 = np.concatenate([S, np.ones(1, dtype=dtype)])  # and 1 for the right-hand side
-    pes = _prime_powers(r_max)
     parts = []
     for p, e in pes:
         q = p**e
@@ -677,17 +679,20 @@ def feasible_coset(grd: GroupRelaxationData, compress: bool = False) -> Feasible
     Z_{r_max}^d, or with compress in the compressed ambient group
     ⊕_j Z_{s_j} of the column orders (``column_orders``), where K' is the
     image of K and x_hat its reduction mod s. One ``_coset`` call, with
-    |G| from ``range_order``. Raises Infeasible when no x solves it, and
-    CapExceeded when r_max cannot be factored (``_prime_powers``)."""
-    s = column_orders(grd) if compress else [grd.r_max] * grd.d
-    return _coset(grd, s, grd.bbold, range_order(grd))
+    |G| from ``range_order`` and r_max factored once. Raises Infeasible
+    when no x solves it, and CapExceeded when r_max cannot be factored
+    (``_prime_powers``)."""
+    pes = _prime_powers(grd.r_max)
+    s = column_orders(grd, pes) if compress else [grd.r_max] * grd.d
+    return _coset(grd, s, grd.bbold, range_order(grd), pes)
 
 
 def compress_coset(grd: GroupRelaxationData, fc: FeasibleCoset) -> FeasibleCoset:
     """``feasible_coset(grd, compress=True)``, with |G| read off fc; no
     other field of fc is read. Kept for callers that hold the coset of
     Z_{r_max}^d already, such as the benchmark's ``kernel --compress``."""
-    return _coset(grd, column_orders(grd), grd.bbold, fc.basis.range_order)
+    pes = _prime_powers(grd.r_max)
+    return _coset(grd, column_orders(grd, pes), grd.bbold, fc.basis.range_order, pes)
 
 
 def enumerate_coset(fc: FeasibleCoset, cap: int) -> Iterator[tuple[int, ...]]:

@@ -61,7 +61,10 @@ class ILPInstance:
 
     def __post_init__(self):
         self.b = [int(v) for v in self.b]
-        self.c = [v if isinstance(v, Fraction) else Fraction(v) for v in self.c]
+        # one Fraction per distinct cost: costs repeat, and a Fraction is immutable
+        made: dict = {}
+        self.c = [v if isinstance(v, Fraction) else made[v] if v in made else
+                  made.setdefault(v, Fraction(v)) for v in self.c]
         if not (self.A.rows or self.b or self.row_sense):
             self.A, self.b, self.row_sense = IntMatrix([[0] * len(self.c)]), [0], [LE]
         if self.A.rows != len(self.b) or self.A.rows != len(self.row_sense):
@@ -141,20 +144,14 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     integer and nonnegative, so the result is still a pure ILP.
     """
     m, n = inst.A.rows, inst.A.cols
-    data = [row[:] for row in inst.A.data]
-    names = list(inst.var_names)
+    slacked = [i for i, sense in enumerate(inst.row_sense) if sense != EQ]
+    data = [row + [0] * len(slacked) for row in inst.A.data]
     slack_map: dict[int, int] = {}
-    col = n
-    for i, sense in enumerate(inst.row_sense):
-        if sense == EQ:
-            continue
-        coeff = 1 if sense == LE else -1
-        for r in range(m):
-            data[r].append(coeff if r == i else 0)
+    for col, i in enumerate(slacked, start=n):
+        data[i][col] = 1 if inst.row_sense[i] == LE else -1
         slack_map[col] = i
-        names.append(f"_s{i+1}")
-        col += 1
-    c = list(inst.c) + [Fraction(0)] * (col - n)
+    names = list(inst.var_names) + [f"_s{i+1}" for i in slacked]
+    c = list(inst.c) + [Fraction(0)] * len(slacked)
     b = list(inst.b)
 
     # Row-rank repair of [A | b]: a <= or >= row owns a slack column, zero
@@ -175,7 +172,7 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     if not keep:
         return to_standard_form(replace(inst, A=IntMatrix([]), b=[], row_sense=[]))
 
-    A2 = IntMatrix([data[i] for i in keep])
+    A2 = IntMatrix._of([data[i] for i in keep])
     b2 = [b[i] for i in keep]
     # remap slack rows to surviving row positions
     pos = {orig: new for new, orig in enumerate(keep)}

@@ -19,6 +19,8 @@ from .exact import IntMatrix
 from .lp import EQ, GE, ILPInstance, LE
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE"}
+_MARKERS = {"'MARKER'", "MARKER"}
+_ROW_TYPES = {"L": LE, "G": GE, "E": EQ}
 
 
 def _num(tok: str, lineno: int) -> int | Fraction:
@@ -42,29 +44,68 @@ def _num(tok: str, lineno: int) -> int | Fraction:
         raise MalformedMPS(f"bad number {tok!r}", lineno)
 
 
+def _minimize(tok: str) -> None:
+    if tok.upper() not in ("MIN", "MINIMIZE"):
+        raise NotPureILP("only minimization is supported")
+
+
 def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
+    """The pure ILP of an MPS text, in one pass over its lines.
+
+    A one-pair COLUMNS line on a known row with an integer value, the
+    bulk of a file, is the first and cheapest case; every other line
+    takes the general path. The nonzeros are kept as (row, column,
+    value) and summed into the dense rows once, at the end; a bound
+    makes a row only for its own column, and only a row or RHS entry
+    that holds a Fraction is cleared by an lcm. Raises MalformedMPS
+    (with the line) on bad syntax, and NotPureILP on a maximization, an
+    objective constant, a continuous column or a domain other than a
+    nonempty one of integers >= 0."""
     name = name_hint
     section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
+    senses: list[str] = []
+    row_index: dict[str, int] = {}
     obj_row: str | None = None
-    cols: dict[str, dict[str, int | Fraction]] = {}
-    col_order: list[str] = []
-    integer_cols: set[str] = set()
-    rhs: dict[str, int | Fraction] = {}
-    ranges: dict[str, int | Fraction] = {}
-    lower: dict[str, int | Fraction] = {}
-    upper: dict[str, int | Fraction | None] = {}
-    in_int = False
+    # row names a one-pair line may use: a constraint row's index, or -1
+    # for the objective; not a name that is both, nor a marker word
+    fast_rows: dict[str, int] = {}
+    col_index: dict[str, int] = {}
+    integer: list[bool] = []
+    entries: list[tuple[int, int, int | Fraction]] = []  # (row, -1 for c; column; value)
+    frac_rows: set[int] = set()
+    rhs: dict[int, int | Fraction] = {}
+    ranges: dict[int, int | Fraction] = {}
+    lower: dict[int, int | Fraction] = {}
+    upper: dict[int, int | Fraction | None] = {}
+    in_int = columns = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split()
+        if columns and len(toks) == 3 and raw[0] in " \t":
+            cname, rname, tok = toks
+            i = fast_rows.get(rname)
+            if i is not None and "_" not in tok and (
+                    cname in col_index or cname[0] != "*" and cname not in _MARKERS):
+                try:
+                    v = int(tok)
+                except ValueError:
+                    pass
+                else:
+                    j = col_index.get(cname)
+                    if j is None:
+                        j = col_index[cname] = len(integer)
+                        integer.append(in_int)
+                    entries.append((i, j, v))
+                    continue
         if not toks or toks[0][0] == "*":
             continue
         if raw[0] not in " \t" and toks[0].upper() in _SECTIONS:
             section = toks[0].upper()
+            columns = section == "COLUMNS"
             if section == "NAME" and len(toks) > 1:
                 name = toks[1]
+            if section == "OBJSENSE" and len(toks) > 1:
+                _minimize(toks[1])
             if section == "ENDATA":
                 break
             continue
@@ -73,8 +114,7 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
         if section == "NAME":
             continue
         if section == "OBJSENSE":
-            if toks[0].upper() not in ("MIN", "MINIMIZE"):
-                raise NotPureILP("only minimization is supported")
+            _minimize(toks[0])
             continue
         if section == "ROWS":
             if len(toks) != 2:
@@ -83,14 +123,22 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
             if typ == "N":
                 if obj_row is None:
                     obj_row = rname
+                    if rname in row_index:
+                        fast_rows.pop(rname, None)
+                    elif rname not in _MARKERS:
+                        fast_rows[rname] = -1
                 continue
-            sense = {"L": LE, "G": GE, "E": EQ}.get(typ)
+            sense = _ROW_TYPES.get(typ)
             if sense is None:
                 raise MalformedMPS(f"unknown row type {typ!r}", lineno)
-            if rname in row_sense:
+            if rname in row_index:
                 raise MalformedMPS(f"duplicate row {rname!r}", lineno)
-            row_sense[rname] = sense
-            row_order.append(rname)
+            row_index[rname] = len(senses)
+            senses.append(sense)
+            if rname == obj_row:
+                fast_rows.pop(rname, None)
+            elif rname not in _MARKERS:
+                fast_rows[rname] = row_index[rname]
             continue
         if section == "COLUMNS":
             if "'MARKER'" in toks or "MARKER" in toks:
@@ -104,36 +152,44 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
                 continue
             if len(toks) not in (3, 5):
                 raise MalformedMPS("COLUMNS line needs 1 or 2 (row, value) pairs", lineno)
-            cname = toks[0]
-            if cname not in cols:
-                cols[cname] = {}
-                col_order.append(cname)
-                if in_int:
-                    integer_cols.add(cname)
-            for i in range(1, len(toks), 2):
-                rname, val = toks[i], _num(toks[i + 1], lineno)
-                if rname != obj_row and rname not in row_sense:
+            j = col_index.get(toks[0])
+            if j is None:
+                j = col_index[toks[0]] = len(integer)
+                integer.append(in_int)
+            for k in range(1, len(toks), 2):
+                rname, val = toks[k], _num(toks[k + 1], lineno)
+                i = row_index.get(rname)
+                if rname == obj_row:
+                    entries.append((-1, j, val))
+                elif i is None:
                     raise MalformedMPS(f"unknown row {rname!r}", lineno)
-                cols[cname][rname] = cols[cname].get(rname, 0) + val
+                if i is not None:
+                    entries.append((i, j, val))
+                    if type(val) is not int:
+                        frac_rows.add(i)
             continue
         if section == "RHS":
             if len(toks) not in (3, 5):
                 raise MalformedMPS("RHS line needs 1 or 2 (row, value) pairs", lineno)
-            for i in range(1, len(toks), 2):
-                rname, val = toks[i], _num(toks[i + 1], lineno)
-                if rname not in row_sense and rname != obj_row:
+            for k in range(1, len(toks), 2):
+                rname, val = toks[k], _num(toks[k + 1], lineno)
+                if rname == obj_row:
+                    if val:  # MPS reads it as minus a constant term of the objective
+                        raise NotPureILP(f"RHS {val} on objective row {rname!r} is an "
+                                         f"objective constant; only 0 is supported")
+                elif rname in row_index:
+                    rhs[row_index[rname]] = val
+                else:
                     raise MalformedMPS(f"unknown row {rname!r}", lineno)
-                if rname != obj_row:
-                    rhs[rname] = val
             continue
         if section == "RANGES":
             if len(toks) not in (3, 5):
                 raise MalformedMPS("RANGES line needs 1 or 2 (row, value) pairs", lineno)
-            for i in range(1, len(toks), 2):
-                rname, val = toks[i], _num(toks[i + 1], lineno)
-                if rname not in row_sense:
+            for k in range(1, len(toks), 2):
+                rname, val = toks[k], _num(toks[k + 1], lineno)
+                if rname not in row_index:
                     raise MalformedMPS(f"unknown row {rname!r}", lineno)
-                ranges[rname] = val
+                ranges[row_index[rname]] = val
             continue
         if section == "BOUNDS":
             btyp = toks[0].upper()
@@ -143,27 +199,26 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
                 cname, val = toks[2], _num(toks[3], lineno)
             else:
                 raise MalformedMPS("bad BOUNDS line", lineno)
-            if cname not in cols:
+            j = col_index.get(cname)
+            if j is None:
                 raise MalformedMPS(f"bound on unknown column {cname!r}", lineno)
             if btyp in ("UP", "UI"):
-                upper[cname] = val
+                upper[j] = val
                 if btyp == "UI":
-                    integer_cols.add(cname)
+                    integer[j] = True
             elif btyp in ("LO", "LI"):
-                lower[cname] = val
+                lower[j] = val
                 if btyp == "LI":
-                    integer_cols.add(cname)
+                    integer[j] = True
             elif btyp == "FX":
-                lower[cname] = val
-                upper[cname] = val
+                lower[j] = upper[j] = val
             elif btyp == "BV":
-                integer_cols.add(cname)
-                lower[cname] = 0
-                upper[cname] = 1
+                integer[j] = True
+                lower[j], upper[j] = 0, 1
             elif btyp in ("FR", "MI"):
                 raise NotPureILP(f"column {cname!r} has an unbounded-below domain")
             elif btyp == "PL":
-                upper[cname] = None
+                upper[j] = None
             else:
                 raise MalformedMPS(f"unknown bound type {btyp!r}", lineno)
             continue
@@ -171,72 +226,60 @@ def parse_mps(text: str, name_hint: str = "instance") -> ILPInstance:
 
     if obj_row is None:
         raise MalformedMPS("no objective (N) row", 0)
-    for cname in col_order:
-        if cname not in integer_cols:
-            raise NotPureILP(f"column {cname!r} is continuous")
-        lo = lower.get(cname, 0)
-        if lo < 0:
-            raise NotPureILP(f"column {cname!r} has a negative lower bound")
+    names = list(col_index)
+    if not all(integer) or any(lo < 0 for lo in lower.values()):
+        for j, cname in enumerate(names):
+            if not integer[j]:
+                raise NotPureILP(f"column {cname!r} is continuous")
+            if lower.get(j, 0) < 0:
+                raise NotPureILP(f"column {cname!r} has a negative lower bound")
 
-    # assemble rows of ints and Fractions, then clear denominators per row
-    sense_list = [row_sense[r] for r in row_order]
-    b_list = [rhs.get(r, 0) for r in row_order]
-    col_data = [cols[c] for c in col_order]
-    A_rows = [[cd.get(r, 0) for cd in col_data] for r in row_order]
-    # RANGES: second inequality per ranged row
-    for r, rv in ranges.items():
-        i = row_order.index(r)
-        s = row_sense[r]
-        if s == LE:
-            A_rows.append(list(A_rows[i]))
-            sense_list.append(GE)
-            b_list.append(b_list[i] - abs(rv))
-        elif s == GE:
-            A_rows.append(list(A_rows[i]))
-            sense_list.append(LE)
-            b_list.append(b_list[i] + abs(rv))
-        else:  # E row becomes an interval
-            A_rows.append(list(A_rows[i]))
-            if rv >= 0:
-                sense_list[i] = GE
-                sense_list.append(LE)
-                b_list.append(b_list[i] + rv)
-            else:
-                sense_list[i] = LE
-                sense_list.append(GE)
-                b_list.append(b_list[i] + rv)
-    # bound rows
-    for j, cname in enumerate(col_order):
-        lo = lower.get(cname, 0)
-        up = upper.get(cname)
-        unit = [0] * len(col_order)
-        unit[j] = 1
-        if lo > 0:
-            A_rows.append(list(unit))
-            sense_list.append(GE)
-            b_list.append(lo)
+    n, m = len(names), len(senses)
+    A = [[0] * n for _ in range(m)]
+    c = [0] * n
+    A.append(c)  # row -1
+    for i, j, v in entries:
+        A[i][j] += v
+    A.pop()
+    b = [rhs.get(i, 0) for i in range(m)]
+    # RANGES: a second inequality per ranged row
+    for i, rv in ranges.items():
+        if i in frac_rows:
+            frac_rows.add(len(A))
+        A.append(A[i][:])
+        if senses[i] == LE:
+            senses.append(GE)
+            b.append(b[i] - abs(rv))
+        elif senses[i] == GE:
+            senses.append(LE)
+            b.append(b[i] + abs(rv))
+        else:  # an E row becomes an interval
+            senses[i], s2 = (GE, LE) if rv >= 0 else (LE, GE)
+            senses.append(s2)
+            b.append(b[i] + rv)
+    # bound rows, made only for a column with a bound
+    for j in sorted(lower.keys() | upper.keys()):
+        lo, up = lower.get(j, 0), upper.get(j)
+        bounds = [(GE, lo)] if lo > 0 else []
         if up is not None:
             if up < lo:
-                raise NotPureILP(f"column {cname!r} has an empty domain")
-            A_rows.append(list(unit))
-            sense_list.append(LE)
-            b_list.append(up)
-
-    # IntMatrix and ILPInstance make ints of the cleared rows and b, and
-    # Fractions of c; ILPInstance reads a model without rows as one zero row
-    int_rows = []
-    int_b = []
-    for row, bv in zip(A_rows, b_list):
+                raise NotPureILP(f"column {names[j]!r} has an empty domain")
+            bounds.append((LE, up))
+        for sense, bound in bounds:
+            row = [0] * n
+            row[j] = 1
+            A.append(row)
+            senses.append(sense)
+            b.append(bound)
+    for k in frac_rows.union(k for k, v in enumerate(b) if type(v) is not int):
+        row, bv = A[k], b[k]
         den = math.lcm(*(x.denominator for x in row), bv.denominator)
-        if den == 1:
-            int_rows.append(row)
-            int_b.append(bv)
-        else:
-            int_rows.append([x * den for x in row])
-            int_b.append(bv * den)
-    c = [cd.get(obj_row, 0) for cd in col_data]
-    return ILPInstance(name=name, A=IntMatrix(int_rows), b=int_b, c=c, row_sense=sense_list,
-                       var_names=list(col_order))
+        A[k] = [x.numerator * (den // x.denominator) for x in row]
+        b[k] = bv.numerator * (den // bv.denominator)
+    # the rows are ints already; ILPInstance makes Fractions of c and
+    # reads a model without rows as one zero row
+    return ILPInstance(name=name, A=IntMatrix._of(A), b=b, c=c, row_sense=senses,
+                       var_names=names)
 
 
 def _fmt(v) -> str:

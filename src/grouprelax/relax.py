@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificateError
-from .exact import IntMatrix, SNFResult, det_exact, int_dtype, snf
+from .exact import IntMatrix, SNFResult, _replay, int_dtype, snf
 from .lp import (BasisSolution, ILPInstance, StandardFormILP, solve_lp_exact,
                  to_standard_form)
 
@@ -109,9 +109,11 @@ class GroupSolution:
 def _check_basis_snf(AB: IntMatrix, fact: SNFResult, r: list[int]) -> None:
     """Uinv·A_B·Vinv = diag(r), r_i | r_{i+1} and |det Uinv| = |det Vinv| = 1.
 
-    The last follows from |det A_B| = prod(r): with the first,
-    det Uinv · det A_B · det Vinv = prod(r), so the two integer
-    determinants multiply to +-1."""
+    The last is read off the SNF's own record, with no second
+    elimination: each recorded op is a row negation or a 2×2 op with
+    ad - bc = +-1, on two rows in range, and replaying the record from
+    the identity gives Uinv and Vinv_t exactly, so each is a product of
+    unimodular matrices."""
     UA = [[sum(map(mul, u, col)) for col in zip(*AB.data)] for u in fact.Uinv.data]
     # the columns of Vinv are the rows of Vinv_t
     if [[sum(map(mul, row, v)) for v in fact.Vinv_t.data] for row in UA] != \
@@ -119,8 +121,11 @@ def _check_basis_snf(AB: IntMatrix, fact: SNFResult, r: list[int]) -> None:
         raise CertificateError("basis SNF: Uinv·A_B·Vinv is not diag(r)")
     if any(b % a for a, b in zip(r, r[1:])):
         raise CertificateError(f"basis SNF: invariant factors {r} do not divide in turn")
-    if abs(det_exact(AB)) != math.prod(r):
-        raise CertificateError("basis SNF: a transform is not unimodular")
+    for M, ops in ((fact.Uinv, fact.row_ops), (fact.Vinv_t, fact.col_ops)):
+        n = M.rows
+        if any(not (0 <= i1 < n and 0 <= i2 < n) or i1 != i2 and abs(a * d - b * c) != 1
+               for i1, i2, a, b, c, d in ops) or _replay(n, ops, undo=False) != M.data:
+            raise CertificateError("basis SNF: a transform is not unimodular")
 
 
 def build_group_relaxation(sf: StandardFormILP, bs: BasisSolution) -> GroupRelaxationData:

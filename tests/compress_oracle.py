@@ -268,5 +268,6 @@ def eliminate_compress_kernel(grd, kb):
 
 def two_call_compressed_coset(grd):
     fc = feasible_coset(grd)
-    kb = _coset(grd, column_orders(grd), [0] * grd.m, fc.basis.range_order).basis
+    pes = _prime_powers(grd.r_max)
+    kb = _coset(grd, column_orders(grd, pes), [0] * grd.m, fc.basis.range_order, pes).basis
     return FeasibleCoset(tuple(v % s for v, s in zip(fc.x_hat, kb.moduli)), kb)

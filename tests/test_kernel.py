@@ -463,7 +463,8 @@ def test_compressed_coset_is_one_elimination(monkeypatch, tmp_path):
     construction (K' with a zero right-hand side, x_hat of Z_{r_max}^d
     reduced mod s) and compress_coset's result; and kernel --compress and
     an MCS row of run_pipeline(compress=True) run _eliminate once per prime
-    power of r_max, so they build no coset of Z_{r_max}^d."""
+    power of r_max, so they build no coset of Z_{r_max}^d, and factor
+    r_max once."""
     insts = [random_feasible_instance(seed) for seed in range(400)]
     insts += [planted(t, m, 1, seed=seed, style=style)[0]
               for t, m in ((2, 8), (3, 6), (2, 12), (3, 7), (2, 2), (2, 3))
@@ -478,24 +479,36 @@ def test_compressed_coset_is_one_elimination(monkeypatch, tmp_path):
         shrunk += one.basis.moduli != (grd.r_max,) * grd.d
     assert shrunk >= 100
 
-    eliminate = grouprelax.kernel._eliminate
-    calls = []
+    eliminate, prime_powers = grouprelax.kernel._eliminate, grouprelax.kernel._prime_powers
+    calls, factored = [], []
     monkeypatch.setattr(grouprelax.kernel, "_eliminate",
                         lambda B, p, e, sp: calls.append((p, e)) or eliminate(B, p, e, sp))
-    # r_max = 810 = 2 3^4 5 (G = Z_6 x Z_810), 290 = 2 5 29 and 9 = 3^2
-    for inst, n_pe in ((insts[-1], 3), (insts[-5], 3), (planted(3, 3, 1)[0], 1)):
-        want = grouprelax.kernel._prime_powers(relax_ilp(inst).r_max)
+    monkeypatch.setattr(grouprelax.kernel, "_prime_powers",
+                        lambda n: factored.append(n) or prime_powers(n))
+    # r_max = 810 = 2 3^4 5 (G = Z_6 x Z_810), 290 = 2 5 29 and 9 = 3^2;
+    # cutgen m=6 seed 51 runs the MCS rows of the benchmark's ladder
+    ladder = cutgen(CutStockSpec(m=6, L=1000, v2=0.5, dbar=10.0, seed=51))
+    for inst, n_pe in ((insts[-1], 3), (insts[-5], 3), (planted(3, 3, 1)[0], 1), (ladder, 2)):
+        grd = relax_ilp(inst)
+        want = prime_powers(grd.r_max)
         assert len(want) == n_pe
         calls.clear()
+        factored.clear()
         mcs = SearchConfig(method="mcs", seed=0, max_samples=1, mix_steps=1)
         run_pipeline(inst, PipelineConfig(search=mcs, compress=True, record_wall=False))
         assert calls == want
+        # r_max is factored once per compressed coset
+        assert factored == [grd.r_max]
         path = tmp_path / f"{inst.name}.mps"
         path.write_text(emit_mps(inst))
         calls.clear()
+        factored.clear()
         res = CliRunner().invoke(main, ["kernel", "--compress", str(path)])
         assert res.exit_code == 0, res.output
-        assert calls == want
+        assert calls == want and factored == [grd.r_max]
+        factored.clear()
+        compress_coset(grd, feasible_coset(grd))
+        assert factored == [grd.r_max] * 2
 
 
 # sha256 of (r, Abold, bbold, kept, dropped, orders, compressed basis) on

@@ -1,9 +1,10 @@
 """Property tests (hypothesis): the SNF contract, the oracle's linear congruences,
 compression against the two-SNF reference, the revised simplex
 against the tableau simplex, the fraction-free row-rank repair
-against the Fraction one, MPS round trips, number tokens and malformed
-input, and integral lifts of coset points. Examples are derandomized
-and bounded so the suite stays fast and repeatable."""
+against the Fraction one, MPS round trips, number tokens, the MPS
+reader against its oracle on RANGES, BOUNDS, rational entries and
+malformed input, and integral lifts of coset points. Examples are
+derandomized and bounded so the suite stays fast and repeatable."""
 
 from fractions import Fraction
 from math import gcd
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from grouprelax import (ILPInstance, IntMatrix, emit_mps, feasible_coset, lift_to_ilp,
                         parse_mps, relax_ilp, snf, solve_lp_exact, to_standard_form)
-from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS, NotPureILP
+from grouprelax.errors import GroupRelaxError, Infeasible, MalformedMPS
 from grouprelax.mps import _num
 from tests.compress_oracle import solve_mod, span
 from tests.conftest import random_feasible_instance, stub_grd
@@ -23,6 +24,7 @@ from tests.lp_oracle import tableau_solve_lp_exact
 from tests.test_exact import check_snf_contract
 from tests.test_kernel import assert_matches_oracle
 from tests.test_lp import assert_eliminations_match_fraction_oracle, lp_outcome
+from tests.test_mps import assert_reads_as_oracle
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -171,10 +173,43 @@ MPS_TOKENS = ["ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE"
 
 
 @st.composite
-def malformed_mps(draw):
-    """An emitted model with lines deleted, repeated, replaced by random
-    tokens, or with single tokens swapped for others."""
-    lines = emit_mps(draw(mps_instances())).splitlines()
+def mps_sections(draw):
+    """A model written with RANGES and BOUNDS sections, rational and
+    repeated entries, two-pair lines, RHS entries on the objective row
+    and columns outside the integer markers."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    num = st.sampled_from(["0", "1", "-2", "3", "2.5", "-0.5", "1/3", "4.0", "1e1"])
+    rows = [f"R{i + 1}" for i in range(m)]
+    lines = ["NAME sections", "ROWS", " N COST"]
+    lines += [f" {draw(st.sampled_from('LGE'))} {r}" for r in rows]
+    lines += ["COLUMNS", "    M1 'MARKER' 'INTORG'"]
+    for j in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("    M1 'MARKER' 'INTEND'" if j % 2 else "    M1 'MARKER' 'INTORG'")
+        pairs = draw(st.lists(st.tuples(st.sampled_from(["COST", *rows]), num),
+                              min_size=1, max_size=4))
+        while pairs:
+            take = pairs[:draw(st.integers(1, 2))]
+            pairs = pairs[len(take):]
+            lines.append(f"    x{j + 1} " + " ".join(f"{r} {v}" for r, v in take))
+    lines += ["    M1 'MARKER' 'INTEND'", "RHS"]
+    lines += [f"    RHS {r} {draw(num)}" for r in draw(st.lists(st.sampled_from(["COST", *rows]),
+                                                                   max_size=4))]
+    lines += ["RANGES"] + [f"    RNG {r} {draw(num)}"
+                           for r in draw(st.lists(st.sampled_from(rows), max_size=3))]
+    lines.append("BOUNDS")
+    for j in draw(st.lists(st.integers(1, n), max_size=2 * n)):
+        typ = draw(st.sampled_from(["UP", "UI", "LO", "LI", "FX", "BV", "PL", "MI"]))
+        lines.append(f" {typ} BND x{j}" + ("" if typ in ("BV", "PL", "MI") else f" {draw(num)}"))
+    return "\n".join(lines + ["ENDATA"]) + "\n"
+
+
+@st.composite
+def malformed_mps(draw, texts=None):
+    """An emitted model, or a text of texts, with lines deleted, repeated,
+    replaced by random tokens, or with single tokens swapped for
+    others."""
+    lines = (draw(texts) if texts is not None else emit_mps(draw(mps_instances()))).splitlines()
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines)))
         op = draw(st.sampled_from(["delete", "repeat", "insert", "token"]))
@@ -238,12 +273,17 @@ def test_mps_round_trip_value_types_property(inst):
 
 
 @settings(PROPERTY, max_examples=1000)
-@given(malformed_mps())
+@given(st.one_of(malformed_mps(), malformed_mps(mps_sections())))
 def test_malformed_mps_raises_library_errors_property(text):
-    try:
-        parse_mps(text)
-    except (MalformedMPS, NotPureILP):
-        pass
+    # reading() lets only MalformedMPS and NotPureILP through, and the
+    # oracle must make the same of the text: error type, message and line
+    assert_reads_as_oracle(text)
+
+
+@PROPERTY
+@given(mps_sections())
+def test_mps_sections_match_oracle_property(text):
+    assert_reads_as_oracle(text)
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Group relaxation construction, lifting, and the bound chain."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -168,6 +169,35 @@ def test_basis_snf_certificate():
         _check_basis_snf(AB, fact([2, 3], [[1, 0], [0, 1]], [[1, 0], [0, 1]]), [2, 3])
     with pytest.raises(CertificateError, match="not unimodular"):
         _check_basis_snf(IntMatrix([[2]]), fact([4], [[2]], [[1]]), [4])
+
+
+def test_basis_snf_unimodularity_is_read_off_the_record():
+    # a transform doubled, with r doubled to match, passes the product and
+    # divisibility checks, and so does a record that no longer replays to
+    # the transforms; each is caught as a transform that is not unimodular
+    for inst in (cutgen(CutStockSpec(m=4, L=20, v2=0.8, dbar=2.0, seed=35)),
+                 cutgen(CutStockSpec(m=8, L=1000, v2=0.5, dbar=10.0, seed=26))):
+        sf, bs, _, _ = build(inst)
+        AB = sf.A.select_columns(bs.basis)
+        good = snf(AB)
+        _check_basis_snf(AB, good, good.D)
+        n = AB.rows
+
+        def doubled(M):
+            return IntMatrix([[2 * v for v in row] for row in M.data])
+
+        bad = [(replace(good, Uinv=doubled(good.Uinv)), [2 * x for x in good.D]),
+               (replace(good, Vinv_t=doubled(good.Vinv_t)), [2 * x for x in good.D])]
+        for field in ("row_ops", "col_ops"):
+            ops = getattr(good, field)
+            k = next(k for k, op in enumerate(ops) if op[0] != op[1])
+            i1, i2, a, b, c, d = ops[k]
+            # one more row i1 into row i2, still unimodular; then a row out of range
+            for op in ((i1, i2, a, b, c + a, d + b), (i1, n, a, b, c, d)):
+                bad.append((replace(good, **{field: ops[:k] + [op] + ops[k + 1:]}), good.D))
+        for fact, r in bad:
+            with pytest.raises(CertificateError, match="not unimodular"):
+                _check_basis_snf(AB, fact, r)
 
 
 def record_cases():
