@@ -11,6 +11,8 @@ feasible group lift), and ``branch_and_bound`` rooted at that group
 optimum. Each oracle's time is the best over ``--repeat`` runs of the
 whole corpus. Ladder: the three cutgen L=1000 instances of the benchmark's
 ``ladder`` workload through ``branch_and_bound`` from scratch.
+``group_pruned`` counts the nodes the group bound pruned, and
+``group_capped`` those whose Dijkstra passed its cap and kept the LP bound.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def main():
             "nodes_total": sum(o.nodes for o in solved),
             "nodes_max": max(o.nodes for o in solved),
             "group_pruned_total": sum(o.group_pruned for o in solved),
+            "group_capped_total": sum(o.group_capped for o in solved),
             "not_certified": [{"instance": i.name, "outcome": o}
                               for i, o in zip(insts, opt) if isinstance(o, str)],
             "value_differs_from_box": moved,
@@ -109,6 +112,7 @@ def main():
             "case": f"cutgen m={m} L={CUT_SPEC['L']} v2={CUT_SPEC['v2']} dbar={CUT_SPEC['dbar']} seed={s}",
             "patterns": inst.n_vars, "opt_ilp": str(getattr(o, "value", o)),
             "nodes": getattr(o, "nodes", None), "group_pruned": getattr(o, "group_pruned", None),
+            "group_capped": getattr(o, "group_capped", None),
             "seconds": round(time.perf_counter() - t0, 3),
         })
     print(json.dumps(out, indent=1))

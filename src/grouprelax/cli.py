@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 ok, 2 infeasible, 3 unbounded, 4 not a pure ILP,
-5 cap or dense/pattern limit exceeded, 1 anything else.
+5 a cap exceeded (search, enumeration, dense or pattern limit),
+1 anything else.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from pathlib import Path
 
 import click
 
-from .errors import (CapExceeded, DenseLimitExceeded, GroupRelaxError,
-                     Infeasible, NotPureILP, PatternLimitExceeded, Unbounded)
+from .errors import CapExceeded, GroupRelaxError, Infeasible, NotPureILP, Unbounded
 from .gen import PATTERN_CAP_DEFAULT, CutStockSpec, cutgen, planted
 from .kernel import feasible_coset
 from .mps import emit_mps, parse_mps
@@ -32,7 +32,7 @@ def _exit_code(exc: Exception) -> int:
         return 3
     if isinstance(exc, NotPureILP):
         return 4
-    if isinstance(exc, (CapExceeded, DenseLimitExceeded, PatternLimitExceeded)):
+    if isinstance(exc, CapExceeded):
         return 5
     return 1
 

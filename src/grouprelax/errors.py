@@ -18,11 +18,8 @@ class Unbounded(GroupRelaxError):
 
 
 class CapExceeded(GroupRelaxError):
-    """An enumeration exceeded its configured cap."""
-
-
-class DenseLimitExceeded(GroupRelaxError):
-    """Dense matrix construction requested beyond the dense-mode limit."""
+    """A search, enumeration or dense construction passed its configured
+    cap (the CLI's exit code 5)."""
 
 
 class NotPureILP(GroupRelaxError):
@@ -35,15 +32,6 @@ class MalformedMPS(GroupRelaxError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class PatternLimitExceeded(GroupRelaxError):
-    """Cutting-stock pattern enumeration exceeded the cap."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumerated {count} patterns, cap is {cap}")
-        self.count = count
-        self.cap = cap
 
 
 class EmptyWidthBand(GroupRelaxError):

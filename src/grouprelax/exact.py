@@ -327,13 +327,6 @@ def gauss_jordan(rows: list[list[int]], xb: list[int]) -> int:
     return det
 
 
-def det_exact(M: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant needs a square matrix")
-    return gauss_jordan(list(M.data), [0] * M.rows)
-
-
 def solve_rational(A: IntMatrix, cols: Sequence[int] | None, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve A[:, cols] x = rhs exactly (square nonsingular system); the
     rhs, ints and Fractions, is cleared to integers first. No library

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyWidthBand, PatternLimitExceeded
+from .errors import CapExceeded, EmptyWidthBand
 from .exact import IntMatrix
 from .lp import EQ, GE, ILPInstance
 
@@ -56,7 +56,7 @@ def _maximal_patterns(widths: list[int], L: int, cap: int) -> list[tuple[int, ..
             if remaining < w_min:  # nothing else fits: maximal
                 out.append(tuple(pattern))
                 if len(out) > cap:
-                    raise PatternLimitExceeded(len(out), cap)
+                    raise CapExceeded(f"enumerated {len(out)} patterns, cap is {cap}")
             return
         top = remaining // widths[i]
         for a in range(top, -1, -1):

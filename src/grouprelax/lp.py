@@ -28,7 +28,7 @@ det the exact inverse of A_B, so the ``BasisSolution`` that carries them
 is the one record of the optimal basis: the relaxation reads its group
 cost off the reduced-cost numerators, and every lift solves
 A_B x_B = rhs as adj·rhs / det, with no second elimination. Its
-Fractions (x_lp, reduced_costs, opt_lp) are views built when read.
+Fractions (x_lp, opt_lp) are views built when read.
 """
 
 from __future__ import annotations
@@ -90,19 +90,17 @@ class ILPInstance:
 class StandardFormILP:
     """Equality form with full row rank; slacks/surpluses appended."""
 
-    name: str
     A: IntMatrix
     b: list[int]
     c: list[Fraction]
     slack_map: dict[int, int]  # column index -> originating row index
-    var_names: list[str]
 
 
 @dataclass
 class BasisSolution:
     """An optimal basis in integers, certified by ``solve_lp_exact``: adj
     and xb make x_B = xb / det, and the reduced costs and OPT_LP are
-    numerators over den. The Fraction fields are views of them."""
+    numerators over den. x_lp and opt_lp are Fraction views of them."""
 
     basis: list[int]
     nonbasic: list[int]
@@ -120,11 +118,6 @@ class BasisSolution:
         for bi, v in zip(self.basis, self.xb):
             x[bi] = Fraction(v, self.det)
         return x
-
-    @cached_property
-    def reduced_costs(self) -> dict[int, Fraction]:
-        """Keyed by nonbasic column."""
-        return {j: Fraction(v, self.den) for j, v in zip(self.nonbasic, self.reduced)}
 
     @cached_property
     def opt_lp(self) -> Fraction:
@@ -150,7 +143,6 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     for col, i in enumerate(slacked, start=n):
         data[i][col] = 1 if inst.row_sense[i] == LE else -1
         slack_map[col] = i
-    names = list(inst.var_names) + [f"_s{i+1}" for i in slacked]
     c = list(inst.c) + [Fraction(0)] * len(slacked)
     b = list(inst.b)
 
@@ -177,8 +169,7 @@ def to_standard_form(inst: ILPInstance) -> StandardFormILP:
     # remap slack rows to surviving row positions
     pos = {orig: new for new, orig in enumerate(keep)}
     slack_map = {j: pos[i] for j, i in slack_map.items() if i in pos}
-    return StandardFormILP(name=inst.name, A=A2, b=b2, c=c, slack_map=slack_map,
-                           var_names=names)
+    return StandardFormILP(A=A2, b=b2, c=c, slack_map=slack_map)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

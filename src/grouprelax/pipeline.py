@@ -28,7 +28,6 @@ class PipelineConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
     compress: bool = False
     ilp_cap: int = 1000  # branch-and-bound nodes; past it opt_ilp is NA
-    known_optimum: Optional[Fraction] = None  # external OPT (e.g. MIPLIB)
     record_wall: bool = True  # False pins wall_ms to 0 for byte-stable CSV
 
 
@@ -75,21 +74,17 @@ def run_pipeline(inst: ILPInstance, cfg: Optional[PipelineConfig] = None) -> Rep
         k_order, g_order = fc.basis.kernel_order, fc.basis.range_order
     res = solve_group(grd, fc, cfg.search)
 
-    # opt_ilp is certified or NA: the known optimum, else on a certified
-    # group optimum the branch and bound rooted at it (no second LP or
-    # Dijkstra at the root). An MCS lift certifies nothing.
-    opt_ilp = cfg.known_optimum
+    # opt_ilp is certified or NA: on a certified group optimum, the branch
+    # and bound rooted at it (no second LP or Dijkstra at the root). An
+    # MCS lift certifies nothing.
+    opt_ilp = None
     certified = res.certified_optimal
-    if opt_ilp is None and certified:
+    if certified:
         try:
             opt_ilp = branch_and_bound(inst, cfg.ilp_cap, root=(grd, res),
                                        group_cap=cfg.search.cap).value
         except (CapExceeded, Infeasible):
-            opt_ilp = None
-    if not certified and opt_ilp is not None and opt_ilp < res.objective:
-        # heuristic search stopped above the true optimum; the chain
-        # assertion only applies to certified group optima
-        opt_ilp = None
+            pass
     chain = bound_chain(grd.bs.opt_lp, res.objective, opt_ilp)
     wall = int((time.monotonic() - t0) * 1000) if cfg.record_wall else 0
     return _row(inst.name, chain, certified=certified, degenerate_lp=grd.bs.degenerate_primal,

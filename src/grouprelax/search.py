@@ -63,7 +63,6 @@ class SearchResult:
     certified_optimal: bool
     trace: list[tuple[int, Fraction]] = field(default_factory=list)
     solution: Optional[GroupSolution] = None
-    argmin_points: Optional[list[tuple[int, ...]]] = None  # K*, brute only
     proposals: int = 0   # non-null Metropolis proposals, MCS only
     accepted: int = 0
 
@@ -228,17 +227,15 @@ def gomory_shortest_path(grd: GroupRelaxationData, cap: int = 10**6) -> SearchRe
 
 
 def brute_force_group(grd: GroupRelaxationData, fc: FeasibleCoset, cap: int) -> SearchResult:
-    """Exhaustive minimum over the coset fc of grd plus the full argmin
-    set K*, in coset order: every point of ``coset_array`` priced by the
-    integer numerator of grd.cost (``LinearCost.scaled_rows``); the first
-    minimizer is the best point, and is lifted."""
+    """Exhaustive minimum over the coset fc of grd: every point of
+    ``coset_array`` priced by the integer numerator of grd.cost
+    (``LinearCost.scaled_rows``); the first minimizer in coset order is
+    the best point, and is lifted."""
     X = coset_array(fc, cap)  # raises CapExceeded
     iv = grd.cost.scaled_rows(X, fc.basis.moduli)
-    lo = iv.min()
-    argmin = list(map(tuple, X[iv == lo].tolist()))
-    best, fbest = argmin[0], Fraction(int(lo), grd.cost.den)
-    return SearchResult(best, fbest, len(X), True, [(0, fbest)], lift_to_ilp(grd, best),
-                        argmin_points=argmin)
+    i = int(iv.argmin())
+    best, fbest = tuple(X[i].tolist()), Fraction(int(iv[i]), grd.cost.den)
+    return SearchResult(best, fbest, len(X), True, [(0, fbest)], lift_to_ilp(grd, best))
 
 
 def _box_sums(coeffs: list[int], side: int, dtype) -> np.ndarray:
@@ -297,6 +294,7 @@ class ILPOptimum:
     x: list[int]
     nodes: int          # nodes evaluated, the root included
     group_pruned: int   # nodes the group bound pruned and the LP bound did not
+    group_capped: int   # nodes whose Dijkstra passed group_cap; they kept the LP bound
 
 
 def _cost_at(inst: ILPInstance, x: list[int]) -> Fraction:
@@ -356,18 +354,24 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
     incumbent. ``root`` = (relax_ilp(inst), a certified group optimum of
     it) spares the root its LP and Dijkstra.
 
-    Raises CapExceeded past cap nodes or when a Dijkstra reaches more than
-    group_cap residues, Infeasible when no integer point exists, and
-    CertificateError unless the optimum x satisfies A x (sense) b, x >= 0
-    and c·x = value.
+    The group bound is optional to correctness. A node whose Dijkstra
+    reaches more than group_cap residues keeps its LP bound, and neither
+    it nor any node below it runs Dijkstra again, since a capped Dijkstra
+    is the costliest step of a node. ``ILPOptimum.group_capped`` counts
+    the nodes that hit the cap.
+
+    Raises CapExceeded past cap nodes, Infeasible when no integer point
+    exists, and CertificateError unless the optimum x satisfies
+    A x (sense) b, x >= 0 and c·x = value.
     """
     n = inst.n_vars
     best: Optional[tuple[Fraction, list[int]]] = None
-    nodes = group_pruned = 0
+    nodes = group_pruned = group_capped = 0
     order = itertools.count()
-    heap = [(Fraction(0), next(order), [0] * n, [None] * n)]
+    # (bound, creation order, lo, hi, whether an ancestor hit group_cap)
+    heap = [(Fraction(0), next(order), [0] * n, [None] * n, False)]
     while heap:
-        key, _, lo, hi = heapq.heappop(heap)
+        key, _, lo, hi, capped = heapq.heappop(heap)
         if best is not None and key >= best[0]:
             break  # every open node is bounded by the incumbent
         nodes += 1
@@ -397,8 +401,12 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
                     y[k], rem = divmod(v, bs.det)
                     if rem and (frac is None or k < frac):
                         frac = k
-            if res is None and frac is not None:
-                res = gomory_shortest_path(build_group_relaxation(sf, bs), group_cap)
+            if res is None and frac is not None and not capped:
+                try:
+                    res = gomory_shortest_path(build_group_relaxation(sf, bs), group_cap)
+                except CapExceeded:
+                    group_capped += 1
+                    capped = True
         except Infeasible:
             continue
         if res is not None:
@@ -418,8 +426,8 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
         up, down = list(lo), list(hi)
         down[j] = lo[j] + y[frac]
         up[j] = down[j] + 1
-        heapq.heappush(heap, (bound, next(order), lo, down))
-        heapq.heappush(heap, (bound, next(order), up, hi))
+        heapq.heappush(heap, (bound, next(order), lo, down, capped))
+        heapq.heappush(heap, (bound, next(order), up, hi, capped))
     if best is None:
         raise Infeasible("no integer point satisfies the constraints")
     value, x = best
@@ -429,7 +437,7 @@ def branch_and_bound(inst: ILPInstance, cap: int = 1000,
         raise CertificateError("branch and bound returned a point outside the ILP")
     if _cost_at(inst, x) != value:
         raise CertificateError("branch and bound value differs from c·x")
-    return ILPOptimum(value, x, nodes, group_pruned)
+    return ILPOptimum(value, x, nodes, group_pruned, group_capped)
 
 
 def solve_group(grd: GroupRelaxationData, fc: Optional[FeasibleCoset],

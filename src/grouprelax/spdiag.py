@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, DenseLimitExceeded, DiagnosticUnavailable
+from .errors import CapExceeded, CertificateError, DiagnosticUnavailable
 from .exact import int_dtype
 from .kernel import FeasibleCoset, KernelBasis, coset_array
 from .relax import GroupRelaxationData
@@ -45,12 +45,6 @@ class SPParams:
             raise ValueError("eta must be in (0, 1)")
         if self.mu_sweep < 1:
             raise ValueError("mu_sweep must be >= 1")
-
-
-def theta_eta(x, eta):
-    """Piecewise-linear truncation: -1 at x = -1, 0 for x >= eta - 1,
-    linear slope 1/eta in between."""
-    return min(0, (x + 1 - eta) / eta)
 
 
 def _exact_quotients(a: np.ndarray, d: int, bound: int) -> np.ndarray:
@@ -77,7 +71,8 @@ def _theta_vector(a: np.ndarray, E: int, eta: float) -> np.ndarray:
 
 
 def _theta_eta_array(x: np.ndarray, eta: float) -> np.ndarray:
-    """theta_eta elementwise, with theta_eta's float operations."""
+    """The truncation theta_eta(x) = min(0, (x + 1 - eta) / eta)
+    elementwise: -1 at x = -1, 0 for x >= eta - 1, slope 1/eta between."""
     v = (x + 1 - eta) / eta
     return np.where(v < 0, v, 0.0)
 
@@ -97,15 +92,11 @@ def ground_overlap(H, kstar_idx: Sequence[int]) -> tuple[float, float]:
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
     n = H.shape[0]
-    if sp.issparse(H):
-        # the stored entries of a CSR H in place: only positive ones are
-        # looked up, by row
-        C = H if H.format == "csr" else sp.csr_array(H)
-        pos = np.flatnonzero(C.data > 0)
-        positive_off = np.any(C.indices[pos] != np.searchsorted(C.indptr, pos, "right") - 1)
-    else:
-        positive_off = np.any((H > 0) & ~np.eye(n, dtype=bool))
-    if positive_off:
+    # the stored entries of H as CSR (a CSR H in place): only positive
+    # ones are looked up, by row
+    C = sp.csr_array(H)
+    pos = np.flatnonzero(C.data > 0)
+    if np.any(C.indices[pos] != np.searchsorted(C.indptr, pos, "right") - 1):
         raise ValueError("H has a positive off-diagonal entry: not stoquastic")
     if n == 1:
         lam0, psi = float(H.diagonal()[0]), np.ones(1)
@@ -195,7 +186,7 @@ def sp_diagnose(grd: GroupRelaxationData, fc: FeasibleCoset, params: SPParams) -
     kb = fc.basis
     n = kb.kernel_order
     if n > params.dense_limit:
-        raise DenseLimitExceeded(f"|K| = {n} exceeds dense limit {params.dense_limit}")
+        raise CapExceeded(f"|K| = {n} exceeds dense limit {params.dense_limit}")
     cost, moduli = grd.cost, kb.moduli
     den = cost.den
     X = coset_array(fc, params.dense_limit)

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, DenseLimitExceeded
+from .errors import CapExceeded, CertificateError
 from .exact import clear_denominators, int_dtype
 from .kernel import KernelBasis
 from .relax import LinearCost
@@ -218,10 +218,9 @@ def expander_generation(kb: KernelBasis, C: float = 8.0,
 
 @dataclass
 class DenseTransition:
-    """Exact dense transition matrix P = counts / den over an explicit
-    state list (int64 numerators over one common denominator)."""
+    """Exact dense transition matrix P = counts / den (int64 numerators
+    over one common denominator), indexed as the states it was built on."""
 
-    states: list[tuple[int, ...]]
     counts: np.ndarray
     den: int
 
@@ -349,12 +348,12 @@ def transition_matrix(spec: CayleyWalkSpec, states: Sequence[tuple[int, ...]],
     table and re-checked here on the dense counts."""
     n = len(states)
     if n > dense_limit:
-        raise DenseLimitExceeded(f"{n} states > dense limit {dense_limit}")
+        raise CapExceeded(f"{n} states > dense limit {dense_limit}")
     states = list(states)
     if not spec.generators:
-        return DenseTransition(states, np.eye(n, dtype=np.int64), 1)
+        return DenseTransition(np.eye(n, dtype=np.int64), 1)
     counts, den = transition_counts(spec, _neighbours(spec, states))
-    dt = DenseTransition(states, counts.toarray(), den)
+    dt = DenseTransition(counts.toarray(), den)
     if not dt.is_symmetric():
         raise CertificateError("Cayley walk matrix must be symmetric")
     if not dt.is_doubly_stochastic():

@@ -6,7 +6,7 @@ coefficients n in ``itertools.product`` order (the last generator's
 fastest), each coordinate reduced mod its modulus.
 
 ``brute_force_group`` walks that enumeration with one Fraction cost per
-point and keeps every minimizer in enumeration order.
+point, keeps the first minimizer and counts the minimizers.
 """
 
 import itertools
@@ -33,20 +33,21 @@ def enumerate_coset(fc, cap):
 
 
 def brute_force_group(fc, f, cap, grd=None):
-    """Exhaustive minimum of f over the coset plus the full argmin set K*."""
+    """Exhaustive minimum of f over the coset, and |K*|, the number of
+    minimizers: (SearchResult, |K*|)."""
     best = None
     fbest = None
-    argmin = []
+    ties = 0
     count = 0
     for pt in enumerate_coset(fc, cap):
         count += 1
         v = Fraction(f(pt))
         if fbest is None or v < fbest:
             best, fbest = pt, v
-            argmin = [pt]
+            ties = 1
         elif v == fbest:
-            argmin.append(pt)
+            ties += 1
     if best is None:
         raise Infeasible("empty coset")
     sol = lift_to_ilp(grd, best) if grd is not None else None
-    return SearchResult(best, fbest, count, True, [(0, fbest)], sol, argmin_points=argmin)
+    return SearchResult(best, fbest, count, True, [(0, fbest)], sol), ties

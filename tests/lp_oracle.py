@@ -10,8 +10,8 @@ primal degeneracy (``TableauSolution``).
 
 The row-rank repair over all rows, the Gauss–Jordan solve and the
 sufficiency test with one solve per nonbasic column are the Fraction
-references for ``to_standard_form``, ``solve_rational``, ``det_exact``
-and ``check_asymptotic_sufficiency``. The last, Gomory's sufficient
+references for ``to_standard_form``, ``solve_rational``, the
+determinant and ``check_asymptotic_sufficiency``. The last, Gomory's sufficient
 condition for the group optimum to solve the ILP, reads the LP's
 certified adj and xb; no library path calls it.
 """
@@ -35,6 +35,12 @@ class TableauSolution:
     degenerate_primal: bool
 
 
+def reduced_costs(bs: BasisSolution) -> dict[int, Fraction]:
+    """The reduced costs of bs as Fractions, keyed by nonbasic column, as
+    ``TableauSolution`` holds them."""
+    return {j: Fraction(v, bs.den) for j, v in zip(bs.nonbasic, bs.reduced)}
+
+
 def check_asymptotic_sufficiency(sf: StandardFormILP, bs: BasisSolution) -> bool:
     """Sufficient condition for the group relaxation to solve the ILP:
     A_B^{-1} b >= max_ij |(A_B^{-1} A_N)_ij| * |det A_B| componentwise.
@@ -54,7 +60,6 @@ def fraction_to_standard_form(inst: ILPInstance) -> StandardFormILP:
     to zero is dropped, or raises Infeasible when its b does not."""
     m, n = inst.A.rows, inst.A.cols
     data = [row[:] for row in inst.A.data]
-    names = list(inst.var_names)
     slack_map: dict[int, int] = {}
     col = n
     for i, sense in enumerate(inst.row_sense):
@@ -64,7 +69,6 @@ def fraction_to_standard_form(inst: ILPInstance) -> StandardFormILP:
         for r in range(m):
             data[r].append(coeff if r == i else 0)
         slack_map[col] = i
-        names.append(f"_s{i+1}")
         col += 1
     c = list(inst.c) + [Fraction(0)] * (col - n)
     b = list(inst.b)
@@ -89,9 +93,8 @@ def fraction_to_standard_form(inst: ILPInstance) -> StandardFormILP:
 
     pos = {orig: new for new, orig in enumerate(keep)}
     return StandardFormILP(
-        name=inst.name, A=IntMatrix([data[i] for i in keep]), b=[b[i] for i in keep],
+        A=IntMatrix([data[i] for i in keep]), b=[b[i] for i in keep],
         c=c, slack_map={j: pos[i] for j, i in slack_map.items() if i in pos},
-        var_names=names,
     )
 
 

@@ -1,6 +1,6 @@
 """The eager Smith normal form: the reference that ``exact.snf`` is
-tested against; and the diagonal and unimodularity helpers that check
-an SNF's contract.
+tested against; and the determinant, diagonal and unimodularity
+helpers that check an SNF's contract.
 
 It accumulates U, V, Uinv and Vinv on the fly, one elementary operation
 at a time, with the same pivot order and the same operations as
@@ -11,7 +11,7 @@ throughout.
 
 from dataclasses import dataclass
 
-from grouprelax.exact import IntMatrix, det_exact, ext_gcd
+from grouprelax.exact import IntMatrix, ext_gcd, gauss_jordan
 
 
 @dataclass
@@ -136,6 +136,13 @@ def diag_matrix(D: list[int], rows: int, cols: int) -> IntMatrix:
     """The rows x cols matrix with D on its diagonal, zeros elsewhere."""
     return IntMatrix([[D[i] if i == j and i < len(D) else 0 for j in range(cols)]
                       for i in range(rows)])
+
+
+def det_exact(M: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant needs a square matrix")
+    return gauss_jordan(list(M.data), [0] * M.rows)
 
 
 def is_unimodular(M: IntMatrix) -> bool:

@@ -3,8 +3,8 @@ against: the coset from ``enumerate_coset``, one Fraction cost per
 state, the n x n count matrix from a dict neighbour table, the exact
 pseudo-Lipschitz norm over object arrays and a fresh H_mu per sweep
 point. Given the same coset and parameters, both must return SPReports
-with equal repr. Also the shifted cost and the H_mu builder on Fraction
-costs that the spdiag tests read.
+with equal repr. Also the scalar truncation theta_eta, and the shifted
+cost and the H_mu builder on Fraction costs that the spdiag tests read.
 """
 
 import math
@@ -13,13 +13,19 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from grouprelax.errors import CertificateError, DenseLimitExceeded
+from grouprelax.errors import CapExceeded, CertificateError
 from grouprelax.exact import clear_denominators
 from grouprelax.spdiag import (SPParams, SPReport, _theta_vector, ground_overlap,
-                               speedup_conditions, theta_eta)
+                               speedup_conditions)
 from grouprelax.walks import (CayleyWalkSpec, character_gap, cyclic_norm_max,
                               log_sobolev_lower)
 from tests.coset_oracle import enumerate_coset
+
+
+def theta_eta(x, eta):
+    """Piecewise-linear truncation: -1 at x = -1, 0 for x >= eta - 1,
+    linear slope 1/eta in between."""
+    return min(0, (x + 1 - eta) / eta)
 
 
 def shifted_cost(values) -> tuple[Fraction, Fraction]:
@@ -98,7 +104,7 @@ def hamiltonian(P, mu, theta):
 def sp_diagnose(grd, fc, params: SPParams) -> SPReport:
     kb = fc.basis
     if kb.kernel_order > params.dense_limit:
-        raise DenseLimitExceeded(
+        raise CapExceeded(
             f"|K| = {kb.kernel_order} exceeds dense limit {params.dense_limit}")
     states = list(enumerate_coset(fc, params.dense_limit))
     n = len(states)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from grouprelax import (IntMatrix, PipelineConfig, SearchConfig,
-                        brute_force_group, det_exact, emit_report,
+                        brute_force_group, emit_report,
                         expander_generation, feasible_coset,
                         gomory_shortest_path, markov_chain_search,
                         run_pipeline, snf, solve_group, sp_diagnose,
@@ -27,7 +27,7 @@ from grouprelax.walks import CayleyWalkSpec, cyclic_norm_max, pseudo_lipschitz, 
 from tests.compress_oracle import span
 from tests.conftest import build, report_row_from_values
 from tests.coset_oracle import enumerate_coset
-from tests.snf_oracle import diag_matrix
+from tests.snf_oracle import det_exact, diag_matrix
 from tests.spdiag_oracle import shifted_cost
 from tests.walk_oracle import metropolis_matrix, tv_to_uniform
 

@@ -129,6 +129,23 @@ def test_node_cap():
     assert run_pipeline(inst, PipelineConfig(record_wall=False)).opt_ilp == 6
 
 
+def test_group_cap_keeps_the_lp_bound():
+    # the root's Dijkstra passes group_cap = 3: the root keeps its LP
+    # bound and branches, and no node below it runs Dijkstra. HiGHS agrees
+    cases = [(instance([[4, 3, -3]], [1], ["="], [5, 4, 1]), (6, [1, 0, 1], 7, 0, 1)),
+             (instance([[7, 11, 13, 17], [3, 5, 2, 9]], [40, 20], ["<=", "<="],
+                       [-5, -8, -9, -12]), (-29, [1, 3, 0, 0], 3, 0, 1))]
+    for inst, want in cases:
+        with pytest.raises(CapExceeded, match="Dijkstra reached more than 3 residues"):
+            gomory_shortest_path(relax_ilp(inst), 3)
+        ilp = branch_and_bound(inst, group_cap=3)
+        assert (ilp.value, ilp.x, ilp.nodes, ilp.group_pruned, ilp.group_capped) == want
+        assert abs(float(ilp.value) - milp_value(inst)) < 1e-6
+        # under the default cap the same optimum, with no node capped
+        full = branch_and_bound(inst)
+        assert full.value == ilp.value and full.group_capped == 0
+
+
 @st.composite
 def boxed_ilps(draw):
     """Rows with signed data and costs, and x_j <= 3 for every j as rows

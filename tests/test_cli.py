@@ -78,6 +78,14 @@ def test_diagnose(tmp_path):
     assert "r2,4.0" in res.output
 
 
+def test_dense_limit_exit_code(tmp_path):
+    # |K| = 8 on planted (2,3), past --dense-limit 4
+    path = write_planted(tmp_path, m=3)
+    res = run(["diagnose", str(path), "--dense-limit", "4"])
+    assert res.exit_code == 5, res.output
+    assert res.output == "error: |K| = 8 exceeds dense limit 4\n"
+
+
 def test_infeasible_exit_code(tmp_path):
     path = tmp_path / "bad.mps"
     path.write_text(

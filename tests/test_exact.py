@@ -7,11 +7,11 @@ from math import gcd
 
 import pytest
 
-from grouprelax import IntMatrix, det_exact, ext_gcd, relax_ilp, snf
+from grouprelax import IntMatrix, ext_gcd, relax_ilp, snf
 from grouprelax.errors import Infeasible
 from grouprelax.gen import CutStockSpec, cutgen
 from tests.compress_oracle import solve_mod
-from tests.snf_oracle import diag_matrix, eager_snf, is_unimodular
+from tests.snf_oracle import det_exact, diag_matrix, eager_snf, is_unimodular
 
 
 def test_int_matrix_builders_make_fresh_int_rows():

@@ -4,7 +4,7 @@ planted family with known group structure."""
 import pytest
 
 from grouprelax import brute_force_ilp, emit_mps, gomory_shortest_path
-from grouprelax.errors import EmptyWidthBand, PatternLimitExceeded
+from grouprelax.errors import CapExceeded, EmptyWidthBand
 from grouprelax.gen import CutStockSpec, _demand_split, _maximal_patterns, cutgen, planted
 from tests.conftest import build
 
@@ -27,7 +27,7 @@ def test_maximal_patterns_are_maximal():
 
 
 def test_pattern_cap():
-    with pytest.raises(PatternLimitExceeded):
+    with pytest.raises(CapExceeded, match="^enumerated 6 patterns, cap is 5$"):
         _maximal_patterns([1, 2, 3], 30, 5)
 
 

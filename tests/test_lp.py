@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from grouprelax import (ILPInstance, IntMatrix, StandardFormILP, det_exact, gomory_shortest_path,
-                        relax_ilp, solve_lp_exact, to_standard_form)
+from grouprelax import (BasisSolution, ILPInstance, IntMatrix, StandardFormILP,
+                        gomory_shortest_path, relax_ilp, solve_lp_exact, to_standard_form)
 from grouprelax.errors import GroupRelaxError, Infeasible, Unbounded
 from grouprelax.exact import solve_rational
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from tests.conftest import dependent_row_instance, random_feasible_instance
 from tests.lp_oracle import (check_asymptotic_sufficiency, fraction_solve, fraction_sufficiency,
-                             fraction_to_standard_form, tableau_solve_lp_exact)
+                             fraction_to_standard_form, reduced_costs, tableau_solve_lp_exact)
+from tests.snf_oracle import det_exact
 
 
 def inst_4I_2I(b=(2, 2)):
@@ -95,7 +96,7 @@ def test_lp_block_instance_kkt():
     assert bs.opt_lp == 0
     assert sorted(bs.basis) == [0, 1]
     assert bs.x_lp[:2] == [Fraction(1, 2), Fraction(1, 2)]
-    assert bs.reduced_costs == {2: Fraction(1), 3: Fraction(1)}
+    assert reduced_costs(bs) == {2: Fraction(1), 3: Fraction(1)}
 
 
 def test_lp_unbounded():
@@ -125,8 +126,8 @@ def test_lp_infeasible_phase1():
 def test_lp_dependent_rows_raise_value_error():
     # full row rank is the precondition, and to_standard_form never builds
     # such a form: feasible at (1, 0), it is refused, not called infeasible
-    sf = StandardFormILP(name="dep", A=IntMatrix([[1, 1], [2, 2]]), b=[1, 2],
-                         c=[Fraction(1), Fraction(1)], slack_map={}, var_names=["x1", "x2"])
+    sf = StandardFormILP(A=IntMatrix([[1, 1], [2, 2]]), b=[1, 2],
+                         c=[Fraction(1), Fraction(1)], slack_map={})
     with pytest.raises(ValueError, match="linearly dependent"):
         solve_lp_exact(sf)
 
@@ -141,7 +142,7 @@ def test_lp_invariants_on_solutions():
     for inst in [inst_4I_2I(), planted(2, 3, 1)[0], planted(3, 2, 1)[0]]:
         sf = to_standard_form(inst)
         bs = solve_lp_exact(sf)
-        assert all(v >= 0 for v in bs.reduced_costs.values())
+        assert all(v >= 0 for v in reduced_costs(bs).values())
         assert all(v >= 0 for v in bs.x_lp)
         # A_B x_B = b exactly
         for i in range(sf.A.rows):
@@ -205,7 +206,8 @@ def lp_outcome(solve, sf):
         bs = solve(sf)
     except GroupRelaxError as e:
         return type(e)
-    return (bs.basis, bs.nonbasic, bs.x_lp, bs.reduced_costs, bs.opt_lp,
+    costs = reduced_costs(bs) if isinstance(bs, BasisSolution) else bs.reduced_costs
+    return (bs.basis, bs.nonbasic, bs.x_lp, costs, bs.opt_lp,
             bs.degenerate_primal)
 
 

@@ -141,14 +141,6 @@ def test_dijkstra_row_builds_no_coset(monkeypatch):
             assert len(built) == 1
 
 
-def test_run_pipeline_known_optimum():
-    inst, _ = planted(2, 2, 1)
-    cfg = PipelineConfig(search=SearchConfig(method="dijkstra"),
-                         known_optimum=Fraction(2), record_wall=False)
-    row = run_pipeline(inst, cfg)
-    assert row.opt_ilp == 2 and row.r_pct == 100
-
-
 def test_run_pipeline_bytes_deterministic():
     inst, _ = planted(2, 2, 1, seed=3, style="random-lower-unit")
 
@@ -170,14 +162,14 @@ def test_run_pipeline_compressed_matches():
 
 
 def test_mcs_row_reports_no_ilp_optimum():
-    # an MCS lift certifies nothing: opt_ilp is NA unless it is supplied
+    # an MCS lift certifies nothing: opt_ilp is NA, though a Dijkstra row
+    # of the same instance certifies 2
     inst, _ = planted(2, 2, 1)
     search = SearchConfig(method="mcs", seed=1)
     row = run_pipeline(inst, PipelineConfig(search=search, record_wall=False))
     assert row.opt_b == 2 and row.opt_ilp is None and row.r_pct is None
-    row = run_pipeline(inst, PipelineConfig(search=search, known_optimum=Fraction(2),
-                                            record_wall=False))
-    assert row.opt_ilp == 2
+    row = run_pipeline(inst, PipelineConfig(record_wall=False))
+    assert row.opt_ilp == 2 and row.r_pct == 100
 
 
 def test_bad_ilp_certificate_raises_under_python_O():

@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from grouprelax import (CutStockSpec, ILPInstance, IntMatrix, LinearCost, bound_chain,
-                        build_group_relaxation, cutgen, det_exact, gomory_shortest_path,
+                        build_group_relaxation, cutgen, gomory_shortest_path,
                         lift_to_ilp, snf)
 from grouprelax.errors import CertificateError
 from grouprelax.exact import SNFResult, clear_denominators, solve_rational
@@ -16,7 +16,8 @@ from grouprelax.gen import planted
 from grouprelax.relax import GroupSolution, _check_basis_snf
 from tests.conftest import build, random_feasible_instance
 from tests.coset_oracle import enumerate_coset
-from tests.lp_oracle import fraction_solve
+from tests.lp_oracle import fraction_solve, reduced_costs
+from tests.snf_oracle import det_exact
 
 
 def test_build_block_instance():
@@ -220,7 +221,7 @@ def test_basis_record_matches_its_oracles():
         assert bs.det == det_exact(AB)
         x_b, det = fraction_solve(sf.A, bs.basis, sf.b)
         assert det == bs.det and [bs.x_lp[j] for j in bs.basis] == x_b
-        views = [bs.opt_lp, *(bs.reduced_costs[j] for j in grd.kept_cols)]
+        views = [bs.opt_lp, *(reduced_costs(bs)[j] for j in grd.kept_cols)]
         cost = grd.cost
         assert (cost.den, [cost.const, *cost.weights]) == clear_denominators(views)
 

@@ -229,7 +229,7 @@ def test_brute_force_group_planted():
     _, _, grd, fc = build(inst)
     res = brute_force_group(grd, fc, cap=100)
     assert res.objective == 2
-    assert res.argmin_points == [(1, 1)]
+    assert res.best_point == (1, 1)
     assert res.certified_optimal
 
     inst, _ = planted(3, 2, 1)
@@ -245,14 +245,16 @@ def test_brute_force_group_constant_f():
     inst, _ = planted(2, 2, 1)
     _, _, grd, fc = build(inst)
     res = brute_force_group(replace(grd, cost=LinearCost(1, 5, (0,) * grd.d)), fc, cap=100)
-    assert len(res.argmin_points) == fc.basis.kernel_order == 4
+    # every point ties: the first in coset order is the best point
+    assert res.objective == 5 and res.samples_used == fc.basis.kernel_order == 4
+    assert res.best_point == next(enumerate_coset(fc, 100))
 
 
 def test_brute_force_group_matches_oracle():
     """The coset_array brute force against the point-by-point Fraction
-    oracle, field for field (types too, by repr), K* in coset order: the
-    tier-1 law's seeds 0-299 and planted cosets, each uncompressed and
-    compressed."""
+    oracle, field for field (types too, by repr), the first minimizer in
+    coset order: the tier-1 law's seeds 0-299 and planted cosets, each
+    uncompressed and compressed, at least 50 of them with ties."""
     insts = [random_feasible_instance(seed) for seed in range(300)]
     insts += [planted(t, m, 1, seed=seed, style=style)[0]
               for t, m in ((2, 6), (3, 4), (2, 2), (5, 2)) for seed in range(3)
@@ -265,10 +267,10 @@ def test_brute_force_group_matches_oracle():
             if fc.basis.kernel_order > 4096:
                 continue
             new = brute_force_group(grd, fc, 4096)
-            old = coset_oracle.brute_force_group(fc, grd.cost, 4096, grd)
+            old, ties = coset_oracle.brute_force_group(fc, grd.cost, 4096, grd)
             assert new == old and repr(new) == repr(old)
             cosets += 1
-            several += len(new.argmin_points) > 1
+            several += ties > 1
     assert cosets >= 550 and several >= 50
 
 

@@ -17,15 +17,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import grouprelax
-from grouprelax import SPParams, ground_overlap, sp_diagnose, speedup_conditions, theta_eta
-from grouprelax.errors import (CertificateError, DenseLimitExceeded,
-                               DiagnosticUnavailable)
+from grouprelax import SPParams, ground_overlap, sp_diagnose, speedup_conditions
+from grouprelax.errors import CapExceeded, CertificateError, DiagnosticUnavailable
 from grouprelax.gen import CutStockSpec, cutgen, planted
 from grouprelax.kernel import KernelBasis, feasible_coset
 from grouprelax.walks import (CayleyWalkSpec, character_gap, spectral_gap,
                               transition_matrix)
 from tests import spdiag_oracle
-from tests.spdiag_oracle import build_sp_hamiltonian, shifted_cost
+from tests.spdiag_oracle import build_sp_hamiltonian, shifted_cost, theta_eta
 from tests.conftest import build, stub_grd
 from tests.coset_oracle import enumerate_coset
 
@@ -173,7 +172,7 @@ def test_mu_sweep_below_one_is_refused(mu_sweep):
 def test_sp_diagnose_dense_limit():
     inst, _ = planted(2, 3, 1)
     _, _, grd, fc = build(inst)
-    with pytest.raises(DenseLimitExceeded):
+    with pytest.raises(CapExceeded, match=r"^\|K\| = 8 exceeds dense limit 4$"):
         sp_diagnose(grd, fc, SPParams(dense_limit=4))
 
 

@@ -18,7 +18,7 @@ import grouprelax
 from grouprelax import (CutStockSpec, cutgen, cyclic_metric, expander_generation,
                         feasible_coset, log_sobolev_lower, metropolis_step,
                         pseudo_lipschitz, spectral_gap, step, transition_matrix)
-from grouprelax.errors import CertificateError, DenseLimitExceeded
+from grouprelax.errors import CapExceeded, CertificateError
 from grouprelax.gen import planted
 from grouprelax.kernel import FeasibleCoset, KernelBasis, coset_array
 from grouprelax.relax import LinearCost
@@ -109,7 +109,7 @@ def test_transition_matrix_planted():
 
 def test_transition_matrix_dense_limit():
     spec = simple_spec([(1,)], (8,))
-    with pytest.raises(DenseLimitExceeded):
+    with pytest.raises(CapExceeded, match="^8 states > dense limit 4$"):
         transition_matrix(spec, [(i,) for i in range(8)], dense_limit=4)
 
 

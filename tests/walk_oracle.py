@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from grouprelax.errors import DenseLimitExceeded
+from grouprelax.errors import CapExceeded
 from grouprelax.walks import DENSE_LIMIT_DEFAULT, CayleyWalkSpec
 
 
@@ -72,7 +72,7 @@ def metropolis_matrix(spec: CayleyWalkSpec, states, f, beta: float,
     into the diagonal."""
     n = len(states)
     if n > dense_limit:
-        raise DenseLimitExceeded(f"{n} states > dense limit {dense_limit}")
+        raise CapExceeded(f"{n} states > dense limit {dense_limit}")
     states = list(states)
     index = {s: i for i, s in enumerate(states)}
     k = len(spec.generators)
